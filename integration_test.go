@@ -2,6 +2,7 @@ package sersim
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -103,14 +104,11 @@ func TestSERPipelineOnParsedCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repE, err := Estimate(parsed, EstimateConfig{Method: MethodEPP, Workers: 1})
+	repE, err := Run(context.Background(), parsed, WithMethod(MethodEPP), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	repM, err := Estimate(parsed, EstimateConfig{
-		Method: MethodMonteCarlo,
-		MC:     MCOptions{Vectors: 4096, Seed: 11},
-	})
+	repM, err := Run(context.Background(), parsed, WithMethod(MethodMonteCarlo), WithVectors(4096), WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}

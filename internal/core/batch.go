@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -54,23 +55,23 @@ type BatchAnalyzer struct {
 	a      *Analyzer
 	stride int // configured lane count (batch width)
 
-	// Per-node epoch-stamped scratch. stamp marks union-cone membership in
-	// the current batch; seedStamp validates seed (the lanes a node is the
-	// error site of); mask is valid for stamped nodes after the node has
-	// been swept; pos is the node's dense index into the lane arrays.
+	// Union-cone extraction. stamp/epoch are the walker's membership
+	// stamps of the current batch's union cone, refreshed every run and
+	// read directly by the sweep's inner loops.
+	walker  *graph.Walker
+	members []netlist.ID // the current union cone, in level order
+	stamp   []uint32
+	epoch   uint32
+
+	// Per-node scratch. seedStamp (under the walker's epoch) validates seed,
+	// the lanes a node is the error site of; mask is valid for union members
+	// after the node has been swept; pos is the node's dense index into the
+	// lane arrays.
 	mask      []uint64
 	seed      []uint64
 	pos       []int32
-	stamp     []uint32
 	seedStamp []uint32
-	epoch     uint32
-
-	// Union-cone extraction scratch (same technique as graph.Walker).
-	stack   []netlist.ID
-	touched []netlist.ID
-	counts  []int32
-	members []netlist.ID
-	obs     []netlist.ID // observed union members, in sweep order
+	obs       []netlist.ID // observed union members, in sweep order
 
 	// Struct-of-arrays lane state, indexed pos*stride + lane.
 	pa, pab, p0, p1 []float64
@@ -101,10 +102,10 @@ func NewBatch(a *Analyzer, width int) *BatchAnalyzer {
 	return &BatchAnalyzer{
 		a:         a,
 		stride:    width,
+		walker:    graph.NewWalker(a.c),
 		mask:      make([]uint64, n),
 		seed:      make([]uint64, n),
 		pos:       make([]int32, n),
-		stamp:     make([]uint32, n),
 		seedStamp: make([]uint32, n),
 		miss:      make([]float64, width),
 		csize:     make([]int32, width),
@@ -200,8 +201,8 @@ func (b *BatchAnalyzer) EPPBatch(sites []netlist.ID, out []Result) {
 	}
 }
 
-// run executes one batched pass: seed the lanes, extract the union cone,
-// order it topologically, then sweep all lanes in a single pass.
+// run executes one batched pass: extract the union cone, seed the lanes,
+// then sweep all lanes in a single pass.
 func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	if len(sites) == 0 {
 		return
@@ -209,85 +210,23 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	if len(sites) > b.stride {
 		panic(fmt.Sprintf("core: batch of %d sites exceeds width %d", len(sites), b.stride))
 	}
-	a := b.a
-	c := a.c
-	n := c.N()
-
-	b.epoch++
-	if b.epoch == 0 { // uint32 wraparound: invalidate all stamps
-		for i := range b.stamp {
-			b.stamp[i] = 0
-			b.seedStamp[i] = 0
-		}
-		b.epoch = 1
-	}
-
-	// Seed lanes and start the union DFS from every site.
-	b.touched = b.touched[:0]
-	b.stack = b.stack[:0]
-	for lane, site := range sites {
+	n := b.a.c.N()
+	for _, site := range sites {
 		if site < 0 || int(site) >= n {
 			panic(fmt.Sprintf("core: batch: invalid site %d", site))
 		}
+	}
+	b.members = b.walker.UnionCone(sites)
+	b.stamp, b.epoch = b.walker.Stamps()
+	if b.epoch == 1 { // fresh walker stamps: first pass or uint32 wraparound
+		clear(b.seedStamp)
+	}
+	for lane, site := range sites {
 		if b.seedStamp[site] != b.epoch {
 			b.seedStamp[site] = b.epoch
 			b.seed[site] = 0
 		}
 		b.seed[site] |= 1 << uint(lane)
-		if b.stamp[site] != b.epoch {
-			b.stamp[site] = b.epoch
-			b.touched = append(b.touched, site)
-			b.stack = append(b.stack, site)
-		}
-	}
-	foIdx, foArr := c.FanoutCSR()
-	kinds := c.Kinds()
-	for len(b.stack) > 0 {
-		id := b.stack[len(b.stack)-1]
-		b.stack = b.stack[:len(b.stack)-1]
-		for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
-			if b.stamp[o] == b.epoch {
-				continue
-			}
-			if kinds[o] == logic.DFF {
-				continue // time-frame boundary: do not cross
-			}
-			b.stamp[o] = b.epoch
-			b.touched = append(b.touched, o)
-			b.stack = append(b.stack, o)
-		}
-	}
-
-	// Counting sort by combinational level — a valid topological order, as
-	// in graph.Walker.ForwardCone.
-	levels := c.Levels()
-	maxLv := 0
-	for _, id := range b.touched {
-		if lv := levels[id]; lv > maxLv {
-			maxLv = lv
-		}
-	}
-	if cap(b.counts) < maxLv+2 {
-		b.counts = make([]int32, maxLv+2)
-	}
-	counts := b.counts[:maxLv+2]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, id := range b.touched {
-		counts[levels[id]+1]++
-	}
-	for lv := 1; lv < len(counts); lv++ {
-		counts[lv] += counts[lv-1]
-	}
-	if cap(b.members) < len(b.touched) {
-		b.members = make([]netlist.ID, len(b.touched))
-	}
-	b.members = b.members[:len(b.touched)]
-	for _, id := range b.touched {
-		lv := levels[id]
-		b.members[counts[lv]] = id
-		counts[lv]++
 	}
 
 	// Size the lane arrays for this union cone.

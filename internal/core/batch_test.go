@@ -3,9 +3,12 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sigprob"
@@ -256,23 +259,38 @@ func TestBatchEpochWraparound(t *testing.T) {
 	for id := 0; id < c.N(); id++ {
 		want[id] = a.EPP(netlist.ID(id)).PSensitized
 	}
-	check := func(tag string) {
+	check := func(tag string, descending bool) {
 		t.Helper()
 		var out [1]float64
-		for id := 0; id < c.N(); id++ {
+		for i := 0; i < c.N(); i++ {
+			id := i
+			if descending {
+				id = c.N() - 1 - i
+			}
 			eng.PSensitizedBatch([]netlist.ID{netlist.ID(id)}, out[:])
 			if d := math.Abs(out[0] - want[id]); d > 1e-12 {
 				t.Fatalf("%s: site %d: %v, want %v", tag, id, out[0], want[id])
 			}
 		}
 	}
-	check("pre-wrap")
-	// Park the engine two increments before overflow: the next run() takes
-	// epoch to ^uint32(0), the one after wraps to 0 and must invalidate.
-	eng.epoch = ^uint32(0) - 2
-	check("straddling wrap")
+	check("pre-wrap", true)
+	// Park the engine's cone walker two increments below overflow: the
+	// second run() takes the epoch to ^uint32(0), the third wraps to 0 and
+	// must invalidate both the walker's cone stamps and the seed stamps. The
+	// descending pre-wrap pass left high-ID gates' seeds stamped with small
+	// epochs, which the ascending straddle reaches again while those gates
+	// sit, not yet re-swept, inside the cones of low-ID sites.
+	parkEpoch(eng.walker, ^uint32(0)-2)
+	check("straddling wrap", false)
 	if eng.epoch >= ^uint32(0)-2 {
 		t.Fatalf("epoch = %d, wraparound branch not exercised", eng.epoch)
 	}
-	check("post-wrap")
+	check("post-wrap", false)
+}
+
+// parkEpoch sets a walker's membership epoch, which the graph package keeps
+// unexported.
+func parkEpoch(w *graph.Walker, epoch uint32) {
+	f := reflect.ValueOf(w).Elem().FieldByName("epoch")
+	*(*uint32)(unsafe.Pointer(f.UnsafeAddr())) = epoch
 }

@@ -123,10 +123,8 @@ type Analyzer struct {
 	c      *netlist.Circuit
 	sp     []float64 // off-path signal probability per node
 	opt    Options
-	walker *graph.Walker
-	state  []logic.Prob4 // on-path state, valid where stamp == epoch
-	stamp  []uint32
-	epoch  uint32
+	walker *graph.Walker // its stamps mark the last EPP's on-path signals
+	state  []logic.Prob4 // on-path state, valid for the last EPP's cone
 	ins    []logic.Prob4 // fanin gather scratch
 	obs    []netlist.ID  // output-ID sort scratch for the miss-product fold
 
@@ -158,7 +156,6 @@ func New(c *netlist.Circuit, sp []float64, opt Options) (*Analyzer, error) {
 		opt:    opt,
 		walker: graph.NewWalker(c),
 		state:  make([]logic.Prob4, c.N()),
-		stamp:  make([]uint32, c.N()),
 		ins:    make([]logic.Prob4, 0, 8),
 		kinds:  c.Kinds(),
 	}
@@ -242,21 +239,13 @@ func (a *Analyzer) EPP(site netlist.ID) Result {
 
 // sweep performs step 3: one pass over the cone in topological order.
 func (a *Analyzer) sweep(cone *graph.Cone) {
-	a.epoch++
-	if a.epoch == 0 { // uint32 wraparound: invalidate all stamps
-		for i := range a.stamp {
-			a.stamp[i] = 0
-		}
-		a.epoch = 1
-	}
 	a.state[cone.Root] = logic.ErrorSite()
-	a.stamp[cone.Root] = a.epoch
 
 	for _, id := range cone.Members[1:] {
 		kind := a.kinds[id]
 		a.ins = a.ins[:0]
 		for _, f := range a.fiArr[a.fiIdx[id]:a.fiIdx[id+1]] {
-			if a.stamp[f] == a.epoch {
+			if cone.Contains(f) {
 				a.ins = append(a.ins, a.state[f]) // on-path fanin
 			} else {
 				a.ins = append(a.ins, logic.FromSP(a.sp[f])) // off-path fanin
@@ -273,14 +262,13 @@ func (a *Analyzer) sweep(cone *graph.Cone) {
 			st[logic.SymABar] = 0
 		}
 		a.state[id] = st
-		a.stamp[id] = a.epoch
 	}
 }
 
 // StateOf returns the four-valued state computed for node id by the most
 // recent EPP call, and whether the node was on-path in that analysis.
 func (a *Analyzer) StateOf(id netlist.ID) (logic.Prob4, bool) {
-	if a.stamp[id] != a.epoch || a.epoch == 0 {
+	if stamp, epoch := a.walker.Stamps(); epoch == 0 || stamp[id] != epoch {
 		return logic.Prob4{}, false
 	}
 	return a.state[id], true

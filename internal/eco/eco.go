@@ -123,15 +123,12 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/resume"
 	"repro/internal/sigprob"
 )
 
 // Hash is a SHA-256 cone digest.
 type Hash [32]byte
-
-// Range is a contiguous half-open node-ID range [Lo, Hi) of memo hits, the
-// unit the engine sweep drivers schedule around (mirrors resume.Range).
-type Range struct{ Lo, Hi int }
 
 // ConeHashes computes the per-site observation-cone digest of every node of
 // c under an analysis of the given frame count (frames < 1 is treated as
@@ -490,12 +487,12 @@ func (ca *Cache) cone(k coneKey, compute func() []Hash) []Hash {
 // by site ID, parallel to hashes) and returns the hit ranges, ascending and
 // disjoint, plus the total hit count. Entries of out outside the returned
 // ranges are left untouched.
-func (ca *Cache) Lookup(key string, hashes []Hash, out []float64) ([]Range, int) {
+func (ca *Cache) Lookup(key string, hashes []Hash, out []float64) ([]resume.Range, int) {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
 	e := ca.entry(key)
 	var (
-		ranges []Range
+		ranges []resume.Range
 		hits   int
 		open   = false
 		lo     = 0
@@ -511,12 +508,12 @@ func (ca *Cache) Lookup(key string, hashes []Hash, out []float64) ([]Range, int)
 			continue
 		}
 		if open {
-			ranges = append(ranges, Range{Lo: lo, Hi: id})
+			ranges = append(ranges, resume.Range{Lo: lo, Hi: id})
 			open = false
 		}
 	}
 	if open {
-		ranges = append(ranges, Range{Lo: lo, Hi: len(hashes)})
+		ranges = append(ranges, resume.Range{Lo: lo, Hi: len(hashes)})
 	}
 	return ranges, hits
 }

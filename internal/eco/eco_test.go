@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/harden"
 	"repro/internal/netlist"
+	"repro/internal/resume"
 )
 
 func circuitFile(t testing.TB, name string) *netlist.Circuit {
@@ -124,7 +125,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if hits != n {
 		t.Fatalf("hits = %d, want %d", hits, n)
 	}
-	if len(ranges) != 1 || ranges[0] != (eco.Range{Lo: 0, Hi: n}) {
+	if len(ranges) != 1 || ranges[0] != (resume.Range{Lo: 0, Hi: n}) {
 		t.Fatalf("ranges = %v, want one full range", ranges)
 	}
 	for i := range vals {
@@ -163,7 +164,7 @@ func TestCachePartialRanges(t *testing.T) {
 	if hits != n-2 {
 		t.Fatalf("hits = %d, want %d", hits, n-2)
 	}
-	want := []eco.Range{{Lo: 0, Hi: 3}, {Lo: 5, Hi: n}}
+	want := []resume.Range{{Lo: 0, Hi: 3}, {Lo: 5, Hi: n}}
 	if len(ranges) != 2 || ranges[0] != want[0] || ranges[1] != want[1] {
 		t.Fatalf("ranges = %v, want %v", ranges, want)
 	}

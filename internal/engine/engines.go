@@ -238,15 +238,7 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 	}
 	c := req.Circuit
 	n := c.N()
-	if req.SiteHi > req.SiteLo {
-		// The shared-good-sim kernel is word-major: each 64-vector word costs
-		// one full-circuit good simulation amortized across every site, so a
-		// site-range shard would re-pay all good simulations per shard —
-		// sharding by site only multiplies work. The coordinator runs sampling
-		// requests whole instead.
-		return fmt.Errorf("engine: monte-carlo does not support a site-range shard (the word-major shared-good-sim kernel amortizes good simulations across all sites; shard by seed or run whole instead)")
-	}
-	if err := req.checkMemo(); err != nil {
+	if err := req.checkRestore(req.SiteHi > req.SiteLo, true); err != nil {
 		return err
 	}
 	var (

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
 	"runtime/debug"
 	"sync"
@@ -82,42 +83,13 @@ func (e *SweepPanicError) Error() string {
 // otherwise) so that an SP-affecting change upstream is caught even though
 // SP is computed, not configured.
 func (r *Request) Fingerprint(engineName string, sp []float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wF64 := func(v float64) { wInt(int64(math.Float64bits(v))) }
-	wStr := func(s string) {
-		wInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	wVec := func(v []float64) {
-		wInt(int64(len(v)))
-		for _, x := range v {
-			wF64(x)
-		}
-	}
-	wStr(engineName)
-	wStr(r.Circuit.ContentHash())
-	wInt(int64(r.Frames))
-	wInt(int64(r.Vectors))
-	wInt(int64(r.Seed))
-	wInt(int64(r.Rules))
-	wInt(int64(r.BDDBudget))
-	if r.Latch == nil {
-		wInt(0)
-	} else {
-		wInt(1)
-		wF64(r.Latch.ClockPeriodPs)
-		wF64(r.Latch.WindowPs)
-		wF64(r.Latch.PulseWidthPs)
-		wF64(r.Latch.AttenuationPerLevel)
-	}
-	wVec(r.Bias)
-	wVec(sp)
-	return fmt.Sprintf("%x", h.Sum(nil))
+	w := newHashWriter()
+	w.str(engineName)
+	w.str(r.Circuit.ContentHash())
+	r.writeResultOptions(w)
+	w.vec(r.Bias)
+	w.vec(sp)
+	return w.hex()
 }
 
 // memoKey is the ECO cache's request identity: every result-affecting
@@ -129,42 +101,69 @@ func (r *Request) Fingerprint(engineName string, sp []float64) string {
 // streams draw per source in global ascending-ID order, so a source-set
 // change shifts every later source's draws even when cones are unchanged.
 func (r *Request) memoKey(engineName string, sampling bool) string {
-	h := sha256.New()
-	var buf [8]byte
-	wInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	wF64 := func(v float64) { wInt(int64(math.Float64bits(v))) }
-	wStr := func(s string) {
-		wInt(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	wStr("eco-v1")
-	wStr(engineName)
-	wInt(int64(r.Frames))
-	wInt(int64(r.Vectors))
-	wInt(int64(r.Seed))
-	wInt(int64(r.Rules))
-	wInt(int64(r.BDDBudget))
-	if r.Latch == nil {
-		wInt(0)
-	} else {
-		wInt(1)
-		wF64(r.Latch.ClockPeriodPs)
-		wF64(r.Latch.WindowPs)
-		wF64(r.Latch.PulseWidthPs)
-		wF64(r.Latch.AttenuationPerLevel)
-	}
+	w := newHashWriter()
+	w.str("eco-v1")
+	w.str(engineName)
+	r.writeResultOptions(w)
 	if sampling {
 		srcs := r.Circuit.Sources()
-		wInt(int64(len(srcs)))
+		w.i64(int64(len(srcs)))
 		for _, id := range srcs {
-			wInt(int64(id))
+			w.i64(int64(id))
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return w.hex()
 }
+
+// writeResultOptions writes the configured result-affecting options shared
+// by Fingerprint and memoKey.
+func (r *Request) writeResultOptions(w *hashWriter) {
+	w.i64(int64(r.Frames))
+	w.i64(int64(r.Vectors))
+	w.i64(int64(r.Seed))
+	w.i64(int64(r.Rules))
+	w.i64(int64(r.BDDBudget))
+	if r.Latch == nil {
+		w.i64(0)
+		return
+	}
+	w.i64(1)
+	w.f64(r.Latch.ClockPeriodPs)
+	w.f64(r.Latch.WindowPs)
+	w.f64(r.Latch.PulseWidthPs)
+	w.f64(r.Latch.AttenuationPerLevel)
+}
+
+// hashWriter is the canonical field encoding of the request hashes:
+// integers as 8-byte little-endian words, floats as their IEEE-754 bits,
+// strings and vectors length-prefixed, all into one SHA-256.
+type hashWriter struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newHashWriter() *hashWriter { return &hashWriter{h: sha256.New()} }
+
+func (w *hashWriter) i64(v int64) {
+	binary.LittleEndian.PutUint64(w.buf[:], uint64(v))
+	w.h.Write(w.buf[:])
+}
+
+func (w *hashWriter) f64(v float64) { w.i64(int64(math.Float64bits(v))) }
+
+func (w *hashWriter) str(s string) {
+	w.i64(int64(len(s)))
+	w.h.Write([]byte(s))
+}
+
+func (w *hashWriter) vec(v []float64) {
+	w.i64(int64(len(v)))
+	for _, x := range v {
+		w.f64(x)
+	}
+}
+
+func (w *hashWriter) hex() string { return fmt.Sprintf("%x", w.h.Sum(nil)) }
 
 // memoFrames normalizes the request's frame count for cone hashing.
 func (r *Request) memoFrames() int {
@@ -187,61 +186,84 @@ func (r *Request) memoHashes(engName string, sp []float64) []eco.Hash {
 	return r.Memo.Hashes(r.Circuit, r.memoFrames())
 }
 
-// checkMemo validates the memo combination rules shared by all engines.
-func (r *Request) checkMemo() error {
-	if r.Memo == nil {
-		return nil
-	}
-	if r.Resume != nil {
+// checkRestore enforces, for every engine, how the restore sources (Memo,
+// Resume) combine with each other, with source bias and with a site-range
+// shard. A word-major engine cannot run a shard at all.
+func (r *Request) checkRestore(sharded, wordMajor bool) error {
+	switch {
+	case sharded && wordMajor:
+		// The shared-good-sim kernel is word-major: each 64-vector word costs
+		// one full-circuit good simulation amortized across every site, so a
+		// site-range shard would re-pay all good simulations per shard —
+		// sharding by site only multiplies work. The coordinator runs
+		// sampling requests whole instead.
+		return fmt.Errorf("engine: monte-carlo does not support a site-range shard (the word-major shared-good-sim kernel amortizes good simulations across all sites; shard by seed or run whole instead)")
+	case r.Memo != nil && r.Resume != nil:
 		return fmt.Errorf("engine: Memo cannot combine with Resume (pick one restore source; the ECO cache already persists results)")
-	}
-	if r.Bias != nil {
+	case r.Memo != nil && r.Bias != nil:
 		return fmt.Errorf("engine: Memo requires nil Bias (per-site values must be pure functions of cone content; see Request.Memo)")
+	case sharded && r.Memo != nil:
+		return fmt.Errorf("engine: a site-range shard cannot carry an ECO memo cache (the coordinator owns cross-request reuse)")
+	case sharded && r.Resume != nil:
+		// A shard is one slice of a larger logical sweep whose durability the
+		// coordinator owns (it commits returned ranges against the full-sweep
+		// checkpoint); a per-shard checkpoint would fingerprint as the full
+		// sweep while holding only the slice, so the combination is refused.
+		return fmt.Errorf("engine: a site-range shard cannot carry its own checkpoint (the coordinator owns retry durability)")
 	}
 	return nil
 }
 
-// span is one contiguous claimable range of a sweep's unit space.
-type span struct{ lo, hi int }
-
-// chunkSpans tiles [lo0, hi0) into chunk-sized spans aligned to lo0 — the
-// fresh-sweep work list, identical to the historical atomic-cursor
-// partitioning for the full range [0, n), and the shard work list for a
-// site-range request.
-func chunkSpans(lo0, hi0, chunk int) []span {
-	spans := make([]span, 0, (hi0-lo0+chunk-1)/chunk)
-	for lo := lo0; lo < hi0; lo += chunk {
-		hi := lo + chunk
-		if hi > hi0 {
-			hi = hi0
-		}
-		spans = append(spans, span{lo, hi})
-	}
-	return spans
+// restoreSource is where a site-major sweep restores finished sites from
+// and commits newly computed ones to: an armed checkpoint (*resume.State)
+// or the ECO memo cache (memoSource).
+type restoreSource interface {
+	// RestoreSites writes the stored values into out (indexed by site ID)
+	// and returns the restored ranges, sorted and disjoint.
+	RestoreSites(out []float64) []resume.Range
+	// CommitSites records the computed values of sites [lo, hi).
+	CommitSites(lo, hi int, vals []float64) error
+	// Flush persists every commit; the sweep calls it on every exit path.
+	Flush() error
 }
 
-// pendingSpans tiles the complement of the done ranges (sorted, disjoint,
-// within [0, n)) into spans of at most chunk units — the resumed-sweep work
-// list. Pieces are aligned to the gap starts, not to absolute chunk
-// multiples; engines built on this must be packing-invariant (they all
-// are).
-func pendingSpans(n, chunk int, done []resume.Range) []span {
-	var spans []span
-	next := 0
-	emit := func(lo, hi int) {
-		for ; lo+chunk < hi; lo += chunk {
-			spans = append(spans, span{lo, lo + chunk})
+// memoSource is the ECO cache as a restoreSource: one request key plus the
+// per-site cone hashes the values are keyed by.
+type memoSource struct {
+	cache  *eco.Cache
+	key    string
+	hashes []eco.Hash
+}
+
+func (m memoSource) RestoreSites(out []float64) []resume.Range {
+	ranges, _ := m.cache.Lookup(m.key, m.hashes, out)
+	return ranges
+}
+
+func (m memoSource) CommitSites(lo, hi int, vals []float64) error {
+	m.cache.Store(m.key, m.hashes, lo, hi, vals)
+	return nil
+}
+
+func (m memoSource) Flush() error { return m.cache.Flush() }
+
+// openRestoreSource returns the request's restore source for a site-major
+// sweep of n sites, or nil for a fresh sweep. A corrupt checkpoint (torn
+// bytes, failed checksum) has been quarantined to <path>.corrupt by the
+// resume layer and arms empty: the sweep restarts fresh rather than folding
+// garbage, and the quarantined file keeps the forensic evidence.
+func (r *Request) openRestoreSource(engName string, sp []float64, n int) (restoreSource, error) {
+	switch {
+	case r.Resume != nil:
+		rs, _, err := r.Resume.ArmRecovering(engName, r.Fingerprint(engName, sp), resume.KindSites, n)
+		if err != nil {
+			return nil, err
 		}
-		if lo < hi {
-			spans = append(spans, span{lo, hi})
-		}
+		return rs, nil
+	case r.Memo != nil:
+		return memoSource{cache: r.Memo, key: r.memoKey(engName, false), hashes: r.memoHashes(engName, sp)}, nil
 	}
-	for _, r := range done {
-		emit(next, r.Lo)
-		next = r.Hi
-	}
-	emit(next, n)
-	return spans
+	return nil, nil
 }
 
 // sweepSpans is the shared driver of the site-major engines: spans are
@@ -256,7 +278,7 @@ func pendingSpans(n, chunk int, done []resume.Range) []span {
 // workers recovered into a *SweepPanicError that aborts the sweep. The
 // returned done count (doneBase plus units completed here) is valid on
 // error paths too, for partial-progress metadata.
-func sweepSpans(ctx context.Context, spans []span, total, doneBase, workers, maxUnits int, onBatch func(lo, hi int) error, onProgress func(done, total int), newWorker func() (func(lo, hi int) error, error)) (int, error) {
+func sweepSpans(ctx context.Context, spans []resume.Range, total, doneBase, workers, maxUnits int, onBatch func(lo, hi int) error, onProgress func(done, total int), newWorker func() (func(lo, hi int) error, error)) (int, error) {
 	if len(spans) == 0 {
 		if onProgress != nil && doneBase > 0 {
 			onProgress(doneBase, total)
@@ -343,7 +365,7 @@ func sweepSpans(ctx context.Context, spans []span, total, doneBase, workers, max
 				if i >= len(spans) {
 					return
 				}
-				lo, hi = spans[i].lo, spans[i].hi
+				lo, hi = spans[i].Lo, spans[i].Hi
 				if err := do(lo, hi); err != nil {
 					fail(err)
 					return
@@ -395,28 +417,23 @@ func wrapSweepErr(engName string, total, done int, err error) error {
 }
 
 // siteSweep runs a site-major all-sites sweep for an engine with the full
-// resilience layer: checkpoint arming and replay, pending-span scheduling,
-// per-batch commits, the node budget, and final flush. out must be the
-// engine's result vector indexed by sweep unit — which is why engines under
-// a checkpoint force ascending-ID order (Request.sweepOrdered): committed
-// ranges must be ID ranges to be restorable. sp is the engine's resolved
-// signal probability vector (nil for non-analytic engines), consumed by the
-// request fingerprint.
+// resilience layer: restore and replay, pending-span scheduling, per-batch
+// commits, the node budget, and final flush. out must be the engine's
+// result vector indexed by sweep unit — which is why engines under a
+// restore source force ascending-ID order (Request.sweepOrdered): restored
+// ranges must be ID ranges. sp is the engine's resolved signal probability
+// vector (nil for non-analytic engines), consumed by the request
+// fingerprint and the analytic cone hashes.
 func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, chunk int, out []float64, newWorker func() (func(lo, hi int) error, error)) error {
 	n := req.Circuit.N()
 	lo0, hi0, sharded, err := req.shardRange(n)
 	if err != nil {
 		return err
 	}
-	total := hi0 - lo0
-	var (
-		spans    []span
-		rs       *resume.State
-		doneBase int
-	)
-	if err := req.checkMemo(); err != nil {
+	if err := req.checkRestore(sharded, false); err != nil {
 		return err
 	}
+	total := hi0 - lo0
 	if req.Stats != nil {
 		// Count analyzed sites generically: every chunk a worker actually
 		// computes (restored sites — checkpoint or memo — are not analyzed,
@@ -436,52 +453,38 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 			}, nil
 		}
 	}
-	onBatch := req.OnBatch
-	if sharded {
-		if req.Memo != nil {
-			return fmt.Errorf("engine: a site-range shard cannot carry an ECO memo cache (the coordinator owns cross-request reuse)")
-		}
-		// A shard is one slice of a larger logical sweep whose durability the
-		// coordinator owns (it commits returned ranges against the full-sweep
-		// checkpoint); a per-shard checkpoint would fingerprint as the full
-		// sweep while holding only the slice, so the combination is refused.
-		if req.Resume != nil {
-			return fmt.Errorf("engine: a site-range shard cannot carry its own checkpoint (the coordinator owns retry durability)")
-		}
-		spans = chunkSpans(lo0, hi0, chunk)
-		maxUnits := 0
-		if req.MaxSweepNodes > 0 {
-			maxUnits = req.MaxSweepNodes
-		}
-		done, err := sweepSpans(ctx, spans, total, 0, resolveWorkers(req.Workers), maxUnits, onBatch, req.OnProgress, newWorker)
-		return wrapSweepErr(engName, total, done, err)
+	src, err := req.openRestoreSource(engName, sp, n)
+	if err != nil {
+		return err
 	}
-	if req.Resume != nil {
-		// A corrupt checkpoint (torn bytes, failed checksum) has been
-		// quarantined to <path>.corrupt by the resume layer; the sweep
-		// restarts fresh rather than folding garbage, and the quarantined
-		// file keeps the forensic evidence.
-		var err error
-		rs, _, err = req.Resume.ArmRecovering(engName, req.Fingerprint(engName, sp), resume.KindSites, n)
-		if err != nil {
-			return err
+	var (
+		restored []resume.Range
+		doneBase int
+	)
+	onBatch := req.OnBatch
+	if src != nil {
+		// Restored sites are bit-identical to computed ones (both sources
+		// store IEEE-754 bit patterns). They replay through OnBatch up front
+		// so streaming consumers see every site exactly once, the sweep
+		// covers the complement, and each fresh batch is committed back
+		// before OnBatch sees it.
+		restored = src.RestoreSites(out)
+		for _, rg := range restored {
+			doneBase += rg.Hi - rg.Lo
 		}
-		ranges := rs.RestoreSites(out)
-		doneBase = rs.DoneUnits()
-		// Replay restored ranges through OnBatch up front so streaming
-		// consumers see every site exactly once across the interrupted and
-		// resumed runs' perspective of this sweep.
+		if req.Memo != nil && req.Stats != nil {
+			req.Stats.MemoHits.Add(int64(doneBase))
+		}
 		if onBatch != nil {
-			for _, rg := range ranges {
+			for _, rg := range restored {
 				if err := callOnBatch(onBatch, rg.Lo, rg.Hi); err != nil {
-					return wrapSweepErr(engName, n, doneBase, err)
+					return wrapSweepErr(engName, total, doneBase, err)
 				}
 			}
 		}
-		spans = pendingSpans(n, chunk, ranges)
 		inner := onBatch
 		onBatch = func(lo, hi int) error {
-			if err := rs.CommitSites(lo, hi, out[lo:hi]); err != nil {
+			if err := src.CommitSites(lo, hi, out[lo:hi]); err != nil {
 				return err
 			}
 			if inner != nil {
@@ -489,64 +492,26 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 			}
 			return nil
 		}
-	} else if req.Memo != nil {
-		// The memo restore mirrors the checkpoint path: cached sites are
-		// restored into out (bit-identical — values are stored as IEEE-754
-		// bit patterns keyed by cone hash), replayed through OnBatch so
-		// streaming consumers see every site exactly once, and the sweep
-		// covers the complement. Freshly computed batches are stored back
-		// under the commit hook, and the cache is flushed on every exit
-		// path, so even a budgeted or deadlined sweep banks its results.
-		hashes := req.memoHashes(engName, sp)
-		key := req.memoKey(engName, false)
-		ranges, hits := req.Memo.Lookup(key, hashes, out)
-		doneBase = hits
-		if req.Stats != nil {
-			req.Stats.MemoHits.Add(int64(hits))
-		}
-		if onBatch != nil {
-			for _, rg := range ranges {
-				if err := callOnBatch(onBatch, rg.Lo, rg.Hi); err != nil {
-					return wrapSweepErr(engName, n, doneBase, err)
-				}
-			}
-		}
-		rr := make([]resume.Range, len(ranges))
-		for i, rg := range ranges {
-			rr[i] = resume.Range{Lo: rg.Lo, Hi: rg.Hi}
-		}
-		spans = pendingSpans(n, chunk, rr)
-		memo, inner := req.Memo, onBatch
-		onBatch = func(lo, hi int) error {
-			memo.Store(key, hashes, lo, hi, out[lo:hi])
-			if inner != nil {
-				return inner(lo, hi)
-			}
-			return nil
-		}
-	} else {
-		spans = chunkSpans(0, n, chunk)
 	}
 	maxUnits := 0
 	if req.MaxSweepNodes > 0 {
 		// The budget bounds this call's new work; restored units are free.
 		maxUnits = doneBase + req.MaxSweepNodes
 	}
-	done, err := sweepSpans(ctx, spans, n, doneBase, resolveWorkers(req.Workers), maxUnits, onBatch, req.OnProgress, newWorker)
-	if rs != nil {
+	// Spans start at gap starts, not at chunk multiples; the engines are
+	// packing-invariant, so the tiling never changes results.
+	spans := resume.Pending(lo0, hi0, chunk, restored)
+	done, err := sweepSpans(ctx, spans, total, doneBase, resolveWorkers(req.Workers), maxUnits, onBatch, req.OnProgress, newWorker)
+	if src != nil {
 		// Flush on every path: after an orderly stop (budget, deadline,
-		// cancel) the committed batches since the last cadence write become
-		// durable, so -checkpoint composes with -timeout into convergence.
-		if ferr := rs.Flush(); ferr != nil && err == nil {
+		// cancel) the batches committed since the last write become durable,
+		// so a checkpoint composes with a timeout into convergence and even
+		// a budgeted memo sweep banks its results.
+		if ferr := src.Flush(); ferr != nil && err == nil {
 			err = ferr
 		}
 	}
-	if req.Memo != nil {
-		if ferr := req.Memo.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	return wrapSweepErr(engName, n, done, err)
+	return wrapSweepErr(engName, total, done, err)
 }
 
 // callOnBatch invokes a user OnBatch callback with panic recovery — used

@@ -1,18 +1,16 @@
-// Package graph implements the structural traversals the EPP method is built
-// on (paper §2, steps 1 and 2): forward cone extraction from an error site to
-// all reachable observation points via depth-first search, topological
-// ordering of the extracted cone, backward (fanin) cones, and reachability
-// utilities.
+// Package graph implements the structural traversal the EPP method is built
+// on (paper §2, steps 1 and 2): forward cone extraction from error sites to
+// all reachable observation points via depth-first search, in topological
+// order. One primitive, Walker.UnionCone, serves every engine: the scalar
+// analyses take the one-root case (ForwardCone), the batched EPP and Monte
+// Carlo kernels the union of up to 64 sites' cones.
 //
-// All traversals treat D flip-flops as time-frame boundaries: propagation
+// The traversal treats D flip-flops as time-frame boundaries: propagation
 // stops at a flip-flop's D input (which is an observation point) and never
 // continues through the flip-flop's output.
 package graph
 
 import (
-	"math/bits"
-	"sort"
-
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -28,31 +26,33 @@ type Cone struct {
 	// Outputs lists the observation points (POs and FF D inputs) inside the
 	// cone, i.e. the outputs reachable from Root, in topological order.
 	Outputs []netlist.ID
-	// inCone[id] reports cone membership; shared scratch, valid until the
-	// owning Walker is used for another root.
-	inCone []bool
+	// Membership stamps shared with the owning Walker, valid until it
+	// extracts another cone.
+	stamp []uint32
+	epoch uint32
 }
 
 // Contains reports whether node id is an on-path signal of the cone.
-func (c *Cone) Contains(id netlist.ID) bool { return c.inCone[id] }
+func (c *Cone) Contains(id netlist.ID) bool { return c.stamp[id] == c.epoch }
 
 // Size returns the number of on-path signals.
 func (c *Cone) Size() int { return len(c.Members) }
 
 // Walker extracts forward cones from a fixed circuit. It keeps reusable
 // scratch so repeated extraction (the all-nodes SER loop) performs no
-// per-call allocation: the returned Cone's slices alias the Walker's scratch
-// and are invalidated by the next ForwardCone call. A Walker is not safe for
-// concurrent use; create one per goroutine.
+// per-call allocation: returned slices alias the Walker's scratch and are
+// invalidated by the next extraction. Membership is epoch-stamped, so
+// starting a new cone costs O(1) instead of clearing the previous one. A
+// Walker is not safe for concurrent use; create one per goroutine.
 type Walker struct {
 	c       *netlist.Circuit
-	topoPos []int32 // topoPos[id] = position of id in c.Topo()
-	inCone  []bool
+	stamp   []uint32 // stamp[id] == epoch iff id is in the last cone
+	epoch   uint32
 	stack   []netlist.ID
-	touched []netlist.ID // nodes whose inCone bit is set, for O(|cone|) reset
+	touched []netlist.ID // members in discovery order
 	counts  []int32      // per-level counting-sort scratch, reused
-	members []netlist.ID // sorted members scratch, reused
-	outputs []netlist.ID // observed members scratch, reused
+	members []netlist.ID // level-sorted members, reused
+	outputs []netlist.ID // observed members, reused
 
 	// CSR views of the circuit, cached so the DFS inner loop reads flat
 	// arrays instead of dereferencing Node structs.
@@ -64,59 +64,54 @@ type Walker struct {
 
 // NewWalker returns a Walker over circuit c.
 func NewWalker(c *netlist.Circuit) *Walker {
-	topo := c.Topo()
-	pos := make([]int32, c.N())
-	for i, id := range topo {
-		pos[id] = int32(i)
-	}
-	w := &Walker{
-		c:       c,
-		topoPos: pos,
-		inCone:  make([]bool, c.N()),
-	}
+	w := &Walker{c: c, stamp: make([]uint32, c.N())}
 	w.foIdx, w.foArr = c.FanoutCSR()
 	w.kinds = c.Kinds()
 	w.levels = c.Levels()
 	return w
 }
 
-// ForwardCone extracts the on-path cone of root: all nodes reachable from
-// root through combinational gates (stopping at flip-flops), sorted in
-// topological order, together with the reachable observation points.
-// The returned Cone shares scratch with the Walker and is invalidated by the
-// next ForwardCone call.
-func (w *Walker) ForwardCone(root netlist.ID) Cone {
-	// Reset the bits touched by the previous query.
-	for _, id := range w.touched {
-		w.inCone[id] = false
+// UnionCone returns the union of the forward cones of roots: every node
+// reachable from a root through combinational gates, never crossing a
+// flip-flop, in combinational level order — a valid topological order,
+// since every gate's level exceeds all of its fanins'. Nodes on one level
+// keep their DFS discovery order, so the result is a pure function of the
+// roots and their order; duplicate roots are allowed. The slice aliases
+// the Walker's scratch; Stamps answers membership of the same cone.
+func (w *Walker) UnionCone(roots []netlist.ID) []netlist.ID {
+	w.epoch++
+	if w.epoch == 0 { // uint32 wraparound: invalidate every stamp
+		clear(w.stamp)
+		w.epoch = 1
 	}
+	ep := w.epoch
 	w.touched = w.touched[:0]
 	w.stack = w.stack[:0]
-
-	c := w.c
-	w.stack = append(w.stack, root)
-	w.inCone[root] = true
-	w.touched = append(w.touched, root)
+	for _, r := range roots {
+		if w.stamp[r] != ep {
+			w.stamp[r] = ep
+			w.touched = append(w.touched, r)
+			w.stack = append(w.stack, r)
+		}
+	}
 	for len(w.stack) > 0 {
 		id := w.stack[len(w.stack)-1]
 		w.stack = w.stack[:len(w.stack)-1]
 		for _, out := range w.foArr[w.foIdx[id]:w.foIdx[id+1]] {
-			if w.inCone[out] {
+			if w.stamp[out] == ep {
 				continue
 			}
 			if w.kinds[out] == logic.DFF {
 				continue // time-frame boundary: do not cross
 			}
-			w.inCone[out] = true
+			w.stamp[out] = ep
 			w.touched = append(w.touched, out)
 			w.stack = append(w.stack, out)
 		}
 	}
 
-	// Order members topologically with a counting sort on the precomputed
-	// combinational level: every gate's level strictly exceeds all of its
-	// fanins' levels, so level order is a valid topological order. This is
-	// O(|cone| + depth) and allocation-free after warm-up.
+	// Counting sort on the precomputed combinational level: O(|cone| +
+	// depth) and allocation-free after warm-up.
 	maxLv := 0
 	for _, id := range w.touched {
 		if lv := w.levels[id]; lv > maxLv {
@@ -127,9 +122,7 @@ func (w *Walker) ForwardCone(root netlist.ID) Cone {
 		w.counts = make([]int32, maxLv+2)
 	}
 	counts := w.counts[:maxLv+2]
-	for i := range counts {
-		counts[i] = 0
-	}
+	clear(counts)
 	for _, id := range w.touched {
 		counts[w.levels[id]+1]++
 	}
@@ -145,104 +138,27 @@ func (w *Walker) ForwardCone(root netlist.ID) Cone {
 		w.members[counts[lv]] = id
 		counts[lv]++
 	}
+	return w.members
+}
+
+// Stamps exposes membership of the last extracted cone as flat data for
+// kernel inner loops: id is a member iff stamp[id] == epoch. Epoch 1 marks
+// a fresh stamp space — the first extraction, or the first after the
+// uint32 epoch wrapped and every stamp was cleared — so a caller keeping
+// its own stamps under this epoch must clear them when it sees 1.
+func (w *Walker) Stamps() (stamp []uint32, epoch uint32) { return w.stamp, w.epoch }
+
+// ForwardCone extracts the on-path cone of root: UnionCone of the single
+// root (which therefore comes first), together with the reachable
+// observation points. The returned Cone shares scratch with the Walker and
+// is invalidated by the next extraction.
+func (w *Walker) ForwardCone(root netlist.ID) Cone {
+	members := w.UnionCone([]netlist.ID{root})
 	w.outputs = w.outputs[:0]
-	for _, id := range w.members {
-		if c.IsObserved(id) {
+	for _, id := range members {
+		if w.c.IsObserved(id) {
 			w.outputs = append(w.outputs, id)
 		}
 	}
-	return Cone{Root: root, Members: w.members, Outputs: w.outputs, inCone: w.inCone}
-}
-
-// TopoPos returns the position of id in the circuit's topological order.
-func (w *Walker) TopoPos(id netlist.ID) int32 { return w.topoPos[id] }
-
-// FaninCone returns the transitive fanin of node id (including id), stopping
-// at sources (PIs, FFs, tie cells), in no particular order.
-func FaninCone(c *netlist.Circuit, id netlist.ID) []netlist.ID {
-	seen := make(map[netlist.ID]bool)
-	var out []netlist.ID
-	var stack []netlist.ID
-	stack = append(stack, id)
-	seen[id] = true
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, n)
-		if c.Node(n).IsSource() {
-			continue
-		}
-		for _, f := range c.Node(n).Fanin {
-			if !seen[f] {
-				seen[f] = true
-				stack = append(stack, f)
-			}
-		}
-	}
-	return out
-}
-
-// SupportInputs returns the source nodes (PIs, FF outputs, ties) in the
-// transitive fanin of id, sorted ascending: the combinational support.
-func SupportInputs(c *netlist.Circuit, id netlist.ID) []netlist.ID {
-	var out []netlist.ID
-	for _, n := range FaninCone(c, id) {
-		if c.Node(n).IsSource() {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ReachableOutputs returns, for every node, the number of observation points
-// reachable from it. Computed with one reverse sweep per observation point's
-// cone would be quadratic; instead this runs one forward cone per node only
-// when asked — see CountReachable for the batched bitset version.
-func ReachableOutputs(c *netlist.Circuit, id netlist.ID) int {
-	w := NewWalker(c)
-	cone := w.ForwardCone(id)
-	return len(cone.Outputs)
-}
-
-// CountReachable computes, for all nodes at once, how many observation
-// points each node reaches, using a reverse topological sweep of 64-bit
-// block bitsets over the observation points. Cost O(N · |observed|/64).
-func CountReachable(c *netlist.Circuit) []int {
-	obs := c.Observed()
-	words := (len(obs) + 63) / 64
-	obsIndex := make(map[netlist.ID]int, len(obs))
-	for i, id := range obs {
-		obsIndex[id] = i
-	}
-	store := make([]uint64, c.N()*words)
-	row := func(id netlist.ID) []uint64 {
-		return store[int(id)*words : (int(id)+1)*words]
-	}
-	topo := c.Topo()
-	for i := len(topo) - 1; i >= 0; i-- {
-		id := topo[i]
-		r := row(id)
-		if k, ok := obsIndex[id]; ok {
-			r[k/64] |= 1 << (k % 64)
-		}
-		for _, out := range c.Node(id).Fanout {
-			if c.Node(out).Kind == logic.DFF {
-				continue
-			}
-			or := row(out)
-			for wd := range r {
-				r[wd] |= or[wd]
-			}
-		}
-	}
-	counts := make([]int, c.N())
-	for id := 0; id < c.N(); id++ {
-		n := 0
-		for _, wd := range row(netlist.ID(id)) {
-			n += bits.OnesCount64(wd)
-		}
-		counts[id] = n
-	}
-	return counts
+	return Cone{Root: root, Members: members, Outputs: w.outputs, stamp: w.stamp, epoch: w.epoch}
 }

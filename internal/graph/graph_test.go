@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
@@ -139,43 +141,79 @@ func TestWalkerReuse(t *testing.T) {
 	}
 }
 
-func TestFaninConeAndSupport(t *testing.T) {
-	c := fig1(t)
-	sup := SupportInputs(c, c.ByName("H"))
-	if len(sup) != 4 {
-		t.Fatalf("support of H = %d inputs, want 4", len(sup))
+// TestUnionConeMatchesForwardCones: over random combinational and
+// sequential circuits and random root sets, UnionCone holds exactly the
+// union of the roots' ForwardCone members, each once, in level order, never
+// past a flip-flop, and Stamps marks exactly those members — also across the
+// uint32 epoch wraparound.
+func TestUnionConeMatchesForwardCones(t *testing.T) {
+	cases := []struct {
+		name string
+		c    *netlist.Circuit
+		wrap bool // park the epoch just before overflow after trial 0
+	}{
+		{"comb", gen.MustRandom(gen.Params{Name: "comb", Seed: 42, PIs: 8, POs: 4, Gates: 120}), false},
+		{"seq", gen.MustRandom(gen.Params{Name: "seq", Seed: 7, PIs: 6, POs: 3, FFs: 12, Gates: 200}), false},
+		{"small-seq", gen.SmallRandomSequential(3), false},
+		{"seq-wrap", gen.MustRandom(gen.Params{Name: "seq", Seed: 9, PIs: 5, POs: 2, FFs: 10, Gates: 150}), true},
 	}
-	supG := SupportInputs(c, c.ByName("G"))
-	names := map[string]bool{}
-	for _, id := range supG {
-		names[c.NameOf(id)] = true
-	}
-	if !names["A"] || !names["F"] || len(supG) != 2 {
-		t.Fatalf("support of G = %v", names)
-	}
-}
-
-func TestCountReachableMatchesPerNodeCones(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		c := gen.SmallRandomSequential(seed)
-		counts := CountReachable(c)
-		w := NewWalker(c)
-		for id := 0; id < c.N(); id++ {
-			cone := w.ForwardCone(netlist.ID(id))
-			if counts[id] != len(cone.Outputs) {
-				t.Fatalf("seed %d node %d: CountReachable=%d, cone outputs=%d",
-					seed, id, counts[id], len(cone.Outputs))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			n := c.N()
+			kinds, levels := c.Kinds(), c.Levels()
+			ref := NewWalker(c)
+			w := NewWalker(c)
+			rng := rand.New(rand.NewPCG(uint64(n), 1))
+			for trial := 0; trial < 40; trial++ {
+				if tc.wrap && trial == 1 {
+					// Trial 0 left stamps at epoch 1; the wrap four trials
+					// on must clear them rather than revive them.
+					w.epoch = ^uint32(0) - 3
+				}
+				roots := make([]netlist.ID, 1+rng.IntN(64))
+				isRoot := make([]bool, n)
+				for i := range roots {
+					roots[i] = netlist.ID(rng.IntN(n))
+					isRoot[roots[i]] = true
+				}
+				want := make([]bool, n)
+				size := 0
+				for _, r := range roots {
+					for _, id := range ref.ForwardCone(r).Members {
+						if !want[id] {
+							want[id] = true
+							size++
+						}
+					}
+				}
+				got := w.UnionCone(roots)
+				stamp, epoch := w.Stamps()
+				if len(got) != size {
+					t.Fatalf("trial %d: %d members, want %d", trial, len(got), size)
+				}
+				seen := make([]bool, n)
+				for i, id := range got {
+					if !want[id] || seen[id] {
+						t.Fatalf("trial %d: member %d unexpected or repeated", trial, id)
+					}
+					seen[id] = true
+					if i > 0 && levels[id] < levels[got[i-1]] {
+						t.Fatalf("trial %d: member %d out of level order", trial, id)
+					}
+					if kinds[id] == logic.DFF && !isRoot[id] {
+						t.Fatalf("trial %d: union crossed into flip-flop %d", trial, id)
+					}
+				}
+				for id := range want {
+					if (stamp[id] == epoch) != want[id] {
+						t.Fatalf("trial %d: Stamps membership of %d = %v, want %v", trial, id, stamp[id] == epoch, want[id])
+					}
+				}
 			}
-		}
-	}
-}
-
-func TestReachableOutputsHelper(t *testing.T) {
-	c := fig1(t)
-	if got := ReachableOutputs(c, c.ByName("A")); got != 1 {
-		t.Errorf("ReachableOutputs(A) = %d", got)
-	}
-	if got := ReachableOutputs(c, c.ByName("H")); got != 1 {
-		t.Errorf("ReachableOutputs(H) = %d (H itself is observed)", got)
+			if tc.wrap && w.epoch >= ^uint32(0)-3 {
+				t.Fatalf("epoch = %d, wraparound not exercised", w.epoch)
+			}
+		})
 	}
 }

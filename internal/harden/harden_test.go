@@ -1,6 +1,7 @@
 package harden
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -208,7 +209,7 @@ func TestTMRCascadedProtection(t *testing.T) {
 func TestTMRReducesLogicSER(t *testing.T) {
 	c := gen.SmallRandom(71)
 	cfg := ser.Config{Method: ser.MethodMonteCarlo, MC: simulate.MCOptions{Vectors: 2048, Seed: 5}}
-	before, err := ser.Estimate(c, cfg)
+	before, err := ser.Run(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestTMRReducesLogicSER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ser.Estimate(h, cfg)
+	after, err := ser.Run(context.Background(), h, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

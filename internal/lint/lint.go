@@ -85,11 +85,12 @@ func Names() map[string]bool {
 // here.
 var scopes = map[string][]string{
 	// Packages whose outputs are folded into Reports, checkpoints, or wire
-	// frames: map-order leakage there breaks byte-identity.
+	// frames: map-order leakage there breaks byte-identity. internal/graph
+	// is here because its union cone fixes the sweep order of every engine.
 	detrangeName: {
 		"internal/core", "internal/simulate", "internal/engine",
 		"internal/seq", "internal/serd", "internal/resume", "internal/sched",
-		"internal/eco",
+		"internal/eco", "internal/graph",
 	},
 	// Kernel and fingerprint-relevant packages: results must be a pure
 	// function of (circuit, options, seed). serd/table2 are deliberately

@@ -103,6 +103,29 @@ type Range struct {
 	Hi int `json:"hi"`
 }
 
+// Pending tiles the part of [lo, hi) not covered by done (sorted, disjoint
+// ranges within [lo, hi)) into pieces of at most chunk units, each gap cut
+// from its own start — the work list of a fresh (done empty) or resumed
+// sweep.
+func Pending(lo, hi, chunk int, done []Range) []Range {
+	var out []Range
+	emit := func(a, b int) {
+		for ; a+chunk < b; a += chunk {
+			out = append(out, Range{Lo: a, Hi: a + chunk})
+		}
+		if a < b {
+			out = append(out, Range{Lo: a, Hi: b})
+		}
+	}
+	next := lo
+	for _, r := range done {
+		emit(next, r.Lo)
+		next = r.Hi
+	}
+	emit(next, hi)
+	return out
+}
+
 // Counters is the integer counter snapshot of a word-major sweep — the
 // per-site (and per-frame) detection tallies plus the work counters, all of
 // which are plain sums over completed words and therefore resume by

@@ -371,3 +371,29 @@ func TestWordFlushRefusesInconsistentState(t *testing.T) {
 		t.Fatalf("FlushCounters did not write: %v", err)
 	}
 }
+
+// TestPendingOffsetRange: tiling a sub-range [lo, hi) cuts each gap from its
+// own start, which is what a site-range shard and a resumed sweep schedule.
+func TestPendingOffsetRange(t *testing.T) {
+	cases := []struct {
+		lo, hi, chunk int
+		done          []Range
+		want          []Range
+	}{
+		{lo: 5, hi: 12, chunk: 3, want: []Range{{5, 8}, {8, 11}, {11, 12}}},
+		{lo: 5, hi: 12, chunk: 3, done: []Range{{6, 7}, {10, 12}}, want: []Range{{5, 6}, {7, 10}}},
+		{lo: 5, hi: 5, chunk: 3, want: nil},
+		{lo: 0, hi: 4, chunk: 8, done: []Range{{0, 4}}, want: nil},
+	}
+	for i, tc := range cases {
+		got := Pending(tc.lo, tc.hi, tc.chunk, tc.done)
+		if len(got) != len(tc.want) {
+			t.Fatalf("case %d: got %v, want %v", i, got, tc.want)
+		}
+		for j := range got {
+			if got[j] != tc.want[j] {
+				t.Fatalf("case %d: got %v, want %v", i, got, tc.want)
+			}
+		}
+	}
+}

@@ -7,8 +7,7 @@
 // evaluating selective hardening.
 //
 // Run is the context-aware pipeline entry point; Stream is its incremental
-// sibling that yields one NodeSER at a time. Estimate is the original
-// synchronous entry point, retained as a thin wrapper.
+// sibling that yields one NodeSER at a time.
 package ser
 
 import (
@@ -440,8 +439,7 @@ func prepare(c *netlist.Circuit, cfg *Config) (*prepared, error) {
 		cfg.Method = MethodMonteCarlo
 	}
 	// The sampling engines draw fault-injection vectors from MC.SourceProb
-	// only (matching the original Estimate semantics — an SP-only bias must
-	// not leak into the injection vectors); everything else reads the
+	// only (an SP-only bias must not leak into the injection vectors); everything else reads the
 	// signal-probability bias. WithSourceBias sets both.
 	bias := cfg.SP.SourceProb
 	if eng.Class() == engine.ClassSampling {
@@ -681,15 +679,6 @@ func Stream(ctx context.Context, c *netlist.Circuit, cfg Config) iter.Seq2[NodeS
 			yield(NodeSER{}, err)
 		}
 	}
-}
-
-// Estimate runs the full analysis on circuit c.
-//
-// Deprecated: Estimate is the original synchronous entry point, kept as a
-// thin wrapper over Run with a background context. New code should call Run
-// (or Stream) for cancellation, engine selection and progress reporting.
-func Estimate(c *netlist.Circuit, cfg Config) (*Report, error) {
-	return Run(context.Background(), c, cfg)
 }
 
 // PSensitized computes the per-node sensitization probability vector with

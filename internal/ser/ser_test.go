@@ -1,6 +1,7 @@
 package ser
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -33,7 +34,7 @@ q = DFF(g1)
 
 func TestEstimateEPPBasics(t *testing.T) {
 	c := sample(t)
-	rep, err := Estimate(c, Config{Method: MethodEPP})
+	rep, err := Run(context.Background(), c, Config{Method: MethodEPP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestEstimateEPPBasics(t *testing.T) {
 
 func TestEPPvsMonteCarloAgree(t *testing.T) {
 	c := gen.SmallRandom(11)
-	epp, err := Estimate(c, Config{Method: MethodEPP, Workers: 1})
+	epp, err := Run(context.Background(), c, Config{Method: MethodEPP, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := Estimate(c, Config{
+	mc, err := Run(context.Background(), c, Config{
 		Method: MethodMonteCarlo,
 		MC:     simulate.MCOptions{Vectors: 1 << 14, Seed: 3},
 	})
@@ -84,7 +85,7 @@ func TestEPPvsMonteCarloAgree(t *testing.T) {
 
 func TestRankedOrdering(t *testing.T) {
 	c := sample(t)
-	rep, err := Estimate(c, Config{Method: MethodEPP})
+	rep, err := Run(context.Background(), c, Config{Method: MethodEPP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRankedOrdering(t *testing.T) {
 
 func TestHardening(t *testing.T) {
 	c := gen.SmallRandom(13)
-	rep, err := Estimate(c, Config{Method: MethodEPP, Workers: 1})
+	rep, err := Run(context.Background(), c, Config{Method: MethodEPP, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestHardening(t *testing.T) {
 
 func TestHardenResidualClamped(t *testing.T) {
 	c := sample(t)
-	rep, err := Estimate(c, Config{Method: MethodEPP})
+	rep, err := Run(context.Background(), c, Config{Method: MethodEPP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +149,11 @@ func TestHardenResidualClamped(t *testing.T) {
 
 func TestWorkersConsistency(t *testing.T) {
 	c := gen.SmallRandom(17)
-	serial, err := Estimate(c, Config{Method: MethodEPP, Workers: 1})
+	serial, err := Run(context.Background(), c, Config{Method: MethodEPP, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Estimate(c, Config{Method: MethodEPP, Workers: 4})
+	parallel, err := Run(context.Background(), c, Config{Method: MethodEPP, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +167,11 @@ func TestWorkersConsistency(t *testing.T) {
 
 func TestSPMethodAblation(t *testing.T) {
 	c := gen.SmallRandom(19)
-	topo, err := Estimate(c, Config{Method: MethodEPP, SPMethod: SPTopological, Workers: 1})
+	topo, err := Run(context.Background(), c, Config{Method: MethodEPP, SPMethod: SPTopological, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := Estimate(c, Config{Method: MethodEPP, SPMethod: SPMonteCarlo, Workers: 1})
+	mc, err := Run(context.Background(), c, Config{Method: MethodEPP, SPMethod: SPMonteCarlo, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestInvalidModelsRejected(t *testing.T) {
 	fm := faults.Default()
 	fm.FluxPerCm2Hour = -1
 	bad.Faults = &fm
-	if _, err := Estimate(c, bad); err == nil {
+	if _, err := Run(context.Background(), c, bad); err == nil {
 		t.Error("invalid faults model accepted")
 	}
 }

@@ -191,20 +191,9 @@ type shardTask struct {
 // only the holes a previous coordinator run (or a failed request) left.
 func pendingShardTasks(n, chunk int, done []resume.Range) []shardTask {
 	var tasks []shardTask
-	emit := func(lo, hi int) {
-		for ; lo+chunk < hi; lo += chunk {
-			tasks = append(tasks, shardTask{lo: lo, hi: lo + chunk})
-		}
-		if lo < hi {
-			tasks = append(tasks, shardTask{lo: lo, hi: hi})
-		}
+	for _, r := range resume.Pending(0, n, chunk, done) {
+		tasks = append(tasks, shardTask{lo: r.Lo, hi: r.Hi})
 	}
-	next := 0
-	for _, r := range done {
-		emit(next, r.Lo)
-		next = r.Hi
-	}
-	emit(next, n)
 	return tasks
 }
 
@@ -212,15 +201,8 @@ func pendingShardTasks(n, chunk int, done []resume.Range) []shardTask {
 // [0, n) — the holes a partial result must disclose.
 func uncoveredRanges(n int, done []resume.Range) []Range {
 	var out []Range
-	next := 0
-	for _, r := range done {
-		if next < r.Lo {
-			out = append(out, Range{Lo: next, Hi: r.Lo})
-		}
-		next = r.Hi
-	}
-	if next < n {
-		out = append(out, Range{Lo: next, Hi: n})
+	for _, r := range resume.Pending(0, n, n, done) {
+		out = append(out, Range(r))
 	}
 	return out
 }

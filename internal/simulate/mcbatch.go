@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sched"
@@ -117,89 +118,23 @@ func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped in
 	}
 	skipped = c.N() - len(sites)
 
-	n := c.N()
-	stamp := make([]int32, n)
-	pos := make([]int32, n)
-	maskTmp := make([]uint64, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	var stack, touched, membuf []netlist.ID
-	var counts []int32
-	foIdx, foArr := c.FanoutCSR()
+	w := graph.NewWalker(c)
+	pos := make([]int32, c.N())
 	fiIdx, fiArr := c.FaninCSR()
 	kinds := c.Kinds()
-	levels := c.Levels()
 
 	for lo := 0; lo < len(sites); lo += mcLanes {
 		hi := lo + mcLanes
 		if hi > len(sites) {
 			hi = len(sites)
 		}
-		gi := int32(len(groups))
 		gsites := sites[lo:hi]
-
-		// Union-cone DFS from every lane's site, accumulating lane masks.
-		touched = touched[:0]
-		stack = stack[:0]
-		for _, site := range gsites {
-			if stamp[site] != gi {
-				stamp[site] = gi
-				maskTmp[site] = 0
-				touched = append(touched, site)
-				stack = append(stack, site)
-			}
-		}
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
-				if stamp[o] == gi {
-					continue
-				}
-				if kinds[o] == logic.DFF {
-					continue // time-frame boundary: do not cross
-				}
-				stamp[o] = gi
-				maskTmp[o] = 0
-				touched = append(touched, o)
-				stack = append(stack, o)
-			}
-		}
-		// Counting sort by combinational level: a valid topological order.
-		maxLv := 0
-		for _, id := range touched {
-			if lv := levels[id]; lv > maxLv {
-				maxLv = lv
-			}
-		}
-		if cap(counts) < maxLv+2 {
-			counts = make([]int32, maxLv+2)
-		}
-		cnt := counts[:maxLv+2]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, id := range touched {
-			cnt[levels[id]+1]++
-		}
-		for lv := 1; lv < len(cnt); lv++ {
-			cnt[lv] += cnt[lv-1]
-		}
-		if cap(membuf) < len(touched) {
-			membuf = make([]netlist.ID, len(touched))
-		}
-		membuf = membuf[:len(touched)]
-		for _, id := range touched {
-			lv := levels[id]
-			membuf[cnt[lv]] = id
-			cnt[lv]++
-		}
-
+		members := w.UnionCone(gsites)
+		stamp, epoch := w.Stamps()
 		g := mcGroup{
 			sites:   append([]netlist.ID(nil), gsites...),
-			members: append([]netlist.ID(nil), membuf...),
-			mask:    make([]uint64, len(membuf)),
+			members: append([]netlist.ID(nil), members...),
+			mask:    make([]uint64, len(members)),
 		}
 		for i, id := range g.members {
 			pos[id] = int32(i)
@@ -207,23 +142,20 @@ func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped in
 		// Lane masks by forward propagation in topological order: a node is
 		// on-path for lane l iff it is lane l's site or has an on-path fanin.
 		for lane, site := range gsites {
-			maskTmp[site] |= 1 << uint(lane)
+			g.mask[pos[site]] |= 1 << uint(lane)
 			g.siteIdx[lane] = pos[site]
 		}
 		for lane := len(gsites); lane < mcLanes; lane++ {
 			g.siteIdx[lane] = -1
 		}
 		for i, id := range g.members {
-			mk := maskTmp[id]
 			if kinds[id].IsGate() {
 				for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-					if stamp[f] == gi {
-						mk |= maskTmp[f]
+					if stamp[f] == epoch {
+						g.mask[i] |= g.mask[pos[f]]
 					}
 				}
-				maskTmp[id] = mk
 			}
-			g.mask[i] = mk
 		}
 		if len(g.members) > maxMembers {
 			maxMembers = len(g.members)

@@ -8,34 +8,6 @@ import (
 	"testing"
 )
 
-// TestRunMatchesEstimate: the new pipeline reproduces the deprecated
-// wrapper's report exactly (same engine, same arithmetic).
-func TestRunMatchesEstimate(t *testing.T) {
-	c, err := GenerateProfile("s953")
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Estimate(c, EstimateConfig{Method: MethodEPP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TotalFIT != old.TotalFIT {
-		t.Fatalf("Run TotalFIT %v != Estimate TotalFIT %v", rep.TotalFIT, old.TotalFIT)
-	}
-	for id := range rep.Nodes {
-		if rep.Nodes[id] != old.Nodes[id] {
-			t.Fatalf("node %d: Run %+v != Estimate %+v", id, rep.Nodes[id], old.Nodes[id])
-		}
-	}
-	if rep.Engine != "epp-batch" {
-		t.Errorf("Run engine = %q", rep.Engine)
-	}
-}
-
 // TestRunStreamMatchesRun: the streamed NodeSER sequence is exactly the
 // report's Nodes slice, in ID order — for the default engine, a worker-
 // parallel run, the Monte Carlo engine, and a multi-cycle sweep.

@@ -79,12 +79,12 @@
 //
 // # Migration from the pre-Run API
 //
-// The original entry points remain as thin wrappers and low-level access
-// paths: Estimate(c, EstimateConfig{...}) is Run with a background context
-// and struct-style config (deprecated); NewAnalyzer serves single-site EPP
-// queries; NewMonteCarlo, NewMultiCycleAnalyzer and the Exact* functions
-// expose the individual backends directly. Every capability of those entry
-// points is reachable through Run/RunStream options:
+// The struct-config Estimate(c, EstimateConfig{...}) entry point has been
+// removed; Run with options replaces it. The low-level access paths remain:
+// NewAnalyzer serves single-site EPP queries; NewMonteCarlo,
+// NewMultiCycleAnalyzer and the Exact* functions expose the individual
+// backends directly. Every capability of those entry points is reachable
+// through Run/RunStream options:
 //
 //	Estimate(c, EstimateConfig{Method: MethodMonteCarlo}) → Run(ctx, c, WithMethod(MethodMonteCarlo))
 //	Estimate(c, EstimateConfig{Frames: 8})                → Run(ctx, c, WithFrames(8))
@@ -205,30 +205,12 @@ func NewMonteCarlo(c *Circuit, opt MCOptions) *MonteCarlo {
 	return simulate.NewMonteCarlo(c, opt)
 }
 
-// EstimateConfig configures a full-circuit SER estimation.
-//
-// Deprecated: EstimateConfig is the struct-style configuration of the
-// original Estimate entry point. New code should pass Options to Run or
-// RunStream instead.
-type EstimateConfig = ser.Config
-
 // Report is a full-circuit SER estimation result with ranking and hardening
 // evaluation helpers.
 type Report = ser.Report
 
 // NodeSER is one node's SER decomposition within a Report.
 type NodeSER = ser.NodeSER
-
-// Estimate runs the full SER analysis SER(n) = R_SEU × P_latched ×
-// P_sensitized over every node of c.
-//
-// Deprecated: Estimate is Run with a background context and struct-style
-// config; it remains for compatibility. New code should call Run (for
-// cancellation, engine selection and progress) or RunStream (for
-// incremental results).
-func Estimate(c *Circuit, cfg EstimateConfig) (*Report, error) {
-	return ser.Estimate(c, cfg)
-}
 
 // Method selects the P_sensitized estimator family.
 type Method = ser.Method

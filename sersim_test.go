@@ -2,6 +2,7 @@ package sersim
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ q = DFF(y)
 		t.Errorf("PSensitized(g) = %v", res.PSensitized)
 	}
 
-	rep, err := Estimate(c, EstimateConfig{Method: MethodEPP})
+	rep, err := Run(context.Background(), c, WithMethod(MethodEPP))
 	if err != nil {
 		t.Fatal(err)
 	}
