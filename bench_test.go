@@ -389,14 +389,14 @@ func BenchmarkMCAllNodes(b *testing.B) {
 }
 
 // BenchmarkMCSeqAllNodes: the all-nodes multi-cycle Monte Carlo sweep
-// (simulate.MCSeqBatch) on s9234 at frame budgets 1/2/4, 128 vectors. Cost
-// grows roughly linearly with frames — each 64-vector word pays exactly one
-// good simulation per frame (the goodsims/word metric equals the frame
-// count) plus the per-group faulty re-simulation of the carried flip-flop
-// cones; the per-site Sequential baseline would pay sites × frames good
-// sims per word. frames=1 isolates the frame-unrolling overhead against
-// BenchmarkMCAllNodes' batched row (PO-only detection, so the numbers are
-// close but not identical workloads).
+// (simulate.MCBatch in multi-cycle mode) on s9234 at frame budgets 1/2/4,
+// 128 vectors. Cost grows roughly linearly with frames — each 64-vector word
+// pays exactly one good simulation per frame (the goodsims/word metric
+// equals the frame count) plus the per-group faulty re-simulation of the
+// carried flip-flop cones; the per-site Sequential baseline would pay
+// sites × frames good sims per word. frames=1 isolates the multi-cycle
+// mode's overhead against BenchmarkMCAllNodes' batched row (PO-only
+// detection, so the numbers are close but not identical workloads).
 func BenchmarkMCSeqAllNodes(b *testing.B) {
 	const vectors = 128 // 2 words
 	words := (vectors + 63) / 64

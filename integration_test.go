@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/sigprob"
@@ -57,37 +56,6 @@ func TestCrossFormatRoundTrip(t *testing.T) {
 		b := anB.EPP(idB).PSensitized
 		if math.Abs(a-b) > 1e-12 {
 			t.Fatalf("node %q: EPP %v before, %v after round trip", name, a, b)
-		}
-	}
-}
-
-// TestExtractionPreservesEPP: extracting the fanin cone of an output and
-// re-running the analysis in isolation gives the same P_sensitized for every
-// node of the cone whose full-circuit cone stays inside the extraction.
-// For the output's own fanin nodes whose fanout escapes the cone this need
-// not hold; the output node itself always qualifies.
-func TestExtractionPreservesEPP(t *testing.T) {
-	c := gen.MustRandom(gen.Params{Name: "exepp", Seed: 15, PIs: 8, POs: 3, Gates: 120})
-	po := c.POs[0]
-	sub, err := netlist.ExtractCone(c, []netlist.ID{po})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exhaustive cross-check when the extraction is small enough: the
-	// extracted cone's exact signal probability of the root must match the
-	// full circuit's (the cone contains the root's entire fanin).
-	if len(sub.Sources()) <= exact.MaxSupport && len(c.Sources()) <= exact.MaxSupport {
-		full, err := exact.SignalProb(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, err := exact.SignalProb(sub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(full[po]-part[sub.ByName(c.NameOf(po))]) > 1e-12 {
-			t.Fatalf("extraction changed the root's exact SP: %v vs %v",
-				full[po], part[sub.ByName(c.NameOf(po))])
 		}
 	}
 }

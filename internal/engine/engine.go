@@ -92,8 +92,9 @@ type Request struct {
 	// multi-cycle detection probability within Frames clock cycles: errors
 	// are followed through flip-flops and detection means a primary output
 	// differs in some frame. The analytic engines compose single-frame EPP
-	// sweeps (internal/seq); the monte-carlo engine runs the frame-unrolled
-	// batched kernel (simulate.MCSeqBatch). The exact engines reject it.
+	// sweeps (internal/seq); the monte-carlo engine runs the batched kernel
+	// in multi-cycle mode (simulate.NewMCSeqBatch). The exact engines
+	// reject it.
 	// See Latch for the latching-window coupling of the composition.
 	Frames int
 	// Latch, when non-nil, couples the latching-window model into the
@@ -104,7 +105,7 @@ type Request struct {
 	// values whose weight is identically 1, so only the strike term is
 	// derated. The analytic engines scale the strike term of the seq
 	// composition; the monte-carlo engine composes the same quantity from
-	// MCSeqBatch's integer frame counters (SeqResult.PDetectWeighted), so
+	// the kernel's integer frame counters (SeqResult.PDetectWeighted), so
 	// worker invariance and the bit-exact kernel conformance are preserved
 	// under weighting. Single-frame requests ignore the field — the
 	// per-node static P_latched factor of the SER decomposition lives

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/bddsp"
 	"repro/internal/core"
-	"repro/internal/eco"
 	"repro/internal/exact"
 	"repro/internal/netlist"
 	"repro/internal/resume"
@@ -207,13 +206,13 @@ func (scalarEngine) PSensitizedAll(ctx context.Context, req *Request, out []floa
 }
 
 // mcEngine is the random-vector fault-injection baseline, built on the
-// shared-good-sim batched kernels: the outer loop claims 64-vector words
-// from an atomic cursor, each word costs exactly one full-circuit good
-// simulation per frame shared by every error site, and faulty re-simulation
-// runs over cone-locality site groups. A single-frame request runs
-// simulate.MCBatch (P_sensitized: flip-flop captures count as detections);
-// Frames > 1 runs the frame-unrolled simulate.MCSeqBatch (multi-cycle
-// detection probability: corrupted flip-flop state carries across clock
+// shared-good-sim batched kernel simulate.MCBatch: the outer loop claims
+// 64-vector words from an atomic cursor, each word costs exactly one
+// full-circuit good simulation per frame shared by every error site, and
+// faulty re-simulation runs over cone-locality site groups. A single-frame
+// request runs the kernel in single-cycle mode (P_sensitized: flip-flop
+// captures count as detections); Frames > 1 runs it in multi-cycle mode
+// (detection probability: corrupted flip-flop state carries across clock
 // edges and only primary-output differences count — the same quantity the
 // analytic engines compute through internal/seq). Vectors follow the
 // shared-stream regime (word-indexed seeding), so results are identical at
@@ -224,9 +223,10 @@ func (scalarEngine) PSensitizedAll(ctx context.Context, req *Request, out []floa
 // word and cancellation stays word-granular.
 //
 // Resilience follows the word-major shape: a checkpoint commits completed
-// words with the kernel's integer counters (per-word merge regime), the
-// MaxSweepNodes budget maps to a word budget, and kernel or callback panics
-// surface as *SweepPanicError with the failing word.
+// words with the kernel's integer counters (per-word merge regime) and
+// flushes the kernel's final counters on completion, the MaxSweepNodes
+// budget maps to a word budget, and kernel or callback panics surface as
+// *SweepPanicError with the failing word.
 type mcEngine struct{}
 
 func (mcEngine) Name() string { return "monte-carlo" }
@@ -236,16 +236,15 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 	if err := checkOut(req, out); err != nil {
 		return err
 	}
-	c := req.Circuit
-	n := c.N()
+	n := req.Circuit.N()
 	if err := req.checkRestore(req.SiteHi > req.SiteLo, true); err != nil {
 		return err
 	}
-	var (
-		memoKey    string
-		memoHashes []eco.Hash
-	)
-	if req.Memo != nil {
+	if req.Memo == nil {
+		if err := mcSweep(ctx, req, out); err != nil {
+			return err
+		}
+	} else {
 		// All-or-nothing reuse: the shared-good-sim kernel prices a sweep by
 		// vector words (one good simulation per word amortized across every
 		// site), so skipping a site subset saves nothing — a full-circuit
@@ -253,31 +252,43 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 		// stores the complete vector back. The memo key folds in the ordered
 		// source-ID list (see Request.memoKey), so a source-set edit — which
 		// shifts every later source's vector stream — can never alias.
-		memoHashes = req.Memo.Hashes(c, req.memoFrames())
-		memoKey = req.memoKey("monte-carlo", true)
-		if _, hits := req.Memo.Lookup(memoKey, memoHashes, out); hits == n {
+		hashes := req.Memo.Hashes(req.Circuit, req.memoFrames())
+		key := req.memoKey("monte-carlo", true)
+		if _, hits := req.Memo.Lookup(key, hashes, out); hits == n {
 			if req.Stats != nil {
 				req.Stats.MemoHits.Add(int64(n))
 			}
 			if req.OnProgress != nil {
 				req.OnProgress(n, n)
 			}
-			if req.OnBatch != nil {
-				for lo := 0; lo < n; lo += 64 {
-					hi := lo + 64
-					if hi > n {
-						hi = n
-					}
-					if err := callOnBatch(req.OnBatch, lo, hi); err != nil {
-						return wrapSweepErr("monte-carlo", n, n, err)
-					}
-				}
+		} else {
+			// Partial hits were written into out; the full recompute
+			// overwrites every entry, so nothing stale can survive.
+			if err := mcSweep(ctx, req, out); err != nil {
+				return err
 			}
-			return nil
+			req.Memo.Store(key, hashes, 0, n, out)
+			if err := req.Memo.Flush(); err != nil {
+				return err
+			}
 		}
-		// Partial hits were written into out; the full recompute below
-		// overwrites every entry, so nothing stale can survive.
 	}
+	if req.OnBatch != nil {
+		for _, r := range resume.Pending(0, n, 64, nil) {
+			if err := callOnBatch(req.OnBatch, r.Lo, r.Hi); err != nil {
+				return wrapSweepErr("monte-carlo", n, n, err)
+			}
+		}
+	}
+	return nil
+}
+
+// mcSweep runs the batched kernel over every word of the request, with
+// word-granular progress, checkpointing and budget, and writes the
+// per-site estimates into out.
+func mcSweep(ctx context.Context, req *Request, out []float64) error {
+	c := req.Circuit
+	n := c.N()
 	opt := req.mcOptions()
 	words := opt.Words()
 	var wordsDone int // last OnWord done count, for partial-progress metadata
@@ -299,17 +310,15 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 		if err != nil {
 			return err
 		}
-		opt.Resume = &simulate.Resume{Skip: rs.DoneMask(), Counters: countersIn(rs.Counters())}
-		opt.OnCommit = func(word int, snap func() simulate.Counters) error {
-			return rs.CommitWord(word, func() resume.Counters { return countersOut(snap()) })
-		}
-		opt.OnAbort = func(snap simulate.Counters) {
+		opt.Resume = &simulate.Resume{Skip: rs.DoneMask(), Counters: rs.Counters()}
+		opt.OnCommit = rs.CommitWord
+		opt.OnAbort = func(snap resume.Counters) {
 			// The interval cadence may not have written the last commits;
 			// persist the final consistent partial state so the abort error's
 			// "resume from the checkpoint" contract holds. The primary error
 			// is already on its way to the caller — a failed best-effort
 			// flush must not mask it.
-			_ = rs.FlushCounters(countersOut(snap))
+			_ = rs.FlushCounters(snap)
 		}
 		wordsDone = rs.DoneUnits()
 	}
@@ -318,16 +327,19 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 		// site by one 64-vector step, i.e. words/N of the sweep's node
 		// units each — stop at the first word boundary at or past the
 		// budget, like the site-major engines stop at a batch boundary.
-		maxNew := (req.MaxSweepNodes*words + n - 1) / n
-		if maxNew < 1 {
-			maxNew = 1
-		}
-		opt.MaxNewWords = maxNew
+		opt.MaxNewWords = max((req.MaxSweepNodes*words+n-1)/n, 1)
 	}
-	finish := func(err error) error {
-		if err == nil {
-			return nil
-		}
+	// Latch-window weighting applies to the multi-cycle composition only; at
+	// weight 1 PDetectWeighted is the plain detection probability.
+	var mb *simulate.MCBatch
+	w0 := 1.0
+	if req.Frames > 1 {
+		mb, w0 = simulate.NewMCSeqBatch(c, opt, req.Frames), req.strikeWeight()
+	} else {
+		mb = simulate.NewMCBatch(c, opt)
+	}
+	res, err := mb.PDetectAll(ctx, resolveWorkers(req.Workers))
+	if err != nil {
 		var pe *simulate.PanicError
 		if errors.As(err, &pe) {
 			return &SweepPanicError{Engine: "monte-carlo", Unit: "word", Lo: pe.Word, Hi: pe.Word + 1, Value: pe.Value, Stack: pe.Stack}
@@ -337,111 +349,25 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 		}
 		return wrapSweepErr("monte-carlo", n, n*wordsDone/words, err)
 	}
-	var st simulate.MCStats
-	fin := resume.Counters{} // final integer counters, for the completion flush
-	if req.Frames > 1 {
-		mb := simulate.NewMCSeqBatch(c, opt, req.Frames)
-		res, err := mb.PDetectAll(ctx, resolveWorkers(req.Workers))
-		if err != nil {
-			return finish(err)
-		}
-		if req.Latch != nil {
-			// Latch-window weighting, composed from the kernel's integer
-			// frame counters — the same quantity the analytic engines
-			// compute by scaling the strike term of the seq composition.
-			w0 := req.strikeWeight()
-			for id := range res {
-				out[id] = res[id].PDetectWeighted(w0)
-			}
-		} else {
-			for id := range res {
-				out[id] = res[id].PDetect
-			}
-		}
-		st = mb.Stats()
-		if rs != nil {
-			fin.Detected = make([]int64, n)
-			fin.Later = make([]int64, n)
-			fin.Frames = make([]int64, req.Frames*n)
-			for id := range res {
-				fin.Detected[id] = int64(res[id].Detected)
-				fin.Later[id] = int64(res[id].DetectedLater)
-			}
-			for f := 0; f < req.Frames; f++ {
-				copy(fin.Frames[f*n:(f+1)*n], mb.FrameDetected(f))
-			}
-		}
-	} else {
-		mb := simulate.NewMCBatch(c, opt)
-		res, err := mb.EPPAll(ctx, resolveWorkers(req.Workers))
-		if err != nil {
-			return finish(err)
-		}
-		for id := range res {
-			out[id] = res[id].PSensitized
-		}
-		st = mb.Stats()
-		if rs != nil {
-			fin.Detected = make([]int64, n)
-			for id := range res {
-				fin.Detected[id] = int64(res[id].Detected)
-			}
-		}
+	for id := range res {
+		out[id] = res[id].PDetectWeighted(w0)
 	}
 	if rs != nil {
-		// The sweep completed: persist the final all-words state — the
-		// counters reconstructed from the kernel's integer results cover
-		// every word (restored and new) — so a re-run restores the full
-		// result without any simulation.
-		fin.Words, fin.GoodSims, fin.LaneSims, fin.SweptMembers = st.Words, st.GoodSims, st.LaneSims, st.SweptMembers
-		if err := rs.FlushCounters(fin); err != nil {
+		// The sweep completed: persist the kernel's final counters, which
+		// cover every word (restored and new), so a re-run restores the
+		// full result without any simulation.
+		if err := rs.FlushCounters(mb.Counters()); err != nil {
 			return err
 		}
 	}
 	if req.Stats != nil {
+		st := mb.Stats()
 		req.Stats.GoodSims.Add(st.GoodSims)
 		req.Stats.Words.Add(st.Words)
 		req.Stats.SweptNodes.Add(st.SweptMembers)
 		req.Stats.Sites.Add(st.Sites)
 	}
-	if req.Memo != nil {
-		req.Memo.Store(memoKey, memoHashes, 0, n, out)
-		if err := req.Memo.Flush(); err != nil {
-			return err
-		}
-	}
-	if req.OnBatch != nil {
-		for lo := 0; lo < c.N(); lo += 64 {
-			hi := lo + 64
-			if hi > c.N() {
-				hi = c.N()
-			}
-			if err := callOnBatch(req.OnBatch, lo, hi); err != nil {
-				return wrapSweepErr("monte-carlo", n, n, err)
-			}
-		}
-	}
 	return nil
-}
-
-// countersIn converts a restored checkpoint counter snapshot to the kernel
-// type (nil-safe).
-func countersIn(c *resume.Counters) *simulate.Counters {
-	if c == nil {
-		return nil
-	}
-	return &simulate.Counters{
-		Detected: c.Detected, Later: c.Later, Frames: c.Frames,
-		Words: c.Words, GoodSims: c.GoodSims, LaneSims: c.LaneSims, SweptMembers: c.SweptMembers,
-	}
-}
-
-// countersOut converts a kernel counter snapshot to the checkpoint type.
-func countersOut(c simulate.Counters) resume.Counters {
-	return resume.Counters{
-		Detected: c.Detected, Later: c.Later, Frames: c.Frames,
-		Words: c.Words, GoodSims: c.GoodSims, LaneSims: c.LaneSims, SweptMembers: c.SweptMembers,
-	}
 }
 
 // enumEngine computes ground truth by exhaustive input enumeration (uniform

@@ -126,10 +126,11 @@ func Pending(lo, hi, chunk int, done []Range) []Range {
 	return out
 }
 
-// Counters is the integer counter snapshot of a word-major sweep — the
+// Counters is the integer counter state of a word-major sweep — the
 // per-site (and per-frame) detection tallies plus the work counters, all of
 // which are plain sums over completed words and therefore resume by
-// addition.
+// addition. The same type is a sweep worker's tally, the sweep totals, a
+// commit snapshot and the checkpointed state.
 type Counters struct {
 	Detected []int64 `json:"detected"`         // per site: trials detected in any frame
 	Later    []int64 `json:"later,omitempty"`  // per site: trials detected in frame >= 1 (multi-cycle)
@@ -141,8 +142,9 @@ type Counters struct {
 	SweptMembers int64 `json:"swept_members"`
 }
 
-// clone deep-copies the snapshot so the caller may keep mutating its own.
-func (c *Counters) clone() *Counters {
+// Clone deep-copies the counters so the caller may keep mutating its own.
+// Nil slices stay nil.
+func (c *Counters) Clone() *Counters {
 	if c == nil {
 		return nil
 	}
@@ -151,6 +153,32 @@ func (c *Counters) clone() *Counters {
 	cp.Later = append([]int64(nil), c.Later...)
 	cp.Frames = append([]int64(nil), c.Frames...)
 	return &cp
+}
+
+// Add folds o into c element by element; o's slices must be no longer than
+// c's.
+func (c *Counters) Add(o *Counters) {
+	for i, d := range o.Detected {
+		c.Detected[i] += d
+	}
+	for i, d := range o.Later {
+		c.Later[i] += d
+	}
+	for i, d := range o.Frames {
+		c.Frames[i] += d
+	}
+	c.Words += o.Words
+	c.GoodSims += o.GoodSims
+	c.LaneSims += o.LaneSims
+	c.SweptMembers += o.SweptMembers
+}
+
+// Reset zeroes every counter in place, keeping the slices.
+func (c *Counters) Reset() {
+	clear(c.Detected)
+	clear(c.Later)
+	clear(c.Frames)
+	c.Words, c.GoodSims, c.LaneSims, c.SweptMembers = 0, 0, 0, 0
 }
 
 // File is the on-disk checkpoint layout; see the package documentation for
@@ -338,7 +366,7 @@ func (cp *Checkpoint) Arm(engineName, fingerprint, kind string, units int) (*Sta
 		}
 		s.doneCount += r.Hi - r.Lo
 	}
-	s.counters = f.Counters.clone()
+	s.counters = f.Counters.Clone()
 	return s, nil
 }
 
@@ -422,7 +450,7 @@ func (s *State) RestoreSites(out []float64) []Range {
 func (s *State) Counters() *Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counters.clone()
+	return s.counters.Clone()
 }
 
 // CommitSites records units [lo, hi) as completed with the given values and

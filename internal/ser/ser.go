@@ -122,7 +122,7 @@ type Config struct {
 	// sampling Engine): the pipeline consumes its Vectors, Seed and
 	// SourceProb fields. The kernel-level fields (SharedVectors, OnWord)
 	// are managed by the engine layer — the monte-carlo engine always runs
-	// the shared-vector batched kernels and reports progress through
+	// the shared-vector batched kernel and reports progress through
 	// Progress — so values set here for them are ignored.
 	MC simulate.MCOptions
 	// Faults is the R_SEU model; nil is replaced by faults.Default().
@@ -148,9 +148,10 @@ type Config struct {
 	// (primary-output observation only; errors are followed through
 	// flip-flops — the sequential extension). Supported by the analytic
 	// engines (the internal/seq composition) and the monte-carlo engine
-	// (the frame-unrolled simulate.MCSeqBatch kernel); the exact engines
-	// reject it. Combine with an explicit Latch model for the
-	// latch-window-weighted composition (see Latch).
+	// (simulate.MCBatch in multi-cycle mode: the same batched kernel as the
+	// single-cycle estimate, with flip-flop state carried across frames);
+	// the exact engines reject it. Combine with an explicit Latch model for
+	// the latch-window-weighted composition (see Latch).
 	Frames int
 	// BatchWidth sets the batched EPP engine's lane count (0 = default).
 	BatchWidth int

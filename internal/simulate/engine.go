@@ -7,29 +7,26 @@
 // re-simulation is restricted to the structural fault cone, so the baseline
 // is a competently engineered comparator rather than a strawman.
 //
-// Two single-cycle estimators share those kernels. MonteCarlo is the
-// per-site estimator (one vector stream and one good simulation per site
-// per word — the paper-era baseline shape, and the per-site cost model
-// Table 2's SimT column reports). MCBatch is the production all-sites form:
+// Three estimators share those kernels. MonteCarlo is the per-site
+// single-cycle estimator (one vector stream and one good simulation per site
+// per word — the paper-era baseline shape, and the per-site cost model Table
+// 2's SimT column reports). Sequential is the per-site multi-cycle
+// two-machine ground-truth simulator (good and faulty machines in lock step
+// across clock cycles). MCBatch is the production all-sites form of both:
 // vectors are shared across sites (MCOptions.SharedVectors), so each
-// 64-vector word costs exactly one good simulation for the whole circuit,
-// and faulty re-simulation runs over cone-locality site groups
-// (internal/sched) with per-site results bit-identical to the per-site
-// estimator under the shared stream.
-//
-// The multi-cycle pair mirrors them. Sequential is the per-site two-machine
-// ground-truth simulator (good and faulty machines in lock step across
-// clock cycles); MCSeqBatch is its production all-sites form, frame-unrolled
-// so each 64-vector word costs exactly one good simulation per frame shared
-// by all sites, with corrupted flip-flop state carried per lane across
-// clock edges.
+// 64-vector word costs exactly one good simulation per frame for the whole
+// circuit, and faulty re-simulation runs over cone-locality site groups
+// (internal/sched), every frame through one lane sweep with the strike flips
+// and the carried flip-flop state as injections. Its single-cycle mode
+// (NewMCBatch) reproduces shared-vector MonteCarlo bit-exactly and its
+// multi-cycle mode (NewMCSeqBatch) shared-vector Sequential.
 //
 // # Multi-cycle seeding and state-carry contract
 //
-// The shared-vector regime of the multi-cycle estimators (MCSeqBatch
-// always; Sequential when SeqOptions.SharedVectors is set) derives one
-// vector stream per 64-vector word, seeded by (Seed, word index) through
-// wordSeed, and draws from it in a fixed order:
+// The shared-vector regime of the multi-cycle estimators (MCBatch in
+// multi-cycle mode always; Sequential when SeqOptions.SharedVectors is set)
+// derives one vector stream per 64-vector word, seeded by (Seed, word index)
+// through wordSeed, and draws from it in a fixed order:
 //
 //  1. the initial flip-flop state words, in Circuit.FFs order (both
 //     machines start from identical state);
@@ -45,9 +42,9 @@
 // single-cycle P_sensitized, which counts flip-flop D inputs as detecting
 // observation points. Because the draws depend only on (Seed, word) and the
 // frame-k draw sequence is a prefix of the frame-(k+1) sequence, per-site
-// results are bit-identical between MCSeqBatch and shared-vector Sequential
-// at any grouping or worker count, and every site's estimate is exactly
-// monotone in the frame budget for a fixed Seed and vector count.
+// results are bit-identical between multi-cycle MCBatch and shared-vector
+// Sequential at any grouping or worker count, and every site's estimate is
+// exactly monotone in the frame budget for a fixed Seed and vector count.
 package simulate
 
 import (

@@ -1,10 +1,11 @@
-// Shared-good-sim batched Monte Carlo kernel for the single-cycle
-// P_sensitized estimate, plus the word-major sweep driver and counter
-// plumbing shared with the multi-cycle kernel.
+// The batched Monte Carlo kernel: shared good simulations, cone-locality
+// lane groups and the word-major sweep driver, in single-cycle
+// (P_sensitized) and multi-cycle (detection within a frame budget) mode.
 
 package simulate
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,12 +13,14 @@ import (
 	"math/bits"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/resume"
 	"repro/internal/sched"
 )
 
@@ -25,86 +28,160 @@ import (
 // EPP engine, one bit of a uint64 lane mask per site.
 const mcLanes = 64
 
-// MCStats are the work counters of one MCBatch.EPPAll sweep, the quantities
-// the shared-good-sim design optimizes. GoodSims == Words is the kernel's
-// defining invariant: the good machine depends only on the vectors, never on
-// the error site, so exactly one full-circuit simulation is performed per
-// 64-vector word — against Words × Sites for the per-site estimator.
+// MCStats are the work counters of one MCBatch sweep, the quantities the
+// shared-good-sim design optimizes. GoodSims == Words × frames is the
+// kernel's defining invariant: the good machine depends only on the vectors,
+// never on the error site, so exactly one full-circuit simulation is
+// performed per 64-vector word and frame — against Words × frames × Sites
+// for the per-site estimators.
 type MCStats struct {
 	Words        int64 // 64-vector words applied
-	GoodSims     int64 // full-circuit good simulations (one per word)
-	LaneSims     int64 // faulty node re-evaluations, summed over sites and words
-	SweptMembers int64 // union-cone members visited, summed over groups and words
+	GoodSims     int64 // full-circuit good simulations (one per word and frame)
+	LaneSims     int64 // faulty node re-evaluations, summed over sites, frames and words
+	SweptMembers int64 // frame-cone members visited, summed over groups, frames and words
 	Sites        int64 // error sites estimated
 	Unobservable int64 // sites excluded up front (no reachable observation point)
 }
 
 // MCBatch is the batched Monte Carlo error-propagation estimator: the same
-// random-vector fault-injection semantics as MonteCarlo, restructured so the
-// good-machine work is shared across all error sites.
+// random-vector fault-injection semantics as the per-site MonteCarlo and
+// Sequential estimators, restructured so the good-machine work is shared
+// across all error sites.
 //
-// The per-site estimator re-runs the full good simulation once per site per
+// The per-site estimators re-run the full good simulation once per site per
 // word — O(sites × words) full-circuit simulations where O(words) suffices,
 // because the good values depend only on the vectors. MCBatch inverts the
-// loops: the outer loop claims 64-vector words (one good simulation each),
-// and the inner loop re-simulates every site's fault cone against those good
-// values. Sites are packed into 64-lane groups by the cone-locality
-// scheduler (sched.ConeLocality), so one pass over a group's union cone
-// serves 64 sites and the union stays close to a single cone; sites that
-// reach no observation point are excluded from the groups entirely (their
-// P_sensitized is identically 0). Faulty evaluation per lane is bitwise
-// identical to Engine.FaultySim over the site's own cone, so per-site
-// detection counts — and therefore every MCResult — are independent of the
-// grouping.
+// loops: the outer loop claims 64-vector words (one good simulation per
+// frame each, the whole good trajectory recorded), and the inner loop
+// re-simulates every site group's divergence against those good values.
+// Sites are packed into 64-lane groups by the cone-locality scheduler
+// (sched.ConeLocality), so one pass over a group's union cone serves 64
+// sites and the union stays close to a single cone; sites that reach no
+// observation point are excluded from the groups entirely (their estimate is
+// identically 0).
+//
+// Every frame of a group runs the same lane sweep over that frame's cone in
+// topological order: a member's injected lanes are written in — at frame 0
+// the strike flips (the complement of each site's good value in all 64
+// patterns), at frame k >= 1 the flip-flop state carried across the clock
+// edge — its other on-path lanes are evaluated against the frame's good
+// values, and lane differences at observation points are the frame's
+// detections. Values outside the swept cone equal
+// the good machine's by construction, so per-site detection counts — and
+// therefore every result — are independent of the grouping and identical
+// at any worker count.
+//
+// The two modes differ only in what NewMCBatch and NewMCSeqBatch precompute:
+//
+//   - Single-cycle mode (NewMCBatch) has a one-frame budget, counts a
+//     difference at any observation point (Circuit.IsObserved: primary
+//     outputs and flip-flop D inputs) as a detection, and draws each word's
+//     vectors for every source in node-ID order (the VectorSource.Fill
+//     order). It is bit-exact against a per-site MonteCarlo with
+//     SharedVectors set.
+//
+//   - Multi-cycle mode (NewMCSeqBatch) counts primary-output differences
+//     only, draws the initial flip-flop state before each frame's primary
+//     inputs (the multi-cycle seeding contract in the package doc), and
+//     carries corrupted flip-flop state across clock edges: at each edge
+//     the faulty D-input word of every flip-flop the group's error can
+//     reach is latched per lane, and frame k sweeps the exact cone the
+//     divergence can have reached within k edges, precomputed per (group,
+//     frame). It is bit-exact against a per-site Sequential with
+//     SharedVectors set.
+//
+// Detection is counted per site as integers: trials detected in any frame,
+// and with more than one frame also trials detected in a frame >= 1 and
+// per-frame detections (see Counters and FrameDetected), which is what lets
+// the latch-window-weighted composition (SeqResult.PDetectWeighted) stay
+// bit-exact and worker-invariant.
 //
 // Vectors are drawn from the shared-stream regime (one stream per word,
 // seeded by (Seed, word index) — see MCOptions.SharedVectors): every site
-// sees the same vectors, which is what makes the good sharing sound. A
-// per-site MonteCarlo with SharedVectors set reproduces MCBatch's results
-// bit-exactly; the estimate of each site is unchanged in distribution, but
-// estimates of different sites are correlated through the shared vectors
-// (see the MCOptions.SharedVectors contract).
-//
-// Word claims are distributed over workers by an atomic cursor. Detection
-// counts are integers summed per site, so results are identical at any
-// worker count. An MCBatch may be reused for repeated EPPAll calls but is
-// not safe for concurrent use.
+// sees the same vectors, which is what makes the good sharing sound. Word
+// claims are distributed over workers by an atomic cursor. An MCBatch may
+// be reused for repeated sweeps but is not safe for concurrent use.
 type MCBatch struct {
-	c   *netlist.Circuit
-	opt MCOptions
+	c      *netlist.Circuit
+	opt    MCOptions
+	frames int          // frame budget, 1 in single-cycle mode
+	obs    []bool       // per node: a lane difference here is a detection
+	draw   []netlist.ID // frame-0 source draw order; later frames draw c.PIs
 
 	groups     []mcGroup
-	maxMembers int // largest group union cone, sizes the lane scratch
+	maxMembers int // largest frame cone over groups, sizes the lane scratch
+	maxFFs     int // largest carried flip-flop set, sizes the carry scratch
 	skipped    int // sites excluded as unobservable
 
-	stats MCStats
+	fin resume.Counters // final counters of the most recent successful sweep
 }
 
-// mcGroup is one scheduled 64-lane site group with its precomputed union
-// cone: members in combinational level (= topological) order, a per-member
-// lane-membership mask, and per lane the member index of its error site.
+// mcGroup is one scheduled 64-lane site group: its sites (lane l is
+// sites[l]), one sweep per frame, and in multi-cycle mode the flip-flops
+// that can ever carry the group's divergence across a clock edge.
 type mcGroup struct {
-	sites   []netlist.ID
-	members []netlist.ID
-	mask    []uint64
-	siteIdx [mcLanes]int32
+	sites []netlist.ID
+
+	// frames[0] is the strike cone: the union of the sites' combinational
+	// forward cones. frames[k] is the combinational cone of the flip-flops
+	// a lane can reach within k clock edges. Lane masks only grow with k,
+	// so later entries may alias earlier ones once the carried set reaches
+	// its fixpoint.
+	frames []mcFrame
+
+	ffIDs  []netlist.ID // flip-flops reachable by the group's divergence
+	ffMask []uint64     // per ffIDs entry: lanes whose divergence can ever reach it
+	ffD    []netlist.ID // D input (fanin[0]) of each carried flip-flop
 }
 
-// NewMCBatch builds the batched estimator for circuit c: schedules all
-// observable sites by cone locality and extracts one union cone per 64-site
-// group. The precomputed structures are shared read-only by all EPPAll
-// workers.
+// mcFrame is one frame's faulty sweep: members in combinational topological
+// order, per-member lane masks, and the injections that seed it, sorted by
+// member. An on-path lane of a member is injected if an injection names it,
+// computed from its fanins otherwise.
+type mcFrame struct {
+	members []netlist.ID
+	mask    []uint64 // lanes on path
+	inj     []mcInject
+}
+
+// mcInject sets lanes of member (an index into the frame's members): to the
+// complement of the member's good value when slot < 0 (a strike flip),
+// otherwise to the carried state of flip-flop ffIDs[slot]. A member has at
+// most one injection.
+type mcInject struct {
+	member int32
+	slot   int32
+	lanes  uint64
+}
+
+// NewMCBatch builds the estimator in single-cycle mode for circuit c:
+// schedules all observable sites by cone locality and extracts one union
+// cone per 64-site group. The precomputed structures are shared read-only
+// by all sweep workers.
 func NewMCBatch(c *netlist.Circuit, opt MCOptions) *MCBatch {
+	m := newMCBatch(c, opt, 1)
+	for id := range m.obs {
+		m.obs[id] = c.IsObserved(netlist.ID(id))
+		if c.Nodes[id].IsSource() {
+			m.draw = append(m.draw, netlist.ID(id))
+		}
+	}
+	return m
+}
+
+// newMCBatch holds the construction both modes share: options, frame
+// budget and the strike-frame site groups.
+func newMCBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 	opt.setDefaults()
-	m := &MCBatch{c: c, opt: opt}
+	m := &MCBatch{c: c, opt: opt, frames: frames, obs: make([]bool, c.N())}
 	m.groups, m.maxMembers, m.skipped = buildMCGroups(c)
 	return m
 }
 
 // buildMCGroups schedules all observable sites by cone locality and extracts
-// one strike-frame union cone per 64-site group — the shared front half of
-// NewMCBatch and NewMCSeqBatch. Cones stop at flip-flop boundaries; skipped
-// counts the sites excluded because no observation point is reachable.
+// one strike-frame union cone per 64-site group. Cones stop at flip-flop
+// boundaries; skipped counts the sites excluded because no observation point
+// is reachable.
 func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped int) {
 	// Observable sites only, in cone-locality order: a site whose signature
 	// is zero reaches no observation point, so no vector can ever detect it.
@@ -131,147 +208,89 @@ func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped in
 		gsites := sites[lo:hi]
 		members := w.UnionCone(gsites)
 		stamp, epoch := w.Stamps()
-		g := mcGroup{
-			sites:   append([]netlist.ID(nil), gsites...),
+		fr := mcFrame{
 			members: append([]netlist.ID(nil), members...),
 			mask:    make([]uint64, len(members)),
 		}
-		for i, id := range g.members {
+		for i, id := range fr.members {
 			pos[id] = int32(i)
 		}
 		// Lane masks by forward propagation in topological order: a node is
 		// on-path for lane l iff it is lane l's site or has an on-path fanin.
 		for lane, site := range gsites {
-			g.mask[pos[site]] |= 1 << uint(lane)
-			g.siteIdx[lane] = pos[site]
+			fr.mask[pos[site]] |= 1 << uint(lane)
+			fr.inj = append(fr.inj, mcInject{member: pos[site], slot: -1, lanes: 1 << uint(lane)})
 		}
-		for lane := len(gsites); lane < mcLanes; lane++ {
-			g.siteIdx[lane] = -1
-		}
-		for i, id := range g.members {
+		for i, id := range fr.members {
 			if kinds[id].IsGate() {
 				for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
 					if stamp[f] == epoch {
-						g.mask[i] |= g.mask[pos[f]]
+						fr.mask[i] |= fr.mask[pos[f]]
 					}
 				}
 			}
 		}
-		if len(g.members) > maxMembers {
-			maxMembers = len(g.members)
+		slices.SortFunc(fr.inj, func(a, b mcInject) int { return cmp.Compare(a.member, b.member) })
+		if len(fr.members) > maxMembers {
+			maxMembers = len(fr.members)
 		}
-		groups = append(groups, g)
+		groups = append(groups, mcGroup{
+			sites:  append([]netlist.ID(nil), gsites...),
+			frames: []mcFrame{fr},
+		})
 	}
 	return groups, maxMembers, skipped
 }
 
-// Circuit returns the simulated circuit.
-func (m *MCBatch) Circuit() *netlist.Circuit { return m.c }
+// Counters returns the final integer counters of the most recent successful
+// sweep — every word, resumed and new. Later and Frames are non-nil iff the
+// frame budget exceeds 1. The slices alias kernel state; treat them as
+// read-only.
+func (m *MCBatch) Counters() resume.Counters { return m.fin }
 
-// Stats returns the work counters of the most recent EPPAll call.
-func (m *MCBatch) Stats() MCStats { return m.stats }
+// Stats returns the work counters of the most recent successful sweep.
+func (m *MCBatch) Stats() MCStats {
+	if m.fin.Detected == nil {
+		return MCStats{}
+	}
+	return MCStats{
+		Words:        m.fin.Words,
+		GoodSims:     m.fin.GoodSims,
+		LaneSims:     m.fin.LaneSims,
+		SweptMembers: m.fin.SweptMembers,
+		Sites:        int64(m.c.N()),
+		Unobservable: int64(m.skipped),
+	}
+}
 
-// wordWorker is the per-goroutine state of a word-major sweep, shared by the
-// MCBatch and MCSeqBatch drivers: runWord processes one claimed 64-vector
-// word; merge folds the worker's detection counts and work counters into
-// the sweep totals (called under the driver's mutex — at worker exit
+// FrameDetected returns the per-frame detection counters of the most recent
+// successful sweep: the returned slice, indexed by node ID, counts the
+// trials with a detection during frame `frame` (0 = the strike cycle). A
+// trial may be detected in several frames, so the per-frame counts can sum
+// to more than Detected; their union is Detected and the union over frames
+// >= 1 is DetectedLater. The counters are integers folded in canonical
+// (site, frame) order, identical at any worker count. The returned slice
+// aliases kernel state — treat it as read-only.
+func (m *MCBatch) FrameDetected(frame int) []int64 {
+	if m.fin.Detected == nil || frame < 0 || frame >= m.frames {
+		return nil
+	}
+	if m.frames == 1 {
+		return m.fin.Detected
+	}
+	n := m.c.N()
+	return m.fin.Frames[frame*n : (frame+1)*n]
+}
+
+// wordWorker is the per-goroutine state of a word-major sweep: runWord
+// processes one claimed 64-vector word; merge folds the worker's counters
+// into the sweep totals (called under the driver's mutex — at worker exit
 // normally, after every word in the per-word commit regime); reset zeroes
 // the local tallies between per-word merges.
 type wordWorker interface {
 	runWord(w int64)
-	merge(tot *mcTotals)
+	merge(tot *resume.Counters)
 	reset()
-}
-
-// mcTotals accumulates the integer counters of one word-major sweep. The
-// detected slice is always present; the multi-cycle slices are non-nil only
-// for MCSeqBatch sweeps. Every counter is an integer summed per site (and
-// per frame), so the totals — and everything composed from them, including
-// the latch-window-weighted estimate — are identical at any worker count.
-type mcTotals struct {
-	detected []int64 // per site: trials detected in any frame
-	later    []int64 // per site: trials detected in a frame >= 1 (multi-cycle only)
-	frames   []int64 // frame-major frames×n: trials with a PO difference in that frame (multi-cycle only)
-	stats    MCStats
-}
-
-// mcCounters is the per-worker tally embedded by both kernels' workers: the
-// per-site (and, for the multi-cycle kernel, per-frame) detection counts and
-// the MCStats work counters, merged into the sweep totals under the driver's
-// mutex.
-type mcCounters struct {
-	detected []int64
-	later    []int64 // nil for single-cycle workers
-	frames   []int64 // nil for single-cycle workers
-
-	words, goodSims, laneSims, sweptMembers int64
-}
-
-func (c *mcCounters) merge(tot *mcTotals) {
-	for id, d := range c.detected {
-		tot.detected[id] += d
-	}
-	for id, d := range c.later {
-		tot.later[id] += d
-	}
-	for i, d := range c.frames {
-		tot.frames[i] += d
-	}
-	tot.stats.Words += c.words
-	tot.stats.GoodSims += c.goodSims
-	tot.stats.LaneSims += c.laneSims
-	tot.stats.SweptMembers += c.sweptMembers
-}
-
-// reset zeroes the tallies so the worker can be merged per word (the
-// OnCommit regime) instead of once at exit.
-func (c *mcCounters) reset() {
-	clear(c.detected)
-	clear(c.later)
-	clear(c.frames)
-	c.words, c.goodSims, c.laneSims, c.sweptMembers = 0, 0, 0, 0
-}
-
-// seed folds a resumed run's counter snapshot into fresh totals, validating
-// the shapes against the kernel's (n sites, frames frames; frames == 0
-// means the single-cycle kernel, whose later/frames slices are nil).
-func (tot *mcTotals) seed(c *Counters, n, frames int) error {
-	if c == nil {
-		return nil
-	}
-	if len(c.Detected) != n {
-		return fmt.Errorf("simulate: resumed counters have %d sites, sweep has %d", len(c.Detected), n)
-	}
-	copy(tot.detected, c.Detected)
-	if frames > 0 {
-		if len(c.Later) != n || len(c.Frames) != frames*n {
-			return fmt.Errorf("simulate: resumed counters have %d/%d multi-cycle entries, sweep wants %d/%d",
-				len(c.Later), len(c.Frames), n, frames*n)
-		}
-		copy(tot.later, c.Later)
-		copy(tot.frames, c.Frames)
-	} else if len(c.Later) != 0 || len(c.Frames) != 0 {
-		return fmt.Errorf("simulate: resumed counters carry multi-cycle entries for a single-cycle sweep")
-	}
-	tot.stats.Words = c.Words
-	tot.stats.GoodSims = c.GoodSims
-	tot.stats.LaneSims = c.LaneSims
-	tot.stats.SweptMembers = c.SweptMembers
-	return nil
-}
-
-// snapshot copies the totals into an exported Counters value — what
-// MCOptions.OnCommit hands to the durability layer.
-func (tot *mcTotals) snapshot() Counters {
-	return Counters{
-		Detected:     append([]int64(nil), tot.detected...),
-		Later:        append([]int64(nil), tot.later...),
-		Frames:       append([]int64(nil), tot.frames...),
-		Words:        tot.stats.Words,
-		GoodSims:     tot.stats.GoodSims,
-		LaneSims:     tot.stats.LaneSims,
-		SweptMembers: tot.stats.SweptMembers,
-	}
 }
 
 // ErrWordBudget reports that a sweep stopped at its MaxNewWords budget with
@@ -304,10 +323,10 @@ type wordSweepCfg struct {
 	skip    []bool // words already completed by a resumed run (nil: none)
 	maxNew  int    // MaxNewWords bound (0: none)
 	onWord  func(done, total int)
-	commit  func(word int, snap func() Counters) error
+	commit  func(word int, snap func() resume.Counters) error
 }
 
-// runWordSweep is the shared driver of the batched Monte Carlo kernels: it
+// runWordSweep is the word-major driver of the batched Monte Carlo kernel: it
 // claims pending 64-vector words from an atomic cursor across workers
 // goroutines (each with its own worker from newWorker), reports per-word
 // OnWord progress under the merge mutex (so done counts are strictly
@@ -319,7 +338,7 @@ type wordSweepCfg struct {
 // abort the partial result is discarded by the caller and the error
 // returned. All counters are integers summed per site (and per frame), so
 // the totals are identical at any worker count and any merge regime.
-func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *mcTotals, newWorker func() wordWorker) error {
+func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *resume.Counters, newWorker func() wordWorker) error {
 	pending := make([]int32, 0, cfg.words)
 	doneBase := 0
 	for w := 0; w < cfg.words; w++ {
@@ -366,6 +385,7 @@ func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *mcTotals, newWorke
 		abort.Store(true)
 	}
 	perWordMerge := cfg.commit != nil
+	snapshot := func() resume.Counters { return *tot.Clone() }
 	// afterWord runs the post-word critical section: fold the worker's
 	// counters into the totals (per-word regime), commit, then report
 	// progress. The deferred recover turns a callback panic into an error
@@ -388,7 +408,7 @@ func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *mcTotals, newWorke
 		}
 		wordsDone++
 		if cfg.commit != nil {
-			if err := cfg.commit(word, tot.snapshot); err != nil {
+			if err := cfg.commit(word, snapshot); err != nil {
 				return err
 			}
 		}
@@ -453,19 +473,29 @@ func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *mcTotals, newWorke
 	return nil
 }
 
-// EPPAll estimates P_sensitized for every node of the circuit (indexed by
-// node ID) across workers goroutines (0 = GOMAXPROCS). Each 64-vector word
-// costs exactly one good simulation shared by all sites. Cancellation of
-// ctx is honored between word claims; on cancellation the partial estimate
-// is discarded and ctx.Err() returned. Results are identical at any worker
-// count.
-func (m *MCBatch) EPPAll(ctx context.Context, workers int) ([]MCResult, error) {
+// newCounters returns zeroed counters shaped for this kernel: per-site
+// detections always, later-frame and per-frame detections only when the
+// frame budget exceeds 1.
+func (m *MCBatch) newCounters() resume.Counters {
+	n := m.c.N()
+	cnt := resume.Counters{Detected: make([]int64, n)}
+	if m.frames > 1 {
+		cnt.Later = make([]int64, n)
+		cnt.Frames = make([]int64, m.frames*n)
+	}
+	return cnt
+}
+
+// sweep runs every pending word across workers goroutines (0 = GOMAXPROCS)
+// and, on success, records the final counters. Cancellation of ctx is
+// honored between word claims; on any abort the partial counters go to
+// OnAbort (when checkpointing) and the error is returned.
+func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	words := (m.opt.Vectors + 63) / 64
-	n := m.c.N()
-	tot := &mcTotals{detected: make([]int64, n)}
+	words := m.opt.Words()
+	tot := m.newCounters()
 	cfg := wordSweepCfg{
 		workers: workers,
 		words:   words,
@@ -475,118 +505,272 @@ func (m *MCBatch) EPPAll(ctx context.Context, workers int) ([]MCResult, error) {
 	}
 	if r := m.opt.Resume; r != nil {
 		if len(r.Skip) != words {
-			return nil, fmt.Errorf("simulate: Resume.Skip has %d words, sweep has %d", len(r.Skip), words)
+			return fmt.Errorf("simulate: Resume.Skip has %d words, sweep has %d", len(r.Skip), words)
 		}
-		if err := tot.seed(r.Counters, n, 0); err != nil {
-			return nil, err
+		if c := r.Counters; c != nil {
+			if len(c.Detected) != len(tot.Detected) || len(c.Later) != len(tot.Later) || len(c.Frames) != len(tot.Frames) {
+				return fmt.Errorf("simulate: resumed counters have %d/%d/%d detected/later/frame entries, sweep wants %d/%d/%d",
+					len(c.Detected), len(c.Later), len(c.Frames), len(tot.Detected), len(tot.Later), len(tot.Frames))
+			}
+			tot.Add(c)
 		}
 		cfg.skip = r.Skip
 	}
-	if err := runWordSweep(ctx, cfg, tot,
-		func() wordWorker { return newMCWorker(m) }); err != nil {
+	if err := runWordSweep(ctx, cfg, &tot, func() wordWorker { return m.newWorker() }); err != nil {
 		if m.opt.OnCommit != nil && m.opt.OnAbort != nil {
-			m.opt.OnAbort(tot.snapshot())
+			m.opt.OnAbort(tot)
 		}
+		return err
+	}
+	m.fin = tot
+	return nil
+}
+
+// EPPAll sweeps every word and returns the estimate for every node of the
+// circuit (indexed by node ID) as an MCResult — P_sensitized in
+// single-cycle mode. Each 64-vector word costs exactly one good simulation
+// per frame shared by all sites. On cancellation the partial estimate is
+// discarded and ctx.Err() returned. Results are identical at any worker
+// count.
+func (m *MCBatch) EPPAll(ctx context.Context, workers int) ([]MCResult, error) {
+	if err := m.sweep(ctx, workers); err != nil {
 		return nil, err
 	}
-	tot.stats.Sites = int64(n)
-	tot.stats.Unobservable = int64(m.skipped)
-	m.stats = tot.stats
-
-	nv := words * 64
-	out := make([]MCResult, n)
-	for id := 0; id < n; id++ {
-		p := float64(tot.detected[id]) / float64(nv)
+	nv := m.opt.Words() * 64
+	out := make([]MCResult, m.c.N())
+	for id, d := range m.fin.Detected {
+		p := float64(d) / float64(nv)
 		out[id] = MCResult{
 			Site:        netlist.ID(id),
 			PSensitized: p,
 			StdErr:      math.Sqrt(p * (1 - p) / float64(nv)),
 			Vectors:     nv,
-			Detected:    int(tot.detected[id]),
+			Detected:    int(d),
 		}
 	}
 	return out, nil
 }
 
-// mcWorker is the per-goroutine state of one EPPAll sweep: a bit-parallel
-// engine for the shared good simulation, the lane-value scratch for faulty
-// re-simulation, and local counters merged under the mutex at exit.
+// PDetectAll sweeps every word and returns the estimate for every node of
+// the circuit (indexed by node ID) as a SeqResult — the multi-cycle
+// detection probability in multi-cycle mode, P_sensitized with
+// DetectedLater == 0 in single-cycle mode. The sweep contract is EPPAll's.
+func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, error) {
+	if err := m.sweep(ctx, workers); err != nil {
+		return nil, err
+	}
+	trials := m.opt.Words() * 64
+	out := make([]SeqResult, m.c.N())
+	for id, d := range m.fin.Detected {
+		p := float64(d) / float64(trials)
+		out[id] = SeqResult{
+			Site:     netlist.ID(id),
+			Frames:   m.frames,
+			PDetect:  p,
+			StdErr:   math.Sqrt(p * (1 - p) / float64(trials)),
+			Trials:   trials,
+			Detected: int(d),
+		}
+		if m.fin.Later != nil {
+			out[id].DetectedLater = int(m.fin.Later[id])
+		}
+	}
+	return out, nil
+}
+
+// mcWorker is the per-goroutine state of one sweep: a bit-parallel engine
+// for the shared good trajectory, the lane-value scratch for faulty
+// re-simulation, the per-lane carried flip-flop state, and local counters
+// merged under the driver's mutex.
 type mcWorker struct {
-	mcCounters
+	resume.Counters
 	m        *MCBatch
 	eng      *Engine
-	lanes    []uint64 // faulty lane values, member-major: lanes[i*64+lane]
-	pos      []int32  // member index of node, valid where stamp == current
-	stamp    []int64  // int64: one epoch per (word, group), never wraps in practice
+	good     [][]uint64 // per frame good values; the last frame aliases eng.values
+	lanes    []uint64   // faulty lane values, member-major: lanes[i*64+lane]
+	carry    []uint64   // carried faulty flip-flop state: carry[slot*64+lane]
+	pos      []int32    // member index of node, valid where stamp == stampVal
+	stamp    []int64    // int64: one epoch per (word, group, frame), never wraps in practice
 	stampVal int64
 	ins      []uint64
 }
 
-func newMCWorker(m *MCBatch) *mcWorker {
-	return &mcWorker{
-		mcCounters: mcCounters{detected: make([]int64, m.c.N())},
-		m:          m,
-		eng:        NewEngine(m.c),
-		lanes:      make([]uint64, m.maxMembers*mcLanes),
-		pos:        make([]int32, m.c.N()),
-		stamp:      make([]int64, m.c.N()),
-		ins:        make([]uint64, 0, 8),
+func (m *MCBatch) newWorker() *mcWorker {
+	n := m.c.N()
+	wk := &mcWorker{
+		Counters: m.newCounters(),
+		m:        m,
+		eng:      NewEngine(m.c),
+		good:     make([][]uint64, m.frames),
+		lanes:    make([]uint64, m.maxMembers*mcLanes),
+		carry:    make([]uint64, m.maxFFs*mcLanes),
+		pos:      make([]int32, n),
+		stamp:    make([]int64, n),
+		ins:      make([]uint64, 0, 8),
+	}
+	// Only frames before the last need their own copy: the last frame's
+	// good values stay in the engine until the next word.
+	for f := 0; f+1 < m.frames; f++ {
+		wk.good[f] = make([]uint64, n)
+	}
+	wk.good[m.frames-1] = wk.eng.values
+	return wk
+}
+
+func (wk *mcWorker) merge(tot *resume.Counters) { tot.Add(&wk.Counters) }
+func (wk *mcWorker) reset()                     { wk.Counters.Reset() }
+
+// runWord applies word w's shared vectors: the good trajectory (one good
+// simulation per frame), then per site group the faulty sweep of every
+// frame, with flip-flop state carried across clock edges.
+func (wk *mcWorker) runWord(w int64) {
+	m := wk.m
+	c := m.c
+	n := c.N()
+	eng := wk.eng
+	fiIdx, fiArr := eng.fiIdx, eng.fiArr
+
+	src := NewVectorSource(wordSeed(m.opt.Seed, w), m.opt.SourceProb)
+	draw := m.draw
+	for f := 0; f < m.frames; f++ {
+		for _, id := range draw {
+			eng.values[id] = src.Word(id)
+		}
+		draw = c.PIs
+		eng.Run()
+		wk.GoodSims++
+		if f+1 < m.frames {
+			// Clock edge: the snapshot makes the capture atomic, so FF-to-FF
+			// chains shift by exactly one stage per cycle.
+			good := wk.good[f]
+			copy(good, eng.values)
+			for _, ff := range c.FFs {
+				eng.values[ff] = good[fiArr[fiIdx[ff]]]
+			}
+		}
+	}
+	wk.Words++
+
+	for gi := range m.groups {
+		g := &m.groups[gi]
+		// det unions the per-frame detection masks detF; later unions the
+		// frames >= 1 only.
+		var det, later [mcLanes]uint64
+		for f := range g.frames {
+			fr := &g.frames[f]
+			good := wk.good[f]
+			var detF [mcLanes]uint64
+			wk.sweep(fr, good, &detF)
+			for l := range g.sites {
+				det[l] |= detF[l]
+			}
+			if f > 0 {
+				for l := range g.sites {
+					later[l] |= detF[l]
+				}
+			}
+			if wk.Frames != nil {
+				for l, site := range g.sites {
+					wk.Frames[f*n+int(site)] += int64(bits.OnesCount64(detF[l]))
+				}
+			}
+			if f+1 < len(g.frames) {
+				wk.capture(g, fr.mask, good)
+			}
+		}
+		for l, site := range g.sites {
+			wk.Detected[site] += int64(bits.OnesCount64(det[l]))
+		}
+		if wk.Later != nil {
+			for l, site := range g.sites {
+				wk.Later[site] += int64(bits.OnesCount64(later[l]))
+			}
+		}
 	}
 }
 
-// runWord applies word w's shared vectors: one good simulation, then one
-// union-cone faulty sweep per site group.
-func (wk *mcWorker) runWord(w int64) {
-	m := wk.m
-	src := NewVectorSource(wordSeed(m.opt.Seed, w), m.opt.SourceProb)
-	src.Fill(wk.eng)
-	wk.eng.Run()
-	wk.words++
-	wk.goodSims++
-
-	c := m.c
-	good := wk.eng.values
+// sweep is the lane sweep of one frame against that frame's good values:
+// in topological order, write each member's injected lanes and evaluate its
+// other on-path lanes from their fanins, then OR the lane differences at
+// observation points into det.
+func (wk *mcWorker) sweep(fr *mcFrame, good []uint64, det *[mcLanes]uint64) {
 	fiIdx, fiArr := wk.eng.fiIdx, wk.eng.fiArr
 	kinds := wk.eng.kinds
-	for gi := range m.groups {
-		g := &m.groups[gi]
-		wk.stampVal++
-		for i, id := range g.members {
-			wk.stamp[id] = wk.stampVal
-			wk.pos[id] = int32(i)
-		}
-		var det [mcLanes]uint64
-		for i, id := range g.members {
-			mk := g.mask[i]
-			base := i * mcLanes
-			for mm := mk; mm != 0; mm &= mm - 1 {
-				l := bits.TrailingZeros64(mm)
-				var v uint64
-				if g.siteIdx[l] == int32(i) {
-					// Lane l's error site: the SEU forces the complement of
-					// the good value in all 64 patterns.
-					v = ^good[id]
-				} else {
-					wk.ins = wk.ins[:0]
-					for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-						if wk.stamp[f] == wk.stampVal && g.mask[wk.pos[f]]>>uint(l)&1 == 1 {
-							wk.ins = append(wk.ins, wk.lanes[int(wk.pos[f])*mcLanes+l])
-						} else {
-							wk.ins = append(wk.ins, good[f])
-						}
-					}
-					v = logic.EvalWord(kinds[id], wk.ins)
+	obs := wk.m.obs
+	wk.stampVal++
+	for i, id := range fr.members {
+		wk.stamp[id] = wk.stampVal
+		wk.pos[id] = int32(i)
+	}
+	inj := fr.inj
+	for i, id := range fr.members {
+		base := i * mcLanes
+		mk := fr.mask[i]
+		eval := mk
+		if len(inj) > 0 && int(inj[0].member) == i {
+			in := inj[0]
+			inj = inj[1:]
+			eval &^= in.lanes
+			if in.slot < 0 {
+				v := ^good[id]
+				for mm := in.lanes; mm != 0; mm &= mm - 1 {
+					wk.lanes[base+bits.TrailingZeros64(mm)] = v
 				}
-				wk.lanes[base+l] = v
-				if c.IsObserved(id) {
-					det[l] |= v ^ good[id]
+			} else {
+				cb := int(in.slot) * mcLanes
+				for mm := in.lanes; mm != 0; mm &= mm - 1 {
+					l := bits.TrailingZeros64(mm)
+					wk.lanes[base+l] = wk.carry[cb+l]
 				}
 			}
-			wk.laneSims += int64(bits.OnesCount64(mk))
 		}
-		wk.sweptMembers += int64(len(g.members))
-		for l, site := range g.sites {
-			wk.detected[site] += int64(bits.OnesCount64(det[l]))
+		for mm := eval; mm != 0; mm &= mm - 1 {
+			l := bits.TrailingZeros64(mm)
+			wk.ins = wk.ins[:0]
+			for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
+				if wk.stamp[f] == wk.stampVal && fr.mask[wk.pos[f]]>>uint(l)&1 == 1 {
+					wk.ins = append(wk.ins, wk.lanes[int(wk.pos[f])*mcLanes+l])
+				} else {
+					wk.ins = append(wk.ins, good[f])
+				}
+			}
+			wk.lanes[base+l] = logic.EvalWord(kinds[id], wk.ins)
+		}
+		if obs[id] {
+			gv := good[id]
+			for mm := mk; mm != 0; mm &= mm - 1 {
+				l := bits.TrailingZeros64(mm)
+				det[l] |= wk.lanes[base+l] ^ gv
+			}
+		}
+		wk.LaneSims += int64(bits.OnesCount64(mk))
+	}
+	wk.SweptMembers += int64(len(fr.members))
+}
+
+// capture latches the carried divergence at a clock edge: for every carried
+// flip-flop, the faulty D-input word per lane — the lane value where the D
+// input was on-path in the frame just swept (memberMask is that frame's
+// per-member mask array), the good value otherwise. Reads only lanes and
+// good, writes only carry, so the edge is atomic like Sequential's.
+func (wk *mcWorker) capture(g *mcGroup, memberMask []uint64, good []uint64) {
+	for j, d := range g.ffD {
+		gv := good[d]
+		base := j * mcLanes
+		var dmask uint64
+		dbase := 0
+		if wk.stamp[d] == wk.stampVal {
+			p := int(wk.pos[d])
+			dmask = memberMask[p]
+			dbase = p * mcLanes
+		}
+		for mm := g.ffMask[j]; mm != 0; mm &= mm - 1 {
+			l := bits.TrailingZeros64(mm)
+			v := gv
+			if dmask>>uint(l)&1 == 1 {
+				v = wk.lanes[dbase+l]
+			}
+			wk.carry[base+l] = v
 		}
 	}
 }

@@ -402,8 +402,8 @@ z  = BUFF(q2)
 		t.Fatalf("%d groups, want 1", len(mb.groups))
 	}
 	g := &mb.groups[0]
-	if len(g.frames) != frames-1 {
-		t.Fatalf("%d frame sweeps, want %d", len(g.frames), frames-1)
+	if len(g.frames) != frames {
+		t.Fatalf("%d frame sweeps, want %d (strike frame plus one per edge)", len(g.frames), frames)
 	}
 	lane := -1
 	for l, s := range g.sites {
@@ -415,7 +415,7 @@ z  = BUFF(q2)
 		t.Fatal("site d0 not in the group")
 	}
 	for k, names := range want {
-		fr := &g.frames[k]
+		fr := &g.frames[k+1]
 		members := map[string]bool{}
 		for i, id := range fr.members {
 			if fr.mask[i]>>uint(lane)&1 == 1 {
@@ -440,10 +440,10 @@ z  = BUFF(q2)
 	}
 	exactLanes := mb.Stats().LaneSims
 	words := int64((128 + 63) / 64)
-	fin := &g.frames[frames-2]
+	strike, fin := &g.frames[0], &g.frames[frames-1]
 	var perWordSuperset int64
-	for i := range g.members {
-		perWordSuperset += int64(bits.OnesCount64(g.mask[i]))
+	for i := range strike.members {
+		perWordSuperset += int64(bits.OnesCount64(strike.mask[i]))
 	}
 	for f := 1; f < frames; f++ {
 		for i := range fin.members {

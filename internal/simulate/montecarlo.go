@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/netlist"
+	"repro/internal/resume"
 )
 
 // MCOptions configure the Monte Carlo error-propagation estimator.
@@ -38,14 +39,14 @@ type MCOptions struct {
 	// the historical regime, kept so existing per-site results stay
 	// reproducible (both regimes are pinned by TestMonteCarloSeedGolden).
 	SharedVectors bool
-	// OnWord, when non-nil, is invoked by the batched kernels (MCBatch,
-	// MCSeqBatch) after each completed 64-vector word with the number of
-	// words finished so far and the total. Calls are serialized under a
-	// mutex, so done is strictly increasing and calls never overlap — the
-	// word-granular progress signal the word-major sweeps can honestly
-	// report (per-site results all finalize together at the last word). The
-	// per-site estimators ignore it. A panic in the callback aborts the
-	// sweep with a *PanicError instead of crashing the worker goroutine.
+	// OnWord, when non-nil, is invoked by the batched kernel (MCBatch)
+	// after each completed 64-vector word with the number of words finished
+	// so far and the total. Calls are serialized under a mutex, so done is
+	// strictly increasing and calls never overlap — the word-granular
+	// progress signal the word-major sweep can honestly report (per-site
+	// results all finalize together at the last word). The per-site
+	// estimators ignore it. A panic in the callback aborts the sweep with a
+	// *PanicError instead of crashing the worker goroutine.
 	OnWord func(done, total int)
 	// Resume, when non-nil, seeds a batched sweep from a prior partial run:
 	// words with Skip[w] set are not re-run and the saved Counters are
@@ -54,7 +55,7 @@ type MCOptions struct {
 	// the completed sweep is bit-identical to an uninterrupted one. The
 	// per-site estimators ignore it.
 	Resume *Resume
-	// OnCommit, when non-nil, is invoked by the batched kernels under the
+	// OnCommit, when non-nil, is invoked by the batched kernel under the
 	// merge mutex after each word's counters are folded into the sweep
 	// totals, before OnWord — the durability hook checkpointing rides on.
 	// snap returns a copy of the totals consistent with every committed
@@ -63,7 +64,7 @@ type MCOptions struct {
 	// (workers fold into the shared totals after every word instead of once
 	// at exit), which is what makes the snapshot meaningful mid-sweep. A
 	// non-nil error aborts the sweep and is returned verbatim.
-	OnCommit func(word int, snap func() Counters) error
+	OnCommit func(word int, snap func() resume.Counters) error
 	// OnAbort, when non-nil alongside OnCommit, is invoked once after the
 	// sweep's workers have stopped on any failed or truncated run —
 	// cancellation, deadline, budget stop, recovered panic — with a counter
@@ -71,7 +72,7 @@ type MCOptions struct {
 	// regime guarantees the totals never include an uncommitted word). The
 	// durability layer uses it to flush the final partial state that the
 	// interval-based commit cadence may not have written yet.
-	OnAbort func(snap Counters)
+	OnAbort func(snap resume.Counters)
 	// MaxNewWords, when > 0, bounds the number of words one sweep call may
 	// process (not counting words skipped via Resume). When it truncates
 	// the sweep, the kernel processes exactly that many words and returns
@@ -87,24 +88,9 @@ type Resume struct {
 	// Its length must equal the sweep's word count.
 	Skip []bool
 	// Counters is the integer counter snapshot over exactly the skipped
-	// words (nil means all-zero, a fresh start).
-	Counters *Counters
-}
-
-// Counters is a snapshot of a batched sweep's integer totals: the per-site
-// (and, multi-cycle, per-frame) detection tallies plus the work counters of
-// MCStats that accumulate per word. Everything in it is a plain sum over
-// completed words, which is what lets a resumed sweep fold it back in with
-// bit-identical results.
-type Counters struct {
-	Detected []int64 // per site
-	Later    []int64 // per site, multi-cycle kernels only
-	Frames   []int64 // frame-major frames×n, multi-cycle kernels only
-
-	Words        int64
-	GoodSims     int64
-	LaneSims     int64
-	SweptMembers int64
+	// words (nil means all-zero, a fresh start). Its shape must match the
+	// kernel's: Later and Frames are present iff the frame budget exceeds 1.
+	Counters *resume.Counters
 }
 
 func (o *MCOptions) setDefaults() {

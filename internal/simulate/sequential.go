@@ -1,5 +1,5 @@
 // Per-site two-machine multi-cycle fault-injection simulator — the ground
-// truth MCSeqBatch is conformance-tested against.
+// truth multi-cycle MCBatch is conformance-tested against.
 
 package simulate
 
@@ -29,11 +29,11 @@ type SeqOptions struct {
 	// stream seeded by (Seed, w) via wordSeed, first the initial flip-flop
 	// state words (in Circuit.FFs order), then each frame's primary-input
 	// words (in Circuit.PIs order) — so every error site sees the same
-	// initial state and input sequence. This is the regime MCSeqBatch is
-	// built on (sharing the good trajectory across sites requires the sites
-	// to share the word's vectors), and setting it on a per-site Sequential
-	// reproduces MCSeqBatch's per-site results bit-exactly (see
-	// TestMCSeqBatchMatchesSequentialShared).
+	// initial state and input sequence. This is the regime multi-cycle
+	// MCBatch is built on (sharing the good trajectory across sites
+	// requires the sites to share the word's vectors), and setting it on a
+	// per-site Sequential reproduces multi-cycle MCBatch's per-site results
+	// bit-exactly (see TestMCSeqBatchMatchesSequentialShared).
 	//
 	// Default false: each site draws one continuous stream seeded by
 	// (Seed, site), the historical regime.
@@ -64,7 +64,7 @@ func (o *SeqOptions) setDefaults() {
 //
 // with w0 the strike-frame capture weight, computable from the integer
 // counters alone — no per-trial floats, so worker invariance and the
-// bit-exact Sequential/MCSeqBatch agreement extend to the weighted estimate.
+// bit-exact Sequential/MCBatch agreement extend to the weighted estimate.
 type SeqResult struct {
 	Site          netlist.ID
 	Frames        int
@@ -132,7 +132,7 @@ func (s *Sequential) PDetect(site netlist.ID) SeqResult {
 	c := s.c
 	// Only the vector source differs between the regimes: per-site keeps one
 	// decorrelated stream seeded by (Seed, site); shared re-seeds per word by
-	// (Seed, w) — identical draws for every site, the MCSeqBatch contract.
+	// (Seed, w) — identical draws for every site, the MCBatch contract.
 	var src *VectorSource
 	if !s.opt.SharedVectors {
 		src = NewVectorSource(s.opt.Seed^(uint64(site)*0xa0761d6478bd642f+13), s.opt.SourceProb)

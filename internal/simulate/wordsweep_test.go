@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/resume"
 )
 
 // panicMergeWorker is a wordWorker whose merge panics — the regression
@@ -17,9 +19,9 @@ type panicMergeWorker struct {
 	words atomic.Int64
 }
 
-func (w *panicMergeWorker) runWord(int64)     { w.words.Add(1) }
-func (w *panicMergeWorker) merge(t *mcTotals) { panic("merge exploded") }
-func (w *panicMergeWorker) reset()            {}
+func (w *panicMergeWorker) runWord(int64)          { w.words.Add(1) }
+func (w *panicMergeWorker) merge(*resume.Counters) { panic("merge exploded") }
+func (w *panicMergeWorker) reset()                 {}
 
 // TestRunWordSweepMergePanicDoesNotDeadlock locks in the fix for a real
 // bug found by serlint's deferunlock analyzer: the worker-exit merge (the
@@ -31,7 +33,7 @@ func TestRunWordSweepMergePanicDoesNotDeadlock(t *testing.T) {
 	t.Parallel()
 	wk := &panicMergeWorker{}
 	cfg := wordSweepCfg{workers: 2, words: 8}
-	var tot mcTotals
+	var tot resume.Counters
 	done := make(chan error, 1)
 	go func() {
 		done <- runWordSweep(context.Background(), cfg, &tot, func() wordWorker { return wk })
