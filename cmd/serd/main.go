@@ -12,7 +12,8 @@
 //	-pool 0                concurrent engine sweeps (0 = all cores)
 //	-queue 0               admission queue depth past the pool (0 = 4× pool, -1 = none)
 //	-circuit-cache-mb 256  parsed-circuit cache bound
-//	-report-cache-mb 64    memoized-report cache bound
+//	-report-cache-mb 64    memoized-report cache bound, in encoded response
+//	                       bytes (~6.9 MB per s38417 report: about nine fit)
 //	-workers ""            comma-separated worker base URLs (coordinator mode)
 //	-shards-per-worker 2   shards the coordinator cuts per worker
 //	-shard-attempts 0      dispatch attempts per shard (0 = 2 + workers)
@@ -94,7 +95,7 @@ func main() {
 		pool            = flag.Int("pool", 0, "concurrent engine sweeps (0 = all cores)")
 		queue           = flag.Int("queue", 0, "admission queue depth past the pool (0 = 4x pool, -1 = none)")
 		circuitCacheMB  = flag.Int64("circuit-cache-mb", 256, "parsed-circuit cache bound (MiB)")
-		reportCacheMB   = flag.Int64("report-cache-mb", 64, "memoized-report cache bound (MiB)")
+		reportCacheMB   = flag.Int64("report-cache-mb", 64, "memoized-report cache bound (MiB of encoded JSON+NDJSON response bytes, ~6.9 MB per s38417 report)")
 		workers         = flag.String("workers", "", "comma-separated worker base URLs (coordinator mode)")
 		shardsPerWorker = flag.Int("shards-per-worker", 2, "shards the coordinator cuts per worker")
 		shardAttempts   = flag.Int("shard-attempts", 0, "dispatch attempts per shard (0 = 2 + workers)")

@@ -318,20 +318,31 @@ func TestStreamByteIdenticalToRunAndCache(t *testing.T) {
 	}
 }
 
-// TestStreamViaAcceptHeader exercises the Accept-negotiated stream switch.
+// TestStreamViaAcceptHeader exercises the Accept-negotiated stream switch:
+// the bare media type, one with parameters, and one range of a list all
+// select NDJSON; an Accept without it keeps JSON.
 func TestStreamViaAcceptHeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body, _ := json.Marshal(AnalyzeRequest{Circuit: CircuitSource{Bench: c17Bench(t)}})
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/analyze", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Accept negotiation ignored: Content-Type = %q", ct)
+	for _, tc := range []struct{ accept, want string }{
+		{"application/x-ndjson", "application/x-ndjson"},
+		{"application/x-ndjson; charset=utf-8", "application/x-ndjson"},
+		{"application/x-ndjson, */*", "application/x-ndjson"},
+		{"application/json, Application/X-NDJSON;q=0.9", "application/x-ndjson"},
+		{"application/json, */*", "application/json"},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/analyze", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept", tc.accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != tc.want {
+			t.Fatalf("Accept %q: Content-Type = %q, want %q", tc.accept, ct, tc.want)
+		}
 	}
 }
 
@@ -461,6 +472,9 @@ func TestConcurrentMixedRequests(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				v := shared[(i+round)%len(shared)]
 				name, src, opts := v.name, v.src, v.opts
+				// Scheduling knobs vary, so clients race on adding and
+				// reading report-cache aliases of one entry.
+				opts.Workers = 1 + i%3
 				if round == 1 {
 					// The uncached leg: this goroutine's private seed.
 					name = fmt.Sprintf("mc-%d", i)
@@ -652,40 +666,38 @@ func TestAdmissionGate(t *testing.T) {
 }
 
 func TestReportCacheEviction(t *testing.T) {
-	mk := func(name string, nodes int) *ser.Report {
-		rep := &ser.Report{Circuit: name, Nodes: make([]ser.NodeSER, nodes)}
-		for i := range rep.Nodes {
-			rep.Nodes[i].Name = name
-		}
-		return rep
+	mk := func(fp string, n int) *cachedReport {
+		return &cachedReport{info: ser.Info{Fingerprint: fp}, json: make([]byte, n), ndjson: make([]byte, n)}
 	}
-	a, b := mk("aaaa", 100), mk("bbbb", 100)
-	// Bound the cache to about one report: inserting the second evicts the
-	// first (LRU), never the newcomer.
-	rc := newReportCache(reportBytes(a) + reportBytes(b)/2)
-	rc.put("a", a)
-	rc.put("b", b)
-	if _, ok := rc.get("a"); ok {
+	a, b := mk("a", 100), mk("b", 100)
+	// Entries are charged their encoded bytes (200 each here). Bound the
+	// cache to about one report: inserting the second evicts the first
+	// (LRU), never the newcomer.
+	rc := newReportCache(300)
+	rc.put(a)
+	rc.put(b)
+	var key aliasKey
+	if _, ok := rc.get("a", key); ok {
 		t.Fatal("oldest entry survived past the byte bound")
 	}
-	if got, ok := rc.get("b"); !ok || got != b {
+	if got, ok := rc.get("b", key); !ok || got != b {
 		t.Fatal("newest entry evicted")
 	}
 	st := rc.snapshot()
-	if st.Evictions != 1 || st.Entries != 1 || st.Hits != 1 || st.Misses != 1 {
+	if st.Evictions != 1 || st.Entries != 1 || st.Hits != 1 || st.Misses != 1 || st.Bytes != 200+key.size() {
 		t.Fatalf("stats: %+v", st)
 	}
 
 	// A single oversized report is still cached (the bound protects the
 	// steady state, not the single entry).
 	rc2 := newReportCache(1)
-	rc2.put("big", a)
-	if _, ok := rc2.get("big"); !ok {
+	rc2.put(a)
+	if _, ok := rc2.get("a", key); !ok {
 		t.Fatal("oversized single entry refused")
 	}
 
 	// put of an existing key refreshes rather than duplicates.
-	rc.put("b", b)
+	rc.put(b)
 	if st := rc.snapshot(); st.Entries != 1 {
 		t.Fatalf("duplicate key grew the cache: %+v", st)
 	}

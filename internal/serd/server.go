@@ -47,8 +47,11 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"mime"
 	"net/http"
 	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/circuitio"
@@ -68,7 +71,8 @@ type Config struct {
 	MaxQueue int
 	// CircuitCacheBytes bounds the parsed-circuit cache (0 = 256 MiB).
 	CircuitCacheBytes int64
-	// ReportCacheBytes bounds the memoized-report cache (0 = 64 MiB).
+	// ReportCacheBytes bounds the memoized-report cache by the encoded
+	// response bytes it holds (0 = 64 MiB, about nine s38417 reports).
 	ReportCacheBytes int64
 	// Workers, when non-empty, turns the daemon into a coordinator: analytic
 	// and exact sweeps are sharded over these worker base URLs
@@ -223,11 +227,12 @@ func (s *Server) loadCircuit(w http.ResponseWriter, src CircuitSource) (*netlist
 }
 
 // handleAnalyze serves POST /v1/analyze: resolve the circuit (parse-once
-// cache), resolve and validate the options, fingerprint the request, and
-// serve from the report cache if possible; otherwise admit the request to
-// the engine pool, run the sweep — locally or sharded over workers — and
-// memoize the completed Report. The response is one JSON document, or an
-// NDJSON tile stream when requested.
+// cache), serve from the report cache if the request matches an alias or,
+// once the options are resolved, validated and fingerprinted, a memoized
+// fingerprint; otherwise admit the request to the engine pool, run the
+// sweep — locally or sharded over workers — and memoize the complete
+// report. The response is one JSON document, or an NDJSON tile stream when
+// requested.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -236,6 +241,15 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	c, ok := s.loadCircuit(w, req.Circuit)
 	if !ok {
+		return
+	}
+	stream := req.Stream || acceptsNDJSON(r.Header)
+
+	// Cache hits are served without touching admission — a saturated engine
+	// pool must never delay a map lookup. An alias hit skips Describe too.
+	alias := newAliasKey(c.ContentHash(), req.Options)
+	if cr, ok := s.reports.lookup(alias); ok {
+		writeReport(w, c, cr, stream, true)
 		return
 	}
 	cfg, err := req.Options.config()
@@ -248,16 +262,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	stream := req.Stream || r.Header.Get("Accept") == "application/x-ndjson"
-
-	// Cache hit: serve the memoized Report without touching admission — a
-	// saturated engine pool must never delay a map lookup.
-	if rep, ok := s.reports.get(info.Fingerprint); ok {
-		if stream {
-			s.streamReport(w, r, c, info, rep, true)
-		} else {
-			s.writeReport(w, c, info, rep, true)
-		}
+	if cr, ok := s.reports.get(info.Fingerprint, alias); ok {
+		writeReport(w, c, cr, stream, true)
 		return
 	}
 
@@ -293,12 +299,36 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.reports.put(info.Fingerprint, rep)
-	if stream {
-		s.streamReport(w, r, c, info, rep, false)
-	} else {
-		s.writeReport(w, c, info, rep, false)
+	cr, err := s.memoize(info, rep)
+	if err != nil {
+		s.logf("serd: analyze %s engine=%s: %v", c.Name, info.Engine, err)
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
+	writeReport(w, c, cr, stream, false)
+}
+
+// acceptsNDJSON reports whether any media range of the Accept header is
+// application/x-ndjson, parameters such as charset allowed.
+func acceptsNDJSON(h http.Header) bool {
+	for _, v := range h.Values("Accept") {
+		for _, part := range strings.Split(v, ",") {
+			if mt, _, err := mime.ParseMediaType(part); err == nil && mt == "application/x-ndjson" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// memoize encodes a complete report and puts it in the report cache.
+func (s *Server) memoize(info ser.Info, rep *ser.Report) (*cachedReport, error) {
+	cr, err := encodeReport(info, rep)
+	if err != nil {
+		return nil, err
+	}
+	s.reports.put(cr)
+	return cr, nil
 }
 
 // runReport computes the Report for an admitted request: sharded over the
@@ -357,15 +387,31 @@ func partialReport(c *netlist.Circuit, cfg ser.Config, psens []float64, uncovere
 	return rep, nil
 }
 
-// writeReport emits the non-streaming analyze response.
-func (s *Server) writeReport(w http.ResponseWriter, c *netlist.Circuit, info ser.Info, rep *ser.Report, cached bool) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(AnalyzeResponse{
-		Hash:        c.ContentHash(),
-		Fingerprint: info.Fingerprint,
-		Cached:      cached,
-		Report:      rep,
-	})
+// writeReport serves a complete report: a small per-request envelope — the
+// hash, fingerprint and cache flag of AnalyzeResponse, or the NDJSON header
+// frame — then the memoized bytes. The body is byte-identical to encoding
+// the AnalyzeResponse, or to the live stream, around the report.
+func writeReport(w http.ResponseWriter, c *netlist.Circuit, cr *cachedReport, stream, cached bool) {
+	var head, body, tail []byte
+	if stream {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		head, _ = json.Marshal(header(c, cr.info, cached))
+		head = append(head, '\n')
+		body = cr.ndjson
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		// The envelope without a report ends in `"report":null}`: the
+		// memoized report bytes take the place of the null.
+		head, _ = json.Marshal(AnalyzeResponse{Hash: c.ContentHash(), Fingerprint: cr.info.Fingerprint, Cached: cached})
+		head = head[:len(head)-len("null}")]
+		body, tail = cr.json, []byte("}\n")
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(tail)))
+	for _, b := range [][]byte{head, body, tail} {
+		if _, err := w.Write(b); err != nil {
+			return
+		}
+	}
 }
 
 // writePartialReport emits the degraded non-streaming response: HTTP 206

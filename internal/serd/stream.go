@@ -112,7 +112,10 @@ func header(c *netlist.Circuit, info ser.Info, cached bool) *StreamHeader {
 // the first failed write, whichever signal lands first). TotalFIT
 // accumulates in yield order — ascending node ID, the same order Run sums —
 // so the memoized Report and the total frame are bit-identical to a local
-// Run of the request.
+// Run of the request. The cache entry is encoded by encodeReport, like
+// every complete report; the live tiles went out before the report was
+// complete, so a live stream encodes its tiles twice (tens of milliseconds
+// on s38417, beside a sweep of seconds).
 func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, c *netlist.Circuit, cfg ser.Config, info ser.Info) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	sw := newStreamWriter(w)
@@ -147,29 +150,8 @@ func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, c *netlist.C
 	// monte-carlo even when selected via WithEngine); mirror it so the
 	// memoized report matches Run's.
 	rep.Method = info.Method
-	s.reports.put(info.Fingerprint, rep)
-	sw.frame(&StreamTotal{Type: FrameTotal, Nodes: len(rep.Nodes), TotalFIT: rep.TotalFIT})
-	sw.flush()
-}
-
-// streamReport streams an already-complete Report — the cache-hit path and
-// the coordinator path. Tile and total frames are encoded exactly as
-// streamLive encodes them, so cached and live streams are byte-identical
-// after the header line.
-func (s *Server) streamReport(w http.ResponseWriter, r *http.Request, c *netlist.Circuit, info ser.Info, rep *ser.Report, cached bool) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	sw := newStreamWriter(w)
-	if !sw.frame(header(c, info, cached)) {
-		return
-	}
-	sw.flush()
-	for i := range rep.Nodes {
-		if r.Context().Err() != nil {
-			return
-		}
-		if !sw.tile(nodeFrame(&rep.Nodes[i])) {
-			return
-		}
+	if _, err := s.memoize(info, rep); err != nil {
+		s.logf("serd: stream %s engine=%s: %v", c.Name, info.Engine, err)
 	}
 	sw.frame(&StreamTotal{Type: FrameTotal, Nodes: len(rep.Nodes), TotalFIT: rep.TotalFIT})
 	sw.flush()
