@@ -26,6 +26,7 @@ import (
 	"repro/internal/bddsp"
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netlist"
@@ -100,19 +101,32 @@ H = OR(C, D, G)
 }
 
 // BenchmarkEPPAllNodes (E4, Table 2 SysT): the EPP analysis over every node
-// of each benchmark circuit. ns/op here ÷ 1e6 is the SysT(ms) column.
+// of each benchmark circuit, one worker, through the epp-batch engine that
+// table2 times. ns/op here ÷ 1e6 is the SysT(ms) column.
 func BenchmarkEPPAllNodes(b *testing.B) {
 	for _, name := range benchCircuits {
 		b.Run(name, func(b *testing.B) {
 			c := circuitFor(b, name)
-			an := core.MustNew(c, spFor(b, c), core.Options{})
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				an.PSensitizedAll()
-			}
+			benchEPP(b, &engine.Request{Circuit: c, SP: spFor(b, c), Workers: 1})
 			b.ReportMetric(float64(c.N()), "nodes")
 		})
+	}
+}
+
+// benchEPP times b.N all-sites epp-batch sweeps of req.
+func benchEPP(b *testing.B, req *engine.Request) {
+	b.Helper()
+	eng, err := engine.Lookup("epp-batch")
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([]float64, req.Circuit.N())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.PSensitizedAll(context.Background(), req, out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -185,11 +199,7 @@ func BenchmarkAblationRules(b *testing.B) {
 	sp := spFor(b, c)
 	for _, rs := range []core.RuleSet{core.RulesClosedForm, core.RulesPairwise} {
 		b.Run(rs.String(), func(b *testing.B) {
-			an := core.MustNew(c, sp, core.Options{Rules: rs})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				an.PSensitizedAll()
-			}
+			benchEPP(b, &engine.Request{Circuit: c, SP: sp, Workers: 1, Rules: rs})
 		})
 	}
 }
@@ -287,38 +297,24 @@ func BenchmarkParseBench(b *testing.B) {
 	}
 }
 
-// BenchmarkEPPAllNodesParallel: the multi-core variant of the SysT kernel.
-func BenchmarkEPPAllNodesParallel(b *testing.B) {
-	c := circuitFor(b, "s9234")
-	an := core.MustNew(c, spFor(b, c), core.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an.AllSitesParallel(0)
-	}
-}
-
-// BenchmarkAllSitesParallelScaling: multi-core scaling of the atomic-cursor
-// AllSitesParallel sweep across explicit worker counts (ROADMAP open item:
-// the 1-vCPU benchmark box could never measure it). The workers=1 row is
-// the serial baseline; on an N-core machine the workers=max row should
-// approach N× — batches are claimed lock-free and results are
+// BenchmarkEPPScaling: multi-core scaling of the epp-batch sweep on s9234
+// across explicit worker counts (ROADMAP open item: the 1-vCPU benchmark
+// box could never measure it). The workers=1 row is the serial baseline;
+// on an N-core machine the workers=max row should approach N× — batches
+// are claimed from a lock-free atomic cursor and results are
 // worker-count-invariant, so any shortfall is memory bandwidth or cursor
 // contention, not synchronization.
-func BenchmarkAllSitesParallelScaling(b *testing.B) {
+func BenchmarkEPPScaling(b *testing.B) {
 	c := circuitFor(b, "s9234")
-	an := core.MustNew(c, spFor(b, c), core.Options{})
+	sp := spFor(b, c)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				an.AllSitesParallel(workers)
-			}
+			benchEPP(b, &engine.Request{Circuit: c, SP: sp, Workers: workers})
 			b.ReportMetric(float64(workers), "workers")
 		})
 	}
 	b.Run("workers=max", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			an.AllSitesParallel(0)
-		}
+		benchEPP(b, &engine.Request{Circuit: c, SP: sp})
 	})
 }
 
@@ -422,7 +418,7 @@ func BenchmarkMCSeqAllNodes(b *testing.B) {
 }
 
 // BenchmarkBatchLocality: the batched EPP kernel under consecutive-ID
-// packing vs the cone-locality schedule (what AllSites uses), width 64 on
+// packing vs the cone-locality schedule (what epp-batch uses), width 64 on
 // s9234. The swept/site metric is the per-batch union-cone size amortized
 // over lanes — the quantity the scheduler minimizes; results are
 // bit-identical either way (packing invariance).

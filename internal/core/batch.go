@@ -1,16 +1,13 @@
 // Batched all-sites EPP kernel: core.BatchAnalyzer sweeps up to 64 error
 // sites per union-cone pass with struct-of-arrays Prob4 lanes — the
-// production path behind AllSites, PSensitizedAll and the epp-batch engine.
+// production kernel the epp-batch engine sweeps every site with.
 
 package core
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/logic"
@@ -21,7 +18,8 @@ import (
 // process per pass: one lane per bit of the uint64 on-path masks.
 const MaxBatchWidth = 64
 
-// DefaultBatchWidth is the lane count used by the AllSites entry points. It
+// DefaultBatchWidth is the lane count of Analyzer.Batch at the zero
+// Options.BatchWidth (the epp-batch engine's default). It
 // trades cone-extraction amortization (wider is better: consecutive sites
 // have heavily overlapping cones, and the width sweep in the benchmark
 // suite is monotonically faster up to the mask limit on every ISCAS
@@ -50,7 +48,7 @@ const DefaultBatchWidth = MaxBatchWidth
 // misses, see TestBatchMatchesScalar).
 //
 // A BatchAnalyzer is not safe for concurrent use; create one per goroutine
-// (AllSitesParallel does).
+// (the epp-batch engine's workers each own one, on an Analyzer Clone).
 type BatchAnalyzer struct {
 	a      *Analyzer
 	stride int // configured lane count (batch width)
@@ -131,10 +129,10 @@ func (b *BatchAnalyzer) ResetCounters() {
 }
 
 // Batch returns the Analyzer's batched engine (lazily created at the
-// Options.BatchWidth lane count), the engine behind the AllSites entry
-// points. Callers with their own site sets (e.g. the multi-cycle analysis
-// batching flip-flop sweeps) should use this rather than NewBatch so the
-// O(N) scratch is shared and the configured width is honored. Like the
+// Options.BatchWidth lane count). Callers driving it (the epp-batch
+// engine's workers, the multi-cycle analysis batching flip-flop sweeps)
+// should use this rather than NewBatch so the O(N) scratch is shared and
+// the configured width is honored. Like the
 // Analyzer itself it is not safe for concurrent use.
 func (a *Analyzer) Batch() *BatchAnalyzer {
 	if a.batch == nil {
@@ -565,98 +563,4 @@ func (b *BatchAnalyzer) genericLanes(base int, compute uint64, kind logic.Kind, 
 		j := base + l
 		b.pa[j], b.pab[j], b.p0[j], b.p1[j] = st[logic.SymA], st[logic.SymABar], st[logic.SymZero], st[logic.SymOne]
 	}
-}
-
-// AllSites runs the EPP analysis with every node of the circuit as the error
-// site ("we consider all circuit nodes as possible error sites", paper §2)
-// and returns one Result per node, indexed by node ID. The analysis runs on
-// the batched engine (DefaultBatchWidth sites per union-cone sweep) with
-// sites packed by the cone-locality scheduler, so lanes in one batch share
-// most of their union cone; because the batched engine is packing-invariant
-// (see run), the results are bit-identical to any other packing. See
-// AllSitesParallel for the multi-core variant.
-func (a *Analyzer) AllSites() []Result {
-	n := a.c.N()
-	out := make([]Result, n)
-	eng := a.Batch()
-	order := a.Schedule().Order
-	tmp := make([]Result, eng.stride)
-	for lo := 0; lo < n; lo += eng.stride {
-		hi := lo + eng.stride
-		if hi > n {
-			hi = n
-		}
-		eng.EPPBatch(order[lo:hi], tmp[:hi-lo])
-		for _, r := range tmp[:hi-lo] {
-			out[r.Site] = r
-		}
-	}
-	return out
-}
-
-// PSensitizedAll computes only the P_sensitized value for every node,
-// avoiding per-output result allocation. This is the kernel timed as "SysT"
-// in the Table 2 reproduction; it runs on the batched engine over the
-// cone-locality schedule and performs no per-site heap allocation.
-func (a *Analyzer) PSensitizedAll() []float64 {
-	n := a.c.N()
-	out := make([]float64, n)
-	eng := a.Batch()
-	order := a.Schedule().Order
-	tmp := make([]float64, eng.stride)
-	for lo := 0; lo < n; lo += eng.stride {
-		hi := lo + eng.stride
-		if hi > n {
-			hi = n
-		}
-		sites := order[lo:hi]
-		eng.PSensitizedBatch(sites, tmp[:hi-lo])
-		for i, site := range sites {
-			out[site] = tmp[i]
-		}
-	}
-	return out
-}
-
-// AllSitesParallel runs AllSites across workers goroutines (0 means
-// GOMAXPROCS), each with its own cloned Analyzer and batched engine.
-// Scheduled batches are claimed from a lock-free atomic cursor in fixed
-// DefaultBatchWidth-aligned chunks; together with the batched engine's
-// packing invariance this makes every floating-point result identical to
-// the serial AllSites regardless of worker count or scheduling.
-func (a *Analyzer) AllSitesParallel(workers int) []Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := a.c.N()
-	out := make([]Result, n)
-	order := a.Schedule().Order // resolve once; worker clones share it
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := a.Clone()
-			eng := local.Batch()
-			k := int64(eng.stride)
-			tmp := make([]Result, eng.stride)
-			for {
-				lo := cursor.Add(k) - k
-				if lo >= int64(n) {
-					return
-				}
-				hi := int(lo) + eng.stride
-				if hi > n {
-					hi = n
-				}
-				eng.EPPBatch(order[lo:hi], tmp[:hi-int(lo)])
-				for _, r := range tmp[:hi-int(lo)] {
-					out[r.Site] = r
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }

@@ -92,17 +92,46 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}
 }
 
+// sweepAll runs every node of eng's circuit through eng as the error site,
+// packed eng.Width() sites per batch from order (nil = ascending node IDs),
+// and returns one Result per node indexed by ID.
+func sweepAll(eng *BatchAnalyzer, order []netlist.ID) []Result {
+	n := eng.a.c.N()
+	if order == nil {
+		order = make([]netlist.ID, n)
+		for id := range order {
+			order[id] = netlist.ID(id)
+		}
+	}
+	out := make([]Result, n)
+	tmp := make([]Result, eng.Width())
+	for lo := 0; lo < n; lo += eng.Width() {
+		hi := min(lo+eng.Width(), n)
+		eng.EPPBatch(order[lo:hi], tmp[:hi-lo])
+		for _, r := range tmp[:hi-lo] {
+			out[r.Site] = r
+		}
+	}
+	return out
+}
+
 // TestBatchPSensitizedMatchesEPPBatch: the allocation-free P_sensitized
 // entry point and the full-result entry point must agree exactly.
 func TestBatchPSensitizedMatchesEPPBatch(t *testing.T) {
 	c := gen.SmallRandomSequential(99)
 	sp := sigprob.Topological(c, sigprob.Config{})
 	a := MustNew(c, sp, Options{})
-	all := a.PSensitizedAll()
-	res := a.AllSites()
-	for id := 0; id < c.N(); id++ {
-		if all[id] != res[id].PSensitized {
-			t.Fatalf("site %d: PSensitizedAll %v, AllSites %v", id, all[id], res[id].PSensitized)
+	eng := a.Batch()
+	order := a.Schedule().Order
+	res := sweepAll(eng, order)
+	tmp := make([]float64, eng.Width())
+	for lo := 0; lo < c.N(); lo += eng.Width() {
+		hi := min(lo+eng.Width(), c.N())
+		eng.PSensitizedBatch(order[lo:hi], tmp[:hi-lo])
+		for i, site := range order[lo:hi] {
+			if tmp[i] != res[site].PSensitized {
+				t.Fatalf("site %d: PSensitizedBatch %v, EPPBatch %v", site, tmp[i], res[site].PSensitized)
+			}
 		}
 	}
 }
@@ -205,9 +234,9 @@ func TestBatchPackingInvariance(t *testing.T) {
 	}
 }
 
-// TestAllSitesUsesSchedule: the all-sites entry points sweep the
-// cone-locality schedule yet index results by node ID, bit-equal to an
-// explicit ID-ordered reference loop.
+// TestAllSitesUsesSchedule: an all-sites sweep packed from the
+// cone-locality schedule indexes results by node ID, bit-equal to an
+// ID-ordered sweep, and the engine's counters see every site.
 func TestAllSitesUsesSchedule(t *testing.T) {
 	c := gen.SmallRandomSequential(31)
 	sp := sigprob.Topological(c, sigprob.Config{})
@@ -219,21 +248,11 @@ func TestAllSitesUsesSchedule(t *testing.T) {
 	if s != a.Clone().Schedule() {
 		t.Error("Clone does not share the schedule")
 	}
-	got := a.PSensitizedAll()
-	ref := make([]float64, c.N())
-	eng := NewBatch(MustNew(c, sp, Options{}), DefaultBatchWidth)
-	sites := make([]netlist.ID, 0, DefaultBatchWidth)
-	for lo := 0; lo < c.N(); lo += DefaultBatchWidth {
-		hi := min(lo+DefaultBatchWidth, c.N())
-		sites = sites[:0]
-		for id := lo; id < hi; id++ {
-			sites = append(sites, netlist.ID(id))
-		}
-		eng.PSensitizedBatch(sites, ref[lo:hi])
-	}
+	got := sweepAll(a.Batch(), s.Order)
+	ref := sweepAll(NewBatch(MustNew(c, sp, Options{}), DefaultBatchWidth), nil)
 	for id := range ref {
-		if got[id] != ref[id] {
-			t.Fatalf("site %d: scheduled sweep %v != ID-ordered sweep %v", id, got[id], ref[id])
+		if got[id].PSensitized != ref[id].PSensitized {
+			t.Fatalf("site %d: scheduled sweep %v != ID-ordered sweep %v", id, got[id].PSensitized, ref[id].PSensitized)
 		}
 	}
 	swept, nsites := a.Batch().Counters()

@@ -18,12 +18,13 @@
 //
 // Two engines implement the analysis. Analyzer.EPP is the scalar reference:
 // one site, one cone, one sweep — the executable specification of the
-// paper's method. BatchAnalyzer is the production kernel behind AllSites,
-// PSensitizedAll and AllSitesParallel: it sweeps up to MaxBatchWidth sites
-// at once over the union of their cones, tracking per-node on-path lane
-// membership in a uint64 mask and storing the four-valued states
-// struct-of-arrays, which amortizes cone extraction, adjacency loads and
-// rule dispatch across the batch (~5× on the large ISCAS'89 profiles). Both
+// paper's method. BatchAnalyzer is the production kernel, which the
+// epp-batch engine (internal/engine) drives over every site: it sweeps up
+// to MaxBatchWidth sites at once over the union of their cones, tracking
+// per-node on-path lane membership in a uint64 mask and storing the
+// four-valued states struct-of-arrays, which amortizes cone extraction,
+// adjacency loads and rule dispatch across the batch (~5× on the large
+// ISCAS'89 profiles). Both
 // engines read the netlist through the CSR adjacency arrays
 // (netlist.Circuit.FaninCSR/FanoutCSR) and fold the per-output miss product
 // in canonical ascending output-ID order, so a site's P_sensitized is a
@@ -32,11 +33,11 @@
 //
 // The batched engine is additionally packing-invariant: a site's result is
 // bit-identical no matter which sites share its batch, in what order, at
-// what width. Lane arithmetic never reads companion lanes. The AllSites
-// entry points exploit this by packing batches from the cone-locality site
+// what width. Lane arithmetic never reads companion lanes. The epp-batch
+// engine exploits this by packing batches from the cone-locality site
 // schedule (internal/sched) — lanes in one batch share most of their union
 // cone — while remaining bit-equal to any other packing; callers driving
-// PSensitizedBatch/EPPBatch directly may order sites freely.
+// PSensitizedBatch/EPPBatch may order sites freely.
 package core
 
 import (
@@ -87,9 +88,8 @@ func (r RuleSet) String() string {
 type Options struct {
 	// Rules selects the propagation rule implementation.
 	Rules RuleSet
-	// BatchWidth sets the lane count of the batched engine behind the
-	// AllSites/PSensitizedAll entry points: how many error sites share one
-	// union-cone sweep. 0 means DefaultBatchWidth; values are clamped to
+	// BatchWidth sets the lane count of the batched engine returned by
+	// Batch: how many error sites share one union-cone sweep. 0 means DefaultBatchWidth; values are clamped to
 	// [1, MaxBatchWidth]. Width 1 degenerates to per-site sweeps (useful
 	// for debugging); widths beyond ~8 mostly trade memory for diminishing
 	// amortization returns.
@@ -133,7 +133,7 @@ type Analyzer struct {
 	fiArr []netlist.ID
 	kinds []logic.Kind
 
-	batch *BatchAnalyzer  // lazily created engine behind the AllSites entry points
+	batch *BatchAnalyzer  // lazily created batched engine (Batch)
 	order *sched.Schedule // lazily computed cone-locality site schedule
 }
 
@@ -186,11 +186,10 @@ func (a *Analyzer) Clone() *Analyzer {
 	return cp
 }
 
-// Schedule returns the cone-locality site schedule the AllSites entry
-// points sweep in (computed lazily, cached, shared with Clones). Callers
-// running their own PSensitizedBatch/EPPBatch loops over all sites should
-// pack batches from Schedule().Order for the same locality win; any packing
-// produces bit-identical results.
+// Schedule returns the cone-locality site schedule (computed lazily,
+// cached, shared with Clones). All-sites PSensitizedBatch/EPPBatch loops —
+// the epp-batch engine's — pack batches from Schedule().Order for the
+// locality win; any packing produces bit-identical results.
 func (a *Analyzer) Schedule() *sched.Schedule {
 	if a.order == nil {
 		a.order = sched.ConeLocality(a.c)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -157,42 +158,59 @@ func TestAgainstMonteCarloLargeVectors(t *testing.T) {
 	}
 }
 
-// TestPSensitizedAllMatchesEPP: the batched all-sites kernel must agree
-// with the scalar per-site API. Tolerance is 1e-12, not exact: the batched
-// engine folds per-output misses in union-cone order, which can reorder the
-// floating-point product within a level relative to the scalar sweep (see
+// TestPSensitizedAllMatchesEPP: the scheduled all-sites sweep on the
+// batched kernel (what the epp-batch engine runs) must agree with the
+// scalar per-site API. Tolerance is 1e-12, not exact: the two engines may
+// fold per-output misses in different floating-point product order (see
 // TestBatchMatchesScalar for the exhaustive cross-check).
 func TestPSensitizedAllMatchesEPP(t *testing.T) {
 	c := gen.SmallRandomSequential(77)
 	sp := sigprob.Topological(c, sigprob.Config{})
 	a := MustNew(c, sp, Options{})
-	batch := a.PSensitizedAll()
+	batch := sweepAll(a.Batch(), a.Schedule().Order)
 	for id := 0; id < c.N(); id++ {
 		want := a.EPP(netlist.ID(id)).PSensitized
-		if math.Abs(batch[id]-want) > 1e-12 {
-			t.Fatalf("site %d: batch %v, EPP %v", id, batch[id], want)
+		if math.Abs(batch[id].PSensitized-want) > 1e-12 {
+			t.Fatalf("site %d: batch %v, EPP %v", id, batch[id].PSensitized, want)
 		}
 	}
 }
 
-// TestAllSitesParallelMatchesSerial: the multi-core sweep must be
-// deterministic and equal to the serial sweep.
+// TestAllSitesParallelMatchesSerial: batched engines on Clones swept from
+// concurrent goroutines, each over its own share of the schedule, must
+// reproduce the serial sweep exactly — P_sensitized and cone size.
 func TestAllSitesParallelMatchesSerial(t *testing.T) {
 	c := gen.MustRandom(gen.Params{Name: "p", Seed: 9, PIs: 10, POs: 5, FFs: 4, Gates: 300})
 	sp := sigprob.Topological(c, sigprob.Config{})
 	a := MustNew(c, sp, Options{})
-	serial := a.AllSites()
-	parallel := a.AllSitesParallel(4)
-	if len(serial) != len(parallel) {
-		t.Fatal("length mismatch")
+	order := a.Schedule().Order
+	serial := sweepAll(a.Batch(), order)
+	const workers = 4
+	parallel := make([]Result, c.N()) // workers write disjoint sites
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Worker w sweeps the batches at positions ≡ w (mod workers).
+			eng := a.Clone().Batch()
+			tmp := make([]Result, eng.Width())
+			for lo := w * eng.Width(); lo < len(order); lo += workers * eng.Width() {
+				hi := min(lo+eng.Width(), len(order))
+				eng.EPPBatch(order[lo:hi], tmp[:hi-lo])
+				for _, r := range tmp[:hi-lo] {
+					parallel[r.Site] = r
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	for id := range serial {
-		if serial[id].PSensitized != parallel[id].PSensitized {
-			t.Fatalf("site %d: serial %v, parallel %v",
-				id, serial[id].PSensitized, parallel[id].PSensitized)
+		if parallel[id].PSensitized != serial[id].PSensitized {
+			t.Fatalf("site %d: serial %v, parallel %v", id, serial[id].PSensitized, parallel[id].PSensitized)
 		}
-		if serial[id].ConeSize != parallel[id].ConeSize {
-			t.Fatalf("site %d: cone sizes differ", id)
+		if parallel[id].ConeSize != serial[id].ConeSize {
+			t.Fatalf("site %d: cone size %d, serial %d", id, parallel[id].ConeSize, serial[id].ConeSize)
 		}
 	}
 }

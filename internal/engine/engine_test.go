@@ -98,7 +98,8 @@ func TestConformance(t *testing.T) {
 }
 
 // TestWorkerAndWidthInvariance: the batched engine's results are
-// bit-identical across worker counts and agree across batch widths.
+// bit-identical across worker counts and batch widths (the kernel is
+// packing-invariant), single-cycle and multi-cycle alike.
 func TestWorkerAndWidthInvariance(t *testing.T) {
 	c, err := gen.ByName("s953")
 	if err != nil {
@@ -109,30 +110,28 @@ func TestWorkerAndWidthInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := make([]float64, c.N())
-	if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Workers: 1}, base); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4, 7} {
-		out := make([]float64, c.N())
-		if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Workers: workers}, out); err != nil {
+	for _, frames := range []int{1, 3} {
+		base := make([]float64, c.N())
+		if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: frames, Workers: 1}, base); err != nil {
 			t.Fatal(err)
 		}
-		for id := range out {
-			if out[id] != base[id] {
-				t.Fatalf("workers=%d: node %d differs: %v vs %v", workers, id, out[id], base[id])
+		check := func(what string, req *Request) {
+			t.Helper()
+			out := make([]float64, c.N())
+			if err := e.PSensitizedAll(context.Background(), req, out); err != nil {
+				t.Fatal(err)
+			}
+			for id := range out {
+				if out[id] != base[id] {
+					t.Fatalf("frames=%d %s: node %d differs: %v vs %v", frames, what, id, out[id], base[id])
+				}
 			}
 		}
-	}
-	for _, width := range []int{1, 8, 64} {
-		out := make([]float64, c.N())
-		if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, BatchWidth: width}, out); err != nil {
-			t.Fatal(err)
+		for _, workers := range []int{0, 2, 4, 7} {
+			check(fmt.Sprintf("workers=%d", workers), &Request{Circuit: c, SP: sp, Frames: frames, Workers: workers})
 		}
-		for id := range out {
-			if math.Abs(out[id]-base[id]) > 1e-12 {
-				t.Fatalf("width=%d: node %d differs: %v vs %v", width, id, out[id], base[id])
-			}
+		for _, width := range []int{1, 7, 8, 33, 64} {
+			check(fmt.Sprintf("width=%d", width), &Request{Circuit: c, SP: sp, Frames: frames, BatchWidth: width})
 		}
 	}
 }
@@ -325,7 +324,7 @@ func TestMCEngineFrames(t *testing.T) {
 
 // TestAnalyticFramesWorkers: the multi-cycle sweeps of both analytic
 // engines honor Request.Workers (epp-scalar used to hardcode a single
-// worker; epp-batch used to run the serial PDetectAllInto) and stay
+// worker; epp-batch used to run a serial multi-cycle sweep) and stay
 // bit-identical at any worker count — each worker's seq analyzer computes
 // the same deterministic composition over packing-invariant strike sweeps.
 func TestAnalyticFramesWorkers(t *testing.T) {
@@ -527,6 +526,16 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if epp.SweptNodesPerSite() <= 0 {
 		t.Errorf("epp-batch SweptNodesPerSite = %v, want > 0", epp.SweptNodesPerSite())
+	}
+	var seqStats Stats
+	if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: 3, Stats: &seqStats}, out); err != nil {
+		t.Fatal(err)
+	}
+	if got := seqStats.Sites.Load(); got != int64(c.N()) {
+		t.Errorf("epp-batch Frames=3 Sites = %d, want %d", got, c.N())
+	}
+	if seqStats.SweptNodesPerSite() <= 0 {
+		t.Errorf("epp-batch Frames=3 SweptNodesPerSite = %v, want > 0", seqStats.SweptNodesPerSite())
 	}
 
 	var mc Stats

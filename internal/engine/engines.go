@@ -38,7 +38,10 @@ func resolveWorkers(w int) int {
 }
 
 // batchEngine is the production EPP backend: core.BatchAnalyzer sweeping up
-// to 64 error sites per union-cone pass, optionally across workers.
+// to 64 error sites per union-cone pass, optionally across workers — the
+// one all-sites driver of the analytic method. Frames > 1 runs the same
+// batches through a seq analyzer over each worker's core analyzer, so the
+// multi-cycle strike sweeps share the kernel, batch width and counters.
 type batchEngine struct{}
 
 func (batchEngine) Name() string { return "epp-batch" }
@@ -48,63 +51,11 @@ func (batchEngine) PSensitizedAll(ctx context.Context, req *Request, out []float
 	if err := checkOut(req, out); err != nil {
 		return err
 	}
-	sp := req.sp()
-	c := req.Circuit
-	if req.Frames > 1 {
-		if req.Rules != core.RulesClosedForm {
-			return fmt.Errorf("engine: Rules %v requires a single-frame analysis", req.Rules)
-		}
-		// Batched multi-cycle composition distributed like the single-frame
-		// sweep: each worker owns a seq analyzer (per-analyzer lookahead
-		// memo; not safe for concurrent use) and claims batch-width chunks.
-		// PDetectBatchWeighted is packing-invariant and the composition —
-		// including the latch-window strike weight — is deterministic
-		// arithmetic, so results are bit-identical at any worker count; the
-		// first worker reuses the prototype (newWorker is called serially
-		// before the goroutines start).
-		w0 := req.strikeWeight()
-		proto, err := seq.New(c, sp)
-		if err != nil {
-			return err
-		}
-		chunk := proto.BatchWidth()
-		var order []netlist.ID
-		if !req.sweepOrdered() {
-			order = proto.Schedule().Order
-		}
-		protoUsed := false
-		return siteSweep(ctx, req, "epp-batch", sp, chunk, out,
-			func() (func(lo, hi int) error, error) {
-				sa := proto
-				if protoUsed {
-					var err error
-					if sa, err = seq.New(c, sp); err != nil {
-						return nil, err
-					}
-				}
-				protoUsed = true
-				sites := make([]netlist.ID, 0, chunk)
-				tmp := make([]float64, chunk)
-				return func(lo, hi int) error {
-					batch := order
-					if batch != nil {
-						batch = order[lo:hi]
-					} else {
-						sites = sites[:0]
-						for id := lo; id < hi; id++ {
-							sites = append(sites, netlist.ID(id))
-						}
-						batch = sites
-					}
-					sa.PDetectBatchWeighted(batch, req.Frames, w0, tmp[:hi-lo])
-					for i, site := range batch {
-						out[site] = tmp[i]
-					}
-					return nil
-				}, nil
-			})
+	if req.Frames > 1 && req.Rules != core.RulesClosedForm {
+		return fmt.Errorf("engine: Rules %v requires a single-frame analysis", req.Rules)
 	}
-	proto, err := core.New(c, sp, core.Options{Rules: req.Rules, BatchWidth: req.BatchWidth})
+	sp := req.sp()
+	proto, err := core.New(req.Circuit, sp, core.Options{Rules: req.Rules, BatchWidth: req.BatchWidth})
 	if err != nil {
 		return err
 	}
@@ -113,23 +64,35 @@ func (batchEngine) PSensitizedAll(ctx context.Context, req *Request, out []float
 	// one batch share most of their union cone; ascending node IDs when the
 	// caller needs OnBatch's out[lo:hi] ranges to be ID ranges (streaming,
 	// and any checkpointed sweep — committed ranges must be ID ranges). The
-	// kernel is packing-invariant, so both orders produce bit-identical
+	// kernel is packing-invariant and the multi-cycle composition —
+	// including the latch-window strike weight — is per-site arithmetic, so
+	// both orders, every width and every worker count produce bit-identical
 	// results.
 	var order []netlist.ID
 	if !req.sweepOrdered() {
 		order = proto.Schedule().Order
 	}
+	w0 := req.strikeWeight()
 	return siteSweep(ctx, req, "epp-batch", sp, chunk, out,
 		func() (func(lo, hi int) error, error) {
 			local := proto.Clone()
 			eng := local.Batch()
-			sites := make([]netlist.ID, 0, eng.Width())
-			tmp := make([]float64, eng.Width())
+			kernel := eng.PSensitizedBatch
+			if req.Frames > 1 {
+				// The seq analyzer memoizes its flip-flop lookahead per
+				// worker and runs every sweep on eng.
+				sa := seq.NewFrom(local)
+				kernel = func(sites []netlist.ID, dst []float64) {
+					sa.PDetectBatchWeighted(sites, req.Frames, w0, dst)
+				}
+			}
+			sites := make([]netlist.ID, 0, chunk)
+			tmp := make([]float64, chunk)
 			var prevSwept int64
 			return func(lo, hi int) error {
 				if order != nil {
 					batch := order[lo:hi]
-					eng.PSensitizedBatch(batch, tmp[:hi-lo])
+					kernel(batch, tmp[:hi-lo])
 					for i, site := range batch {
 						out[site] = tmp[i]
 					}
@@ -138,11 +101,13 @@ func (batchEngine) PSensitizedAll(ctx context.Context, req *Request, out []float
 					for id := lo; id < hi; id++ {
 						sites = append(sites, netlist.ID(id))
 					}
-					eng.PSensitizedBatch(sites, out[lo:hi])
+					kernel(sites, out[lo:hi])
 				}
 				if req.Stats != nil {
 					// Sites are counted generically by siteSweep; only the
-					// kernel's union-cone member count comes from here.
+					// kernel's union-cone member count comes from here
+					// (multi-cycle: including the worker's one-off
+					// flip-flop profile sweeps).
 					swept, _ := eng.Counters()
 					req.Stats.SweptNodes.Add(swept - prevSwept)
 					prevSwept = swept

@@ -166,11 +166,11 @@ func TestTMRMasksProtectedGate(t *testing.T) {
 	// EPP is conservative on the protected copies (documented limitation:
 	// replica correlation is invisible to the independence assumption), so
 	// its estimate stays at or above the exact value of 0.
-	an, err := ser.PSensitized(h, ser.Config{Method: ser.MethodEPP, Workers: 1, SP: sigprob.Config{}})
+	rep, err := ser.Run(context.Background(), h, ser.Config{Method: ser.MethodEPP, Workers: 1, SP: sigprob.Config{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if an[h.ByName("g1")] < 0 {
+	if rep.Nodes[h.ByName("g1")].PSensitized < 0 {
 		t.Error("EPP returned negative probability")
 	}
 }

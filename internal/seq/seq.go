@@ -39,13 +39,11 @@
 package seq
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sched"
 )
 
 // Analyzer computes multi-cycle detection probabilities over a fixed circuit
@@ -64,7 +62,7 @@ type Analyzer struct {
 	// iteration once per frame budget instead of once per site.
 	rCache map[int][]float64
 	// batchScratch holds the batched strike-sweep results reused across
-	// PDetectBatch calls.
+	// PDetectBatchWeighted calls.
 	batchScratch []core.Result
 }
 
@@ -81,6 +79,14 @@ func New(c *netlist.Circuit, sp []float64) (*Analyzer, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NewFrom(epp), nil
+}
+
+// NewFrom returns a multi-cycle analyzer whose strike and flip-flop sweeps
+// run on epp's batched engine, at epp's batch width. The returned analyzer
+// drives epp; neither may be used concurrently with the other.
+func NewFrom(epp *core.Analyzer) *Analyzer {
+	c := epp.Circuit()
 	a := &Analyzer{
 		c:       c,
 		epp:     epp,
@@ -93,7 +99,7 @@ func New(c *netlist.Circuit, sp []float64) (*Analyzer, error) {
 	}
 	a.ffSweep = make([]*frameSweep, a.nFFs)
 	a.rCache = make(map[int][]float64)
-	return a, nil
+	return a
 }
 
 // rVector returns the memoized R(·, lookahead) vector: per flip-flop, the
@@ -260,30 +266,13 @@ func (a *Analyzer) compose(strike *frameSweep, r []float64, w0 float64) float64 
 	return 1 - miss
 }
 
-// BatchWidth returns the lane count of the analyzer's batched strike-sweep
-// engine — the natural chunk size for PDetectBatch.
-func (a *Analyzer) BatchWidth() int { return a.epp.Batch().Width() }
-
-// Schedule returns the underlying cone-locality site schedule, so all-sites
-// callers can pack PDetectBatch chunks the way the single-cycle sweeps do.
-func (a *Analyzer) Schedule() *sched.Schedule { return a.epp.Schedule() }
-
-// PDetectBatch computes PDetect(sites[i], frames) into out[i] for one batch
-// of at most BatchWidth sites: one batched union-cone strike sweep serves
-// the whole batch, and the per-FF lookahead vector is memoized across
-// calls. Results are bit-identical under any batch composition (the strike
-// sweeps are packing-invariant and the composition is per-site arithmetic),
-// which is what lets all-sites callers distribute batches over workers.
-// len(out) must equal len(sites).
-func (a *Analyzer) PDetectBatch(sites []netlist.ID, frames int, out []float64) {
-	a.PDetectBatchWeighted(sites, frames, 1, out)
-}
-
-// PDetectBatchWeighted is PDetectBatch with the strike-frame detection term
-// scaled by strikeWeight (see PDetectWeighted for the model). The weighting
-// is per-site arithmetic applied after the packing-invariant strike sweeps,
-// so the batch-composition and worker-distribution guarantees of
-// PDetectBatch hold unchanged at every weight.
+// PDetectBatchWeighted computes PDetectWeighted(sites[i], frames,
+// strikeWeight) into out[i]: one batched union-cone strike sweep serves each
+// batch-width chunk of sites, and the per-FF lookahead vector is memoized
+// across calls. Results are bit-identical under any batch composition (the
+// strike sweeps are packing-invariant and the composition, weighting
+// included, is per-site arithmetic), which is what lets the epp-batch
+// engine distribute batches over workers. len(out) must equal len(sites).
 func (a *Analyzer) PDetectBatchWeighted(sites []netlist.ID, frames int, strikeWeight float64, out []float64) {
 	if frames < 1 {
 		panic(fmt.Sprintf("seq: PDetectBatchWeighted with frames = %d", frames))
@@ -316,87 +305,6 @@ func (a *Analyzer) PDetectBatchWeighted(sites []netlist.ID, frames int, strikeWe
 			}
 		}
 	}
-}
-
-// PDetectAll returns PDetect(site, frames) for every node of the circuit in
-// one batched pass: the strike-frame sweeps run on the batched EPP engine
-// (as the all-sites single-cycle analysis does) and the per-FF lookahead
-// vector is computed once and shared across sites.
-func (a *Analyzer) PDetectAll(frames int) []float64 {
-	out := make([]float64, a.c.N())
-	if err := a.PDetectAllInto(context.Background(), frames, out, false, nil); err != nil {
-		panic("seq: " + err.Error()) // unreachable: the background ctx never cancels
-	}
-	return out
-}
-
-// PDetectAllInto is the context-aware form of PDetectAll: it writes
-// PDetect(id, frames) to out[id] for every node, checks ctx between batches
-// (returning ctx.Err() promptly with out partially filled), and — when
-// onBatch is non-nil — invokes it after each batch finalizes; a non-nil
-// return aborts the sweep and is returned verbatim. ordered pins the sweep
-// to ascending node IDs so every onBatch range [lo, hi) is a final
-// out[lo:hi] node-ID range (the streaming contract); without it batches are
-// packed from the cone-locality schedule — bit-identical results, onBatch
-// ranges then index sweep positions and only their hi−lo counts are
-// meaningful. len(out) must equal the circuit's node count.
-func (a *Analyzer) PDetectAllInto(ctx context.Context, frames int, out []float64, ordered bool, onBatch func(lo, hi int) error) error {
-	if frames < 1 {
-		panic(fmt.Sprintf("seq: PDetectAllInto with frames = %d", frames))
-	}
-	n := a.c.N()
-	if len(out) != n {
-		return fmt.Errorf("seq: output slice has %d entries for %d nodes", len(out), n)
-	}
-	if frames > 1 {
-		// Warm the lookahead memo before the sweep so cancellation is
-		// checked ahead of the one-off R iteration.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		a.rVector(frames - 1)
-	}
-	w := a.BatchWidth()
-	// Unless ordered emission is required, pack batches from the
-	// cone-locality schedule like the single-cycle AllSites sweeps; the
-	// batched kernel is packing-invariant and per-lane Outputs are emitted
-	// in canonical ID order, so the composed results are bit-identical
-	// either way.
-	var order []netlist.ID
-	if !ordered {
-		order = a.Schedule().Order
-	}
-	sites := make([]netlist.ID, 0, w)
-	tmp := make([]float64, w)
-	for lo := 0; lo < n; lo += w {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := lo + w
-		if hi > n {
-			hi = n
-		}
-		batch := order
-		if batch != nil {
-			batch = order[lo:hi]
-		} else {
-			sites = sites[:0]
-			for id := lo; id < hi; id++ {
-				sites = append(sites, netlist.ID(id))
-			}
-			batch = sites
-		}
-		a.PDetectBatch(batch, frames, tmp[:hi-lo])
-		for i, site := range batch {
-			out[site] = tmp[i]
-		}
-		if onBatch != nil {
-			if err := onBatch(lo, hi); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // PDetectCurve returns PDetect(site, k) for k = 1..frames in one pass, useful

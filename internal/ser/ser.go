@@ -400,8 +400,9 @@ type Report struct {
 	TotalFIT float64   // sum over nodes
 }
 
-// prepared is the validated, resolved state shared by Run, Stream and
-// PSensitized: the engine, its request, and the R_SEU / P_latched models.
+// prepared is the validated, resolved state shared by the package's entry
+// points (Run, Stream, Assemble, Describe, PSensitizedRange): the engine,
+// its request, and the R_SEU / P_latched models.
 type prepared struct {
 	eng    engine.Engine
 	req    engine.Request
@@ -680,21 +681,6 @@ func Stream(ctx context.Context, c *netlist.Circuit, cfg Config) iter.Seq2[NodeS
 			yield(NodeSER{}, err)
 		}
 	}
-}
-
-// PSensitized computes the per-node sensitization probability vector with
-// the configured engine (the expensive term; exposed separately for the
-// benchmark harness).
-func PSensitized(c *netlist.Circuit, cfg Config) ([]float64, error) {
-	p, err := prepare(c, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, c.N())
-	if err := p.runEngine(context.Background(), &cfg, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // SignalProbabilities computes the configured signal probability vector.

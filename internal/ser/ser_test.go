@@ -187,9 +187,13 @@ func TestSPMethodAblation(t *testing.T) {
 // at least the PO-only single-frame totals.
 func TestMultiCycleFrames(t *testing.T) {
 	c := gen.MustRandom(gen.Params{Name: "mcf", Seed: 51, PIs: 8, POs: 3, FFs: 8, Gates: 120})
-	p4, err := PSensitized(c, Config{Method: MethodEPP, Frames: 4})
+	rep, err := Run(context.Background(), c, Config{Method: MethodEPP, Frames: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	p4 := make([]float64, c.N())
+	for id, n := range rep.Nodes {
+		p4[id] = n.PSensitized
 	}
 	sa, err := seq.New(c, sigprob.Topological(c, sigprob.Config{}))
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"repro/internal/circuitio"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/report"
@@ -68,8 +68,9 @@ type Config struct {
 	// baseline (default 10000, the classical setting).
 	MCVectors int
 	// SampleNodes bounds how many error sites the random-simulation baseline
-	// actually simulates; the total SimT is extrapolated linearly (default
-	// 200, 0 = all nodes).
+	// actually simulates; the total SimT is extrapolated linearly. Zero or
+	// negative means the default of 200; a value at or above the node count
+	// simulates every node.
 	SampleNodes int
 	// SPVectors is the vector count for Monte Carlo signal probability
 	// (default 100000).
@@ -124,20 +125,14 @@ func Run(c *netlist.Circuit, cfg Config) (Row, error) {
 	row.SPTs = time.Since(spStart).Seconds()
 
 	// --- SysT: the EPP analysis over every node.
-	an, err := core.New(c, sp, core.Options{})
+	eng, err := engine.Lookup("epp-batch")
 	if err != nil {
 		return Row{}, err
 	}
+	epp := make([]float64, c.N())
 	sysStart := time.Now()
-	var epp []float64
-	if cfg.Workers == 1 {
-		epp = an.PSensitizedAll()
-	} else {
-		res := an.AllSitesParallel(cfg.Workers)
-		epp = make([]float64, len(res))
-		for i, r := range res {
-			epp[i] = r.PSensitized
-		}
+	if err := eng.PSensitizedAll(context.Background(), &engine.Request{Circuit: c, SP: sp, Workers: cfg.Workers}, epp); err != nil {
+		return Row{}, err
 	}
 	row.SysTms = float64(time.Since(sysStart).Microseconds()) / 1000
 

@@ -80,16 +80,20 @@
 // # Migration from the pre-Run API
 //
 // The struct-config Estimate(c, EstimateConfig{...}) entry point has been
-// removed; Run with options replaces it. The low-level access paths remain:
-// NewAnalyzer serves single-site EPP queries; NewMonteCarlo,
-// NewMultiCycleAnalyzer and the Exact* functions expose the individual
-// backends directly. Every capability of those entry points is reachable
-// through Run/RunStream options:
+// removed; Run with options replaces it. So have the Analyzer's all-sites
+// methods and MultiCycleAnalyzer's PDetectAll/PDetectAllInto: every
+// all-sites EPP sweep runs on the epp-batch engine behind Run. The
+// low-level access paths remain: NewAnalyzer serves single-site EPP
+// queries; NewMonteCarlo, NewMultiCycleAnalyzer and the Exact* functions
+// expose the individual backends directly. Every capability of those entry
+// points is reachable through Run/RunStream options:
 //
-//	Estimate(c, EstimateConfig{Method: MethodMonteCarlo}) → Run(ctx, c, WithMethod(MethodMonteCarlo))
-//	Estimate(c, EstimateConfig{Frames: 8})                → Run(ctx, c, WithFrames(8))
-//	NewMonteCarlo(c, MCOptions{Vectors: 4096})            → Run(ctx, c, WithMethod(MethodMonteCarlo), WithVectors(4096))
-//	ExactPSensitized / EnumeratePSensitized (per node)    → Run(ctx, c, WithEngine("bdd" /* or "enum" */))
+//	Estimate(c, EstimateConfig{Method: MethodMonteCarlo})  → Run(ctx, c, WithMethod(MethodMonteCarlo))
+//	Estimate(c, EstimateConfig{Frames: 8})                 → Run(ctx, c, WithFrames(8))
+//	NewMonteCarlo(c, MCOptions{Vectors: 4096})             → Run(ctx, c, WithMethod(MethodMonteCarlo), WithVectors(4096))
+//	ExactPSensitized / EnumeratePSensitized (per node)     → Run(ctx, c, WithEngine("bdd" /* or "enum" */))
+//	an.AllSites() / PSensitizedAll() / AllSitesParallel(n) → Run(ctx, c, WithWorkers(n))
+//	mca.PDetectAll(k) / PDetectAllInto(ctx, k, ...)        → Run(ctx, c, WithFrames(k))
 //
 // The implementation lives in the internal packages (netlist, bench, graph,
 // sigprob, core, engine, simulate, exact, faults, latch, ser, gen); this
