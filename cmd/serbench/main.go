@@ -249,10 +249,12 @@ func parseLatch(spec string) (*latch.Model, error) {
 // counter ratios make the batching wins visible in the artifact trajectory:
 // swept_nodes_per_site is the batched EPP engine's cone-locality
 // efficiency (union-cone nodes swept per site; a full-cone per-site sweep
-// would pay the mean cone size), and good_sims_per_word is the sampling
+// would pay the mean cone size); good_sims_per_word is the sampling
 // engine's good-simulation sharing (exactly 1 for the shared-good-sim
-// kernel; the per-site estimator pays one per site). Zero-valued counters
-// (an engine that does not record them) are omitted.
+// kernel; the per-site estimator pays one per site); lane_eval_frac is the
+// share of the sampling engine's static on-path lanes that its
+// divergence-driven sweep actually evaluated. Zero-valued counters (an
+// engine that does not record them) are omitted.
 type benchRow struct {
 	Circuit           string  `json:"circuit"`
 	Engine            string  `json:"engine"`
@@ -264,6 +266,7 @@ type benchRow struct {
 	BytesPerOp        int64   `json:"bytes_per_op"`
 	SweptNodesPerSite float64 `json:"swept_nodes_per_site,omitempty"`
 	GoodSimsPerWord   float64 `json:"good_sims_per_word,omitempty"`
+	LaneEvalFrac      float64 `json:"lane_eval_frac,omitempty"`
 }
 
 // marshalBenchRows renders the bench measurements exactly as -json writes
@@ -327,6 +330,7 @@ func benchCircuit(ctx context.Context, eng engine.Engine, c *netlist.Circuit, fr
 		BytesPerOp:        res.AllocedBytesPerOp(),
 		SweptNodesPerSite: stats.SweptNodesPerSite(),
 		GoodSimsPerWord:   stats.GoodSimsPerWord(),
+		LaneEvalFrac:      stats.LaneEvalFrac(),
 	}
 	if frames > 1 {
 		row.Frames = frames

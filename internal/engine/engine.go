@@ -233,8 +233,10 @@ type Request struct {
 // Stats accumulates engine work counters. All fields are atomic so engines
 // may add from concurrent workers; the zero value is ready to use.
 type Stats struct {
-	// SweptNodes counts union-cone nodes visited by batched sweeps (for the
-	// monte-carlo engine: union members visited, summed over words).
+	// SweptNodes counts union-cone nodes visited by batched sweeps. For the
+	// monte-carlo engine it counts the static frame-cone members, summed
+	// over groups, frames and words; its divergence-driven sweep visits only
+	// the members a fault effect reaches (see LaneEvals).
 	SweptNodes atomic.Int64
 	// Sites counts error sites analyzed.
 	Sites atomic.Int64
@@ -247,6 +249,13 @@ type Stats struct {
 	// MemoHits + Sites covers the whole sweep on a memo-assisted run —
 	// the ratio is the incremental re-estimation saving.
 	MemoHits atomic.Int64
+	// LaneSims counts the monte-carlo engine's static on-path lanes (one per
+	// site and frame-cone member it can reach), summed over words and
+	// frames: what a sweep evaluating every on-path lane would cost.
+	LaneSims atomic.Int64
+	// LaneEvals counts the faulty lanes the monte-carlo engine actually
+	// evaluated: those with a fanin diverged from the good machine.
+	LaneEvals atomic.Int64
 }
 
 // SweptNodesPerSite reports batching efficiency: union-cone nodes swept per
@@ -254,6 +263,16 @@ type Stats struct {
 func (s *Stats) SweptNodesPerSite() float64 {
 	if n := s.Sites.Load(); n > 0 {
 		return float64(s.SweptNodes.Load()) / float64(n)
+	}
+	return 0
+}
+
+// LaneEvalFrac reports divergence pruning: the share of static on-path
+// lanes the monte-carlo sweep actually evaluated (lower is better; 0 if no
+// lanes were recorded).
+func (s *Stats) LaneEvalFrac() float64 {
+	if n := s.LaneSims.Load(); n > 0 {
+		return float64(s.LaneEvals.Load()) / float64(n)
 	}
 	return 0
 }

@@ -331,6 +331,8 @@ func mcSweep(ctx context.Context, req *Request, out []float64) error {
 		req.Stats.Words.Add(st.Words)
 		req.Stats.SweptNodes.Add(st.SweptMembers)
 		req.Stats.Sites.Add(st.Sites)
+		req.Stats.LaneSims.Add(st.LaneSims)
+		req.Stats.LaneEvals.Add(st.LaneEvals)
 	}
 	return nil
 }

@@ -17,7 +17,9 @@
 // 64-vector word costs exactly one good simulation per frame for the whole
 // circuit, and faulty re-simulation runs over cone-locality site groups
 // (internal/sched), every frame through one lane sweep with the strike flips
-// and the carried flip-flop state as injections. Its single-cycle mode
+// and the carried flip-flop state as injections; the sweep evaluates only
+// the lanes whose fault effect is still alive, i.e. that have a fanin
+// differing from the good machine. Its single-cycle mode
 // (NewMCBatch) reproduces shared-vector MonteCarlo bit-exactly and its
 // multi-cycle mode (NewMCSeqBatch) shared-vector Sequential.
 //

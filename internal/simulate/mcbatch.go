@@ -35,10 +35,18 @@ const mcLanes = 64
 // performed per 64-vector word and frame — against Words × frames × Sites
 // for the per-site estimators.
 type MCStats struct {
-	Words        int64 // 64-vector words applied
-	GoodSims     int64 // full-circuit good simulations (one per word and frame)
-	LaneSims     int64 // faulty node re-evaluations, summed over sites, frames and words
-	SweptMembers int64 // frame-cone members visited, summed over groups, frames and words
+	Words    int64 // 64-vector words applied
+	GoodSims int64 // full-circuit good simulations (one per word and frame)
+	// LaneSims and SweptMembers are the static on-path lanes and frame-cone
+	// members, summed over groups, frames and words: what sweeping every
+	// on-path lane would cost. They are kept for checkpoint compatibility.
+	LaneSims     int64
+	SweptMembers int64
+	// LaneEvals counts the faulty lanes actually evaluated — those with a
+	// fanin diverged from the good machine — summed over words, groups and
+	// frames. It covers the words this sweep simulated, not resumed ones,
+	// and is neither checkpointed nor part of resume.Counters.
+	LaneEvals    int64
 	Sites        int64 // error sites estimated
 	Unobservable int64 // sites excluded up front (no reachable observation point)
 }
@@ -61,15 +69,18 @@ type MCStats struct {
 // identically 0).
 //
 // Every frame of a group runs the same lane sweep over that frame's cone in
-// topological order: a member's injected lanes are written in — at frame 0
-// the strike flips (the complement of each site's good value in all 64
-// patterns), at frame k >= 1 the flip-flop state carried across the clock
-// edge — its other on-path lanes are evaluated against the frame's good
-// values, and lane differences at observation points are the frame's
-// detections. Values outside the swept cone equal
-// the good machine's by construction, so per-site detection counts — and
-// therefore every result — are independent of the grouping and identical
-// at any worker count.
+// topological order, propagating only divergence from the good machine (as
+// concurrent fault simulation does): a member's injected lanes are written
+// in — at frame 0 the strike flips (the complement of each site's good value
+// in all 64 patterns), at frame k >= 1 the flip-flop state carried across
+// the clock edge — and a gate lane is evaluated against the frame's good
+// values only if one of its fanins has diverged in that lane. Each member
+// keeps a divergence mask of the lanes whose faulty word differs from its
+// good word, and lane differences at observation points are the frame's
+// detections. Every lane outside a divergence mask — including every value
+// outside the swept cone — equals the good machine's by construction, so
+// per-site detection counts, and therefore every result, are independent
+// of the grouping and identical at any worker count.
 //
 // The two modes differ only in what NewMCBatch and NewMCSeqBatch precompute:
 //
@@ -113,7 +124,8 @@ type MCBatch struct {
 	maxFFs     int // largest carried flip-flop set, sizes the carry scratch
 	skipped    int // sites excluded as unobservable
 
-	fin resume.Counters // final counters of the most recent successful sweep
+	fin      resume.Counters // final counters of the most recent successful sweep
+	finEvals int64           // lanes evaluated by the most recent successful sweep
 }
 
 // mcGroup is one scheduled 64-lane site group: its sites (lane l is
@@ -135,13 +147,23 @@ type mcGroup struct {
 }
 
 // mcFrame is one frame's faulty sweep: members in combinational topological
-// order, per-member lane masks, and the injections that seed it, sorted by
-// member. An on-path lane of a member is injected if an injection names it,
-// computed from its fanins otherwise.
+// order, per-member static lane masks, and the injections that seed it,
+// sorted by member. An on-path lane of a member is injected if an injection
+// names it, computed from its fanins otherwise.
 type mcFrame struct {
-	members []netlist.ID
-	mask    []uint64 // lanes on path
-	inj     []mcInject
+	members  []netlist.ID
+	mask     []uint64 // lanes on path
+	inj      []mcInject
+	laneSims int64 // on-path lanes summed over members: the static LaneSims per sweep
+}
+
+// staticLanes returns the on-path lane count of a frame's member masks.
+func staticLanes(mask []uint64) int64 {
+	var n int64
+	for _, mk := range mask {
+		n += int64(bits.OnesCount64(mk))
+	}
+	return n
 }
 
 // mcInject sets lanes of member (an index into the frame's members): to the
@@ -231,6 +253,7 @@ func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped in
 			}
 		}
 		slices.SortFunc(fr.inj, func(a, b mcInject) int { return cmp.Compare(a.member, b.member) })
+		fr.laneSims = staticLanes(fr.mask)
 		if len(fr.members) > maxMembers {
 			maxMembers = len(fr.members)
 		}
@@ -258,6 +281,7 @@ func (m *MCBatch) Stats() MCStats {
 		GoodSims:     m.fin.GoodSims,
 		LaneSims:     m.fin.LaneSims,
 		SweptMembers: m.fin.SweptMembers,
+		LaneEvals:    m.finEvals,
 		Sites:        int64(m.c.N()),
 		Unobservable: int64(m.skipped),
 	}
@@ -516,13 +540,14 @@ func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 		}
 		cfg.skip = r.Skip
 	}
-	if err := runWordSweep(ctx, cfg, &tot, func() wordWorker { return m.newWorker() }); err != nil {
+	var evals int64 // summed by the workers' merges, under the driver's mutex
+	if err := runWordSweep(ctx, cfg, &tot, func() wordWorker { return m.newWorker(&evals) }); err != nil {
 		if m.opt.OnCommit != nil && m.opt.OnAbort != nil {
 			m.opt.OnAbort(tot)
 		}
 		return err
 	}
-	m.fin = tot
+	m.fin, m.finEvals = tot, evals
 	return nil
 }
 
@@ -579,34 +604,50 @@ func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, err
 }
 
 // mcWorker is the per-goroutine state of one sweep: a bit-parallel engine
-// for the shared good trajectory, the lane-value scratch for faulty
-// re-simulation, the per-lane carried flip-flop state, and local counters
-// merged under the driver's mutex.
+// for the shared good trajectory, the lane-value and divergence scratch for
+// faulty re-simulation, the per-lane carried flip-flop state, and local
+// counters merged under the driver's mutex.
 type mcWorker struct {
 	resume.Counters
+	laneEvals int64  // lanes evaluated since the last merge
+	evalTot   *int64 // the sweep's LaneEvals total, written by merge
+
 	m        *MCBatch
 	eng      *Engine
 	good     [][]uint64 // per frame good values; the last frame aliases eng.values
-	lanes    []uint64   // faulty lane values, member-major: lanes[i*64+lane]
+	lanes    []uint64   // faulty lane values, member-major: lanes[i*64+lane], valid where dm[i] is set
+	dm       []uint64   // per member: lanes whose faulty word differs from the good word
+	active   []uint64   // bitset of member indices still to visit in the current sweep
+	fan      []mcFanin  // the current member's fanins, gathered once per member
+	ins      []uint64   // per-lane fanin words for logic.EvalWord
 	carry    []uint64   // carried faulty flip-flop state: carry[slot*64+lane]
 	pos      []int32    // member index of node, valid where stamp == stampVal
 	stamp    []int64    // int64: one epoch per (word, group, frame), never wraps in practice
 	stampVal int64
-	ins      []uint64
 }
 
-func (m *MCBatch) newWorker() *mcWorker {
+// mcFanin is one fanin of the member being evaluated: its good word, its
+// divergence mask (0 when it is not a member of the sweep) and the base of
+// its lanes.
+type mcFanin struct {
+	good, dm uint64
+	base     int
+}
+
+func (m *MCBatch) newWorker(evalTot *int64) *mcWorker {
 	n := m.c.N()
 	wk := &mcWorker{
 		Counters: m.newCounters(),
+		evalTot:  evalTot,
 		m:        m,
 		eng:      NewEngine(m.c),
 		good:     make([][]uint64, m.frames),
 		lanes:    make([]uint64, m.maxMembers*mcLanes),
+		dm:       make([]uint64, m.maxMembers),
+		active:   make([]uint64, (m.maxMembers+63)/64),
 		carry:    make([]uint64, m.maxFFs*mcLanes),
 		pos:      make([]int32, n),
 		stamp:    make([]int64, n),
-		ins:      make([]uint64, 0, 8),
 	}
 	// Only frames before the last need their own copy: the last frame's
 	// good values stay in the engine until the next word.
@@ -617,8 +658,15 @@ func (m *MCBatch) newWorker() *mcWorker {
 	return wk
 }
 
-func (wk *mcWorker) merge(tot *resume.Counters) { tot.Add(&wk.Counters) }
-func (wk *mcWorker) reset()                     { wk.Counters.Reset() }
+func (wk *mcWorker) merge(tot *resume.Counters) {
+	tot.Add(&wk.Counters)
+	*wk.evalTot += wk.laneEvals
+}
+
+func (wk *mcWorker) reset() {
+	wk.Counters.Reset()
+	wk.laneEvals = 0
+}
 
 // runWord applies word w's shared vectors: the good trajectory (one good
 // simulation per frame), then per site group the faulty sweep of every
@@ -675,7 +723,7 @@ func (wk *mcWorker) runWord(w int64) {
 				}
 			}
 			if f+1 < len(g.frames) {
-				wk.capture(g, fr.mask, good)
+				wk.capture(g, good)
 			}
 		}
 		for l, site := range g.sites {
@@ -689,71 +737,123 @@ func (wk *mcWorker) runWord(w int64) {
 	}
 }
 
-// sweep is the lane sweep of one frame against that frame's good values:
-// in topological order, write each member's injected lanes and evaluate its
-// other on-path lanes from their fanins, then OR the lane differences at
-// observation points into det.
+// sweep is the lane sweep of one frame against that frame's good values. It
+// visits, in topological order, only the members that can hold divergence:
+// those with an injection and the gate fanouts of members with a nonzero
+// divergence mask. At each, it writes the injected lanes, evaluates the
+// gate lanes in which some fanin has diverged, records the lanes that now
+// differ from the good word in dm, and ORs those differences at observation
+// points into det. LaneSims and SweptMembers still advance by the frame's
+// static on-path counts.
 func (wk *mcWorker) sweep(fr *mcFrame, good []uint64, det *[mcLanes]uint64) {
 	fiIdx, fiArr := wk.eng.fiIdx, wk.eng.fiArr
+	foIdx, foArr := wk.m.c.FanoutCSR()
 	kinds := wk.eng.kinds
 	obs := wk.m.obs
 	wk.stampVal++
 	for i, id := range fr.members {
 		wk.stamp[id] = wk.stampVal
 		wk.pos[id] = int32(i)
+		wk.dm[i] = 0
+	}
+	act := wk.active
+	for _, in := range fr.inj {
+		act[in.member>>6] |= 1 << uint(in.member&63)
 	}
 	inj := fr.inj
-	for i, id := range fr.members {
-		base := i * mcLanes
-		mk := fr.mask[i]
-		eval := mk
-		if len(inj) > 0 && int(inj[0].member) == i {
-			in := inj[0]
-			inj = inj[1:]
-			eval &^= in.lanes
-			if in.slot < 0 {
-				v := ^good[id]
-				for mm := in.lanes; mm != 0; mm &= mm - 1 {
-					wk.lanes[base+bits.TrailingZeros64(mm)] = v
-				}
-			} else {
-				cb := int(in.slot) * mcLanes
-				for mm := in.lanes; mm != 0; mm &= mm - 1 {
-					l := bits.TrailingZeros64(mm)
-					wk.lanes[base+l] = wk.carry[cb+l]
-				}
-			}
-		}
-		for mm := eval; mm != 0; mm &= mm - 1 {
-			l := bits.TrailingZeros64(mm)
-			wk.ins = wk.ins[:0]
-			for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-				if wk.stamp[f] == wk.stampVal && fr.mask[wk.pos[f]]>>uint(l)&1 == 1 {
-					wk.ins = append(wk.ins, wk.lanes[int(wk.pos[f])*mcLanes+l])
-				} else {
-					wk.ins = append(wk.ins, good[f])
-				}
-			}
-			wk.lanes[base+l] = logic.EvalWord(kinds[id], wk.ins)
-		}
-		if obs[id] {
+	// Fanouts always sit at higher member indices, so the bitset is drained
+	// in ascending order while it is being filled.
+	for aw := range act[:(len(fr.members)+63)/64] {
+		for act[aw] != 0 {
+			i := aw*64 + bits.TrailingZeros64(act[aw])
+			act[aw] &= act[aw] - 1
+			id := fr.members[i]
+			base := i * mcLanes
 			gv := good[id]
-			for mm := mk; mm != 0; mm &= mm - 1 {
-				l := bits.TrailingZeros64(mm)
-				det[l] |= wk.lanes[base+l] ^ gv
+			var dm, injected uint64
+			if len(inj) > 0 && int(inj[0].member) == i {
+				in := inj[0]
+				inj = inj[1:]
+				injected = in.lanes
+				if in.slot < 0 {
+					// A strike always diverges.
+					v := ^gv
+					for mm := in.lanes; mm != 0; mm &= mm - 1 {
+						wk.lanes[base+bits.TrailingZeros64(mm)] = v
+					}
+					dm = in.lanes
+				} else {
+					cb := int(in.slot) * mcLanes
+					for mm := in.lanes; mm != 0; mm &= mm - 1 {
+						l := bits.TrailingZeros64(mm)
+						if v := wk.carry[cb+l]; v != gv {
+							wk.lanes[base+l] = v
+							dm |= 1 << uint(l)
+						}
+					}
+				}
+			}
+			if kind := kinds[id]; kind.IsGate() {
+				var eval uint64
+				wk.fan = wk.fan[:0]
+				for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
+					fi := mcFanin{good: good[f]}
+					if wk.stamp[f] == wk.stampVal {
+						p := int(wk.pos[f])
+						fi.dm, fi.base = wk.dm[p], p*mcLanes
+						eval |= fi.dm
+					}
+					wk.fan = append(wk.fan, fi)
+				}
+				eval &^= injected
+				if cap(wk.ins) < len(wk.fan) {
+					wk.ins = make([]uint64, len(wk.fan))
+				}
+				ins := wk.ins[:len(wk.fan)]
+				for mm := eval; mm != 0; mm &= mm - 1 {
+					l := bits.TrailingZeros64(mm)
+					for k, fi := range wk.fan {
+						v := fi.good
+						if fi.dm>>uint(l)&1 == 1 {
+							v = wk.lanes[fi.base+l]
+						}
+						ins[k] = v
+					}
+					if v := logic.EvalWord(kind, ins); v != gv {
+						wk.lanes[base+l] = v
+						dm |= 1 << uint(l)
+					}
+				}
+				wk.laneEvals += int64(bits.OnesCount64(eval))
+			}
+			wk.dm[i] = dm
+			if dm == 0 {
+				continue
+			}
+			if obs[id] {
+				for mm := dm; mm != 0; mm &= mm - 1 {
+					l := bits.TrailingZeros64(mm)
+					det[l] |= wk.lanes[base+l] ^ gv
+				}
+			}
+			for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
+				if wk.stamp[o] == wk.stampVal && kinds[o].IsGate() {
+					p := wk.pos[o]
+					act[p>>6] |= 1 << uint(p&63)
+				}
 			}
 		}
-		wk.LaneSims += int64(bits.OnesCount64(mk))
 	}
+	wk.LaneSims += fr.laneSims
 	wk.SweptMembers += int64(len(fr.members))
 }
 
 // capture latches the carried divergence at a clock edge: for every carried
 // flip-flop, the faulty D-input word per lane — the lane value where the D
-// input was on-path in the frame just swept (memberMask is that frame's
-// per-member mask array), the good value otherwise. Reads only lanes and
-// good, writes only carry, so the edge is atomic like Sequential's.
-func (wk *mcWorker) capture(g *mcGroup, memberMask []uint64, good []uint64) {
+// input diverged in the frame just swept (per wk.dm), the good value
+// otherwise. Reads only lanes, dm and good, writes only carry, so the edge
+// is atomic like Sequential's.
+func (wk *mcWorker) capture(g *mcGroup, good []uint64) {
 	for j, d := range g.ffD {
 		gv := good[d]
 		base := j * mcLanes
@@ -761,7 +861,7 @@ func (wk *mcWorker) capture(g *mcGroup, memberMask []uint64, good []uint64) {
 		dbase := 0
 		if wk.stamp[d] == wk.stampVal {
 			p := int(wk.pos[d])
-			dmask = memberMask[p]
+			dmask = wk.dm[p]
 			dbase = p * mcLanes
 		}
 		for mm := g.ffMask[j]; mm != 0; mm &= mm - 1 {

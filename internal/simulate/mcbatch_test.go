@@ -163,3 +163,163 @@ func TestMonteCarloSeedGolden(t *testing.T) {
 		t.Errorf("MCBatch Detected = %d, want shared-regime %d", batched[site].Detected, shared.Detected)
 	}
 }
+
+// TestMCBatchLaneEvals is the work gate of the divergence-driven sweep: the
+// lanes actually evaluated are a deterministic count, bounded by the static
+// on-path lanes, identical at any worker count, and on s9234 a small
+// fraction of them — masked upsets stop costing work. A return to sweeping
+// every on-path lane fails the bounds.
+func TestMCBatchLaneEvals(t *testing.T) {
+	c, err := gen.ByName("s9234")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := MCOptions{Vectors: 128, Seed: 1}
+	for _, tc := range []struct {
+		frames  int
+		maxFrac float64
+	}{{1, 0.05}, {4, 0.01}} {
+		var mb *MCBatch
+		if tc.frames == 1 {
+			mb = NewMCBatch(c, opt)
+		} else {
+			mb = NewMCSeqBatch(c, opt, tc.frames)
+		}
+		var evals [2]int64
+		for i, workers := range []int{1, 3} {
+			if _, err := mb.PDetectAll(context.Background(), workers); err != nil {
+				t.Fatal(err)
+			}
+			st := mb.Stats()
+			if st.LaneEvals <= 0 || st.LaneEvals > st.LaneSims {
+				t.Fatalf("frames=%d workers=%d: LaneEvals = %d, want in (0, LaneSims=%d]",
+					tc.frames, workers, st.LaneEvals, st.LaneSims)
+			}
+			evals[i] = st.LaneEvals
+		}
+		if evals[0] != evals[1] {
+			t.Fatalf("frames=%d: LaneEvals %d at 1 worker, %d at 3", tc.frames, evals[0], evals[1])
+		}
+		st := mb.Stats()
+		frac := float64(st.LaneEvals) / float64(st.LaneSims)
+		t.Logf("frames=%d: LaneEvals/LaneSims = %d/%d = %.4f", tc.frames, st.LaneEvals, st.LaneSims, frac)
+		if frac > tc.maxFrac {
+			t.Errorf("frames=%d: LaneEvals/LaneSims = %.4f, want <= %v", tc.frames, frac, tc.maxFrac)
+		}
+	}
+}
+
+// checkMatchesPerSiteAllFrames holds the batched kernel to the per-site
+// shared-vector estimators bit-exactly on circuit c: single-cycle against
+// MonteCarlo, and frame budgets 1 to 4 against Sequential.
+func checkMatchesPerSiteAllFrames(t *testing.T, c *netlist.Circuit) []MCResult {
+	t.Helper()
+	opt := MCOptions{Vectors: 256, Seed: 3}
+	single, err := NewMCBatch(c, opt).EPPAll(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := opt
+	shared.SharedVectors = true
+	ps := NewMonteCarlo(c, shared)
+	for id := 0; id < c.N(); id++ {
+		if want := ps.EPP(netlist.ID(id)); single[id] != want {
+			t.Fatalf("site %s: batched %+v, per-site shared %+v", c.NameOf(netlist.ID(id)), single[id], want)
+		}
+	}
+	for frames := 1; frames <= 4; frames++ {
+		got, err := NewMCSeqBatch(c, opt, frames).PDetectAll(context.Background(), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := NewSequential(c, SeqOptions{Frames: frames, Trials: opt.Vectors, Seed: opt.Seed, SharedVectors: true})
+		for id := 0; id < c.N(); id++ {
+			if want := seq.PDetect(netlist.ID(id)); got[id] != want {
+				t.Fatalf("frames=%d site %s: batched %+v, per-site shared %+v",
+					frames, c.NameOf(netlist.ID(id)), got[id], want)
+			}
+		}
+	}
+	return single
+}
+
+// TestMCBatchDivergenceEdgeCases exercises each branch of the
+// divergence-driven sweep on hand-built netlists, bit-exactly against the
+// per-site estimators.
+func TestMCBatchDivergenceEdgeCases(t *testing.T) {
+	t.Run("masked-at-first-gate", func(t *testing.T) {
+		// A strike on s dies at an AND with a constant-0 side input: no
+		// lane downstream of m is ever evaluated for it.
+		b := netlist.NewBuilder("masked")
+		a, e := b.Input("a"), b.Input("e")
+		zero := b.Const("zero", false)
+		s := b.Not("s", a)
+		m := b.And("m", s, zero)
+		y := b.Or("y", b.Buf("p", m), e)
+		b.MarkOutput(y)
+		b.MarkOutput(b.Xor("w", a, e))
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := checkMatchesPerSiteAllFrames(t, c)
+		if got[s].Detected != 0 || got[m].Detected == 0 {
+			t.Fatalf("s detected %d times, m %d: want 0 and > 0", got[s].Detected, got[m].Detected)
+		}
+	})
+	t.Run("reconvergent-cancellation", func(t *testing.T) {
+		// s feeds both inputs of x1 directly and both inputs of x2 through
+		// opposite paths: both fanins diverge and the XORs cancel the flip.
+		c := mustParse(t, `
+INPUT(a)
+INPUT(e)
+OUTPUT(y)
+OUTPUT(z)
+s = NAND(a, e)
+x1 = XOR(s, s)
+p = BUFF(s)
+n = NOT(s)
+x2 = XOR(p, n)
+y = OR(x1, e)
+z = AND(x2, a)
+`)
+		got := checkMatchesPerSiteAllFrames(t, c)
+		if s := c.ByName("s"); got[s].Detected != 0 {
+			t.Fatalf("s detected %d times, want 0 (cancelled at the XORs)", got[s].Detected)
+		}
+	})
+	t.Run("carried-equals-good", func(t *testing.T) {
+		// Every site reaches d, so q carries every lane across the edge;
+		// b's divergence is masked before d, so its carried word equals the
+		// good word, while a's and c's differ in some patterns.
+		c := mustParse(t, `
+INPUT(a)
+INPUT(b)
+INPUT(c)
+OUTPUT(y)
+OUTPUT(z)
+na = NOT(a)
+zero = AND(a, na)
+mk = AND(b, zero)
+t = AND(q, c)
+d = OR(a, mk, t)
+q = DFF(d)
+q2 = DFF(q)
+y = XOR(q, c)
+z = BUFF(q2)
+`)
+		checkMatchesPerSiteAllFrames(t, c)
+		for _, frames := range []int{2, 4} {
+			got, err := NewMCSeqBatch(c, MCOptions{Vectors: 256, Seed: 3}, frames).PDetectAll(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b := c.ByName("b"); got[b].Detected != 0 {
+				t.Fatalf("frames=%d: b detected %d times, want 0 (masked before the flip-flop)", frames, got[b].Detected)
+			}
+			if a := c.ByName("a"); got[a].DetectedLater == 0 {
+				t.Fatalf("frames=%d: a never detected after the edge", frames)
+			}
+		}
+	})
+}

@@ -125,6 +125,7 @@ func NewMCSeqBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 					fr.mask = append(fr.mask, smask[id])
 				}
 			}
+			fr.laneSims = staticLanes(fr.mask)
 			g.frames = append(g.frames, fr)
 			if len(fr.members) > m.maxMembers {
 				m.maxMembers = len(fr.members)
