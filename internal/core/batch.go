@@ -1,11 +1,13 @@
 // Batched all-sites EPP kernel: core.BatchAnalyzer sweeps up to 64 error
-// sites per union-cone pass with struct-of-arrays Prob4 lanes — the
-// production kernel the epp-batch engine sweeps every site with.
+// sites per union-cone pass with struct-of-arrays Prob4 lanes, evaluating a
+// lane only where its error effect can still differ from the off-path state
+// — the production kernel the epp-batch engine sweeps every site with.
 
 package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -23,8 +25,9 @@ const MaxBatchWidth = 64
 // trades cone-extraction amortization (wider is better: consecutive sites
 // have heavily overlapping cones, and the width sweep in the benchmark
 // suite is monotonically faster up to the mask limit on every ISCAS
-// profile) against lane-state memory — 32 bytes per on-path node per lane,
-// i.e. up to |union cone| × width × 32 B of reusable scratch per engine.
+// profile) against lane-state memory — 32 bytes per node per lane, i.e.
+// N × width × 32 B of scratch per engine (12 MB for s9234's 5,844 nodes at
+// width 64), allocated once on its first pass.
 const DefaultBatchWidth = MaxBatchWidth
 
 // BatchAnalyzer is the batched implementation of the all-sites EPP kernel.
@@ -37,15 +40,28 @@ const DefaultBatchWidth = MaxBatchWidth
 //
 // Compared with running the scalar Analyzer once per site this amortizes,
 // across the whole batch: the cone DFS and topological sort, the fanin
-// index and gate-kind loads, and the gate-rule dispatch. The 2-input
-// AND/OR/NAND/NOR gates that dominate mapped netlists additionally take a
-// branch-free closed-form path evaluated directly on the lane arrays.
+// index, gate-kind and signal-probability loads (hoisted once per node,
+// not per lane), and the gate-rule dispatch. The AND/OR/NAND/NOR gates
+// that dominate mapped netlists additionally take a closed-form path
+// evaluated directly on the lane arrays.
+//
+// Most on-path lanes carry no error at all: the error was masked upstream
+// and the lane's state is bitwise the off-path state FromSP(sp). A lane is
+// live at a node when its state differs from that; a per-node live mask
+// records which lanes are, and fanins are read through it (a quiet lane
+// reads its signal probability, which is the same bits). Where the node's
+// rule maps off-path fanins to its own off-path state bitwise (see
+// offPathFixed), lanes with no live fanin are not evaluated at all — the
+// concurrent fault-simulation idea (Ulrich & Baker, 1974) applied to
+// probability states. Only live lanes enter the miss product: a quiet
+// output's factor is exactly 1. ConeSize, the Outputs list and the swept
+// node counter keep the static on-path meaning.
 //
 // The scalar Analyzer.EPP remains the executable specification: for every
 // site, the batched states are computed with the same rule arithmetic in
-// the same fanin order, and agree with the scalar sweep to ≤ 1e-12 (the
-// only divergence is floating-point product order when folding output
-// misses, see TestBatchMatchesScalar).
+// the same fanin order and the misses are folded in the same ascending
+// output-ID order, so P_sensitized and every output state are bitwise
+// equal to the scalar sweep's (see TestBatchMatchesScalar).
 //
 // A BatchAnalyzer is not safe for concurrent use; create one per goroutine
 // (the epp-batch engine's workers each own one, on an Analyzer Clone).
@@ -62,29 +78,39 @@ type BatchAnalyzer struct {
 	epoch   uint32
 
 	// Per-node scratch. seedStamp (under the walker's epoch) validates seed,
-	// the lanes a node is the error site of; mask is valid for union members
-	// after the node has been swept; pos is the node's dense index into the
-	// lane arrays.
+	// the lanes a node is the error site of; mask (the static on-path lanes)
+	// and live (the on-path lanes whose state differs bitwise from
+	// FromSP(sp), always including the seed lanes) are valid for union
+	// members after the node has been swept; pos is the node's dense index
+	// into the lane arrays.
 	mask      []uint64
+	live      []uint64
 	seed      []uint64
 	pos       []int32
 	seedStamp []uint32
+	fixed     []bool       // the Analyzer's offPathFixed flags
 	obs       []netlist.ID // observed union members, in sweep order
 
-	// Struct-of-arrays lane state, indexed pos*stride + lane.
+	// Struct-of-arrays lane state, indexed pos*stride + lane, allocated at
+	// N × stride on the first pass so every union cone fits. Only live
+	// lanes' slots are meaningful.
 	pa, pab, p0, p1 []float64
 
-	miss  []float64 // per-lane running ∏ (1 − PErr(output))
-	csize []int32   // per-lane on-path signal count
-	ins   []logic.Prob4
+	miss []float64     // per-lane running ∏ (1 − PErr(output))
+	fin  []faninLanes  // the swept node's hoisted fanins
+	ins  []logic.Prob4 // genericLanes' rule input scratch
 
 	// Cumulative work counters since construction (or ResetCounters): how
 	// many union-cone nodes were swept and how many sites were analyzed.
 	// sweptNodes/sitesSwept is the batching efficiency — with perfect cone
 	// overlap it approaches |cone|/width per site; with disjoint cones it
-	// equals the mean cone size. See Counters.
+	// equals the mean cone size. See Counters. laneSims counts the non-seed
+	// on-path lanes at gates, laneEvals those actually evaluated; see
+	// LaneCounters.
 	sweptNodes int64
 	sitesSwept int64
+	laneSims   int64
+	laneEvals  int64
 }
 
 // NewBatch returns a batched engine over the same circuit, signal
@@ -102,11 +128,13 @@ func NewBatch(a *Analyzer, width int) *BatchAnalyzer {
 		stride:    width,
 		walker:    graph.NewWalker(a.c),
 		mask:      make([]uint64, n),
+		live:      make([]uint64, n),
 		seed:      make([]uint64, n),
 		pos:       make([]int32, n),
 		seedStamp: make([]uint32, n),
+		fixed:     a.offPathFixed(),
 		miss:      make([]float64, width),
-		csize:     make([]int32, width),
+		fin:       make([]faninLanes, 0, 8),
 		ins:       make([]logic.Prob4, 0, 8),
 	}
 }
@@ -123,9 +151,19 @@ func (b *BatchAnalyzer) Counters() (sweptNodes, sites int64) {
 	return b.sweptNodes, b.sitesSwept
 }
 
-// ResetCounters zeroes the work counters.
+// LaneCounters returns the cumulative lane counters since construction (or
+// the last ResetCounters): onPath is the number of non-seed on-path lanes
+// at gates — what a sweep without quiet-lane skipping evaluates — and
+// evaluated how many of them the sweep actually evaluated. Their ratio is
+// the share of lane work the skip leaves.
+func (b *BatchAnalyzer) LaneCounters() (onPath, evaluated int64) {
+	return b.laneSims, b.laneEvals
+}
+
+// ResetCounters zeroes the work and lane counters.
 func (b *BatchAnalyzer) ResetCounters() {
 	b.sweptNodes, b.sitesSwept = 0, 0
+	b.laneSims, b.laneEvals = 0, 0
 }
 
 // Batch returns the Analyzer's batched engine (lazily created at the
@@ -147,9 +185,8 @@ func (a *Analyzer) Batch() *BatchAnalyzer {
 
 // PSensitizedBatch computes P_sensitized for up to Width error sites in one
 // batched sweep, writing out[i] for sites[i]. len(out) must equal
-// len(sites); sites must be valid node IDs. Performs no per-site heap
-// allocation (scratch grows once to the largest union cone seen and is
-// reused).
+// len(sites); sites must be valid node IDs. Performs no heap allocation
+// after the first pass (which allocates the N × width lane arrays).
 func (b *BatchAnalyzer) PSensitizedBatch(sites []netlist.ID, out []float64) {
 	if len(sites) != len(out) {
 		panic(fmt.Sprintf("core: PSensitizedBatch: %d sites, %d outputs", len(sites), len(out)))
@@ -164,7 +201,9 @@ func (b *BatchAnalyzer) PSensitizedBatch(sites []netlist.ID, out []float64) {
 }
 
 // EPPBatch runs the batched analysis for up to Width sites and writes one
-// full Result (per-output states, cone size) per site into out.
+// full Result (per-output states, cone size) per site into out. Every
+// statically reachable output is listed; a quiet one carries its off-path
+// state FromSP(sp), bitwise what the scalar sweep computes there.
 func (b *BatchAnalyzer) EPPBatch(sites []netlist.ID, out []Result) {
 	if len(sites) != len(out) {
 		panic(fmt.Sprintf("core: EPPBatch: %d sites, %d results", len(sites), len(out)))
@@ -175,24 +214,31 @@ func (b *BatchAnalyzer) EPPBatch(sites []netlist.ID, out []Result) {
 	b.run(sites)
 	stride := b.stride
 	for i, site := range sites {
-		out[i] = Result{
-			Site:        site,
-			PSensitized: 1 - b.miss[i],
-			ConeSize:    int(b.csize[i]),
+		out[i] = Result{Site: site, PSensitized: 1 - b.miss[i]}
+	}
+	// Each lane's cone size is its static on-path signal count, tallied
+	// here because PSensitizedBatch has no use for it.
+	for _, id := range b.members {
+		for mm := b.mask[id]; mm != 0; mm &= mm - 1 {
+			out[bits.TrailingZeros64(mm)].ConeSize++
 		}
 	}
 	// Gather per-lane output states in ascending node-ID order (b.obs is
 	// sorted after the sweep; see run).
 	for _, id := range b.obs {
 		base := int(b.pos[id]) * stride
+		live := b.live[id]
 		for mm := b.mask[id]; mm != 0; mm &= mm - 1 {
 			l := bits.TrailingZeros64(mm)
-			j := base + l
-			st := logic.Prob4{
-				logic.SymA:    b.pa[j],
-				logic.SymABar: b.pab[j],
-				logic.SymZero: b.p0[j],
-				logic.SymOne:  b.p1[j],
+			st := logic.FromSP(b.a.sp[id])
+			if live>>uint(l)&1 == 1 {
+				j := base + l
+				st = logic.Prob4{
+					logic.SymA:    b.pa[j],
+					logic.SymABar: b.pab[j],
+					logic.SymZero: b.p0[j],
+					logic.SymOne:  b.p1[j],
+				}
 			}
 			out[l].Outputs = append(out[l].Outputs, OutputEPP{Output: id, State: st})
 		}
@@ -227,18 +273,16 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 		b.seed[site] |= 1 << uint(lane)
 	}
 
-	// Size the lane arrays for this union cone.
 	stride := b.stride
-	if need := len(b.members) * stride; cap(b.pa) < need {
-		b.pa = make([]float64, need)
-		b.pab = make([]float64, need)
-		b.p0 = make([]float64, need)
-		b.p1 = make([]float64, need)
+	if b.pa == nil { // first pass: size the lane arrays for any union cone
+		b.pa = make([]float64, n*stride)
+		b.pab = make([]float64, n*stride)
+		b.p0 = make([]float64, n*stride)
+		b.p1 = make([]float64, n*stride)
 	}
 
 	for i := 0; i < len(sites); i++ {
 		b.miss[i] = 1
-		b.csize[i] = 0
 	}
 	b.obs = b.obs[:0]
 
@@ -251,11 +295,12 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	// TestBatchPackingInvariance); lane states themselves are already
 	// packing-invariant because a lane's arithmetic only ever reads its own
 	// lane and off-path signal probabilities. The scalar engine folds in
-	// the same canonical order (see Analyzer.EPP).
+	// the same canonical order (see Analyzer.EPP). Quiet lanes are skipped:
+	// their factor 1 − (+0 + +0) is exactly 1.
 	slices.Sort(b.obs)
 	for _, id := range b.obs {
 		base := int(b.pos[id]) * stride
-		for mm := b.mask[id]; mm != 0; mm &= mm - 1 {
+		for mm := b.live[id]; mm != 0; mm &= mm - 1 {
 			l := bits.TrailingZeros64(mm)
 			j := base + l
 			b.miss[l] *= 1 - (b.pa[j] + b.pab[j])
@@ -266,14 +311,17 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 }
 
 // sweepUnion is the batched step 3: one pass over the union cone in
-// topological order, computing every lane's state at every node.
+// topological order. Every node's static on-path mask is computed, but a
+// lane is evaluated only where it can differ from the off-path state: at a
+// node whose rule has the off-path fixed point (see offPathFixed), lanes
+// without a live fanin are skipped — they would compute FromSP(sp) exactly.
 func (b *BatchAnalyzer) sweepUnion() {
 	a := b.a
 	c := a.c
 	kinds := a.kinds
 	fiIdx, fiArr := a.fiIdx, a.fiArr
+	sp := a.sp
 	stride := b.stride
-	closed := a.opt.Rules != RulesPairwise
 	fast := a.opt.Rules == RulesClosedForm
 
 	for i, id := range b.members {
@@ -286,14 +334,23 @@ func (b *BatchAnalyzer) sweepUnion() {
 		}
 		sb := m // seed (error-site) lanes of this node
 		kind := kinds[id]
-		fs, fe := int(fiIdx[id]), int(fiIdx[id+1])
+		// Hoist the fanins once per node: the static on-path lanes go into
+		// m, the lanes some fanin is live in into hot.
+		var hot uint64
+		fin := b.fin[:0]
 		if kind.IsGate() {
-			for _, f := range fiArr[fs:fe] {
+			for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
+				in := faninLanes{p0: 1 - sp[f], p1: sp[f]}
 				if b.stamp[f] == b.epoch {
 					m |= b.mask[f]
+					in.live = b.live[f]
+					in.base = int(b.pos[f]) * stride
+					hot |= in.live
 				}
+				fin = append(fin, in)
 			}
 		}
+		b.fin = fin
 		b.mask[id] = m
 
 		// Error-site lanes hold the erroneous value with certainty.
@@ -302,63 +359,82 @@ func (b *BatchAnalyzer) sweepUnion() {
 			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = 1, 0, 0, 0
 		}
 
+		live := sb
 		if compute := m &^ sb; compute != 0 {
-			nf := fe - fs
-			switch {
-			case fast && nf == 2 && (kind == logic.And || kind == logic.Nand):
-				b.and2Lanes(base, compute, fiArr[fs], fiArr[fs+1], kind == logic.Nand)
-			case fast && nf == 2 && (kind == logic.Or || kind == logic.Nor):
-				b.or2Lanes(base, compute, fiArr[fs], fiArr[fs+1], kind == logic.Nor)
-			case fast && (kind == logic.And || kind == logic.Nand):
-				b.andNLanes(base, compute, fiArr[fs:fe], kind == logic.Nand)
-			case fast && (kind == logic.Or || kind == logic.Nor):
-				b.orNLanes(base, compute, fiArr[fs:fe], kind == logic.Nor)
-			case fast && (kind == logic.Buf || kind == logic.Not):
-				b.unaryLanes(base, compute, fiArr[fs], kind == logic.Not)
-			default:
-				b.genericLanes(base, compute, kind, fiArr[fs:fe], closed)
+			b.laneSims += int64(bits.OnesCount64(compute))
+			if b.fixed[id] {
+				compute &= hot
+			}
+			if compute != 0 {
+				b.laneEvals += int64(bits.OnesCount64(compute))
+				z0, z1 := math.Float64bits(1-sp[id]), math.Float64bits(sp[id])
+				nf := len(fin)
+				switch {
+				case fast && nf == 2 && (kind == logic.And || kind == logic.Nand):
+					live |= b.and2Lanes(base, compute, &fin[0], &fin[1], z0, z1, kind == logic.Nand)
+				case fast && nf == 2 && (kind == logic.Or || kind == logic.Nor):
+					live |= b.or2Lanes(base, compute, &fin[0], &fin[1], z0, z1, kind == logic.Nor)
+				case fast && (kind == logic.And || kind == logic.Nand):
+					live |= b.andNLanes(base, compute, fin, z0, z1, kind == logic.Nand)
+				case fast && (kind == logic.Or || kind == logic.Nor):
+					live |= b.orNLanes(base, compute, fin, z0, z1, kind == logic.Nor)
+				case fast && (kind == logic.Buf || kind == logic.Not):
+					live |= b.unaryLanes(base, compute, &fin[0], z0, z1, kind == logic.Not)
+				default:
+					live |= b.genericLanes(base, compute, kind, fin, z0, z1)
+				}
 			}
 		}
+		b.live[id] = live
 
 		if c.IsObserved(id) && m != 0 {
 			b.obs = append(b.obs, id) // miss folding happens post-sweep, in ID order
 		}
-		for mm := m; mm != 0; mm &= mm - 1 {
-			b.csize[bits.TrailingZeros64(mm)]++
-		}
 	}
 }
 
-// laneIn loads fanin f's state for lane l: its on-path lane state if f is on
-// path for l in this batch, the off-path signal-probability state otherwise.
-func (b *BatchAnalyzer) laneIn(f netlist.ID, l int) (xa, xab, x0, x1 float64) {
-	if b.stamp[f] == b.epoch && b.mask[f]>>uint(l)&1 == 1 {
-		j := int(b.pos[f])*b.stride + l
+// faninLanes is one fanin of the node being swept, hoisted out of the lane
+// loops: the lanes it is live in (0 when it is off the union cone), its
+// base index into the lane arrays, and its off-path state's P0 and P1.
+type faninLanes struct {
+	live   uint64
+	base   int
+	p0, p1 float64
+}
+
+// read returns fanin in's state in lane l: the stored lane state where the
+// fanin is live, its off-path state otherwise — which is bitwise the state
+// a quiet on-path lane holds.
+func (b *BatchAnalyzer) read(in *faninLanes, l int) (xa, xab, x0, x1 float64) {
+	if in.live>>uint(l)&1 == 1 {
+		j := in.base + l
 		return b.pa[j], b.pab[j], b.p0[j], b.p1[j]
 	}
-	s := b.a.sp[f]
-	return 0, 0, 1 - s, s
+	return 0, 0, in.p0, in.p1
 }
 
-// and2Lanes is the branch-light closed-form path for 2-input AND/NAND: the
-// fanin pair, their on-path flags and their off-path states are hoisted out
-// of the lane loop, and the Table 1 AND rule is applied with exactly the
-// arithmetic (and operation order) of the scalar andRule.
-func (b *BatchAnalyzer) and2Lanes(base int, compute uint64, fx, fy netlist.ID, invert bool) {
-	onX := b.stamp[fx] == b.epoch
-	onY := b.stamp[fy] == b.epoch
-	var mx, my uint64
-	var bx, by int
-	if onX {
-		mx = b.mask[fx]
-		bx = int(b.pos[fx]) * b.stride
-	}
-	if onY {
-		my = b.mask[fy]
-		by = int(b.pos[fy]) * b.stride
-	}
-	spx, spy := b.a.sp[fx], b.a.sp[fy]
+// differs reports whether a lane state differs bitwise from the off-path
+// state (+0, +0, P0, P1) whose P0/P1 bit patterns are z0/z1, i.e. whether
+// the lane is live. A −0 error mass counts as live.
+func differs(pa, pab, p0, p1 float64, z0, z1 uint64) bool {
+	return math.Float64bits(pa)|math.Float64bits(pab)|(math.Float64bits(p0)^z0)|(math.Float64bits(p1)^z1) != 0
+}
 
+// The lane kernels below evaluate the compute lanes of one node at base,
+// store each lane's state and return the lanes whose state differs from
+// the node's off-path state, whose P0/P1 bits are z0/z1. An inverting
+// kernel compares its pre-inversion values, against swapped z0/z1.
+
+// and2Lanes is the branch-light closed-form path for 2-input AND/NAND: the
+// fanin pair's live masks, lane bases and off-path states are read once,
+// and the Table 1 AND rule is applied with exactly the arithmetic (and
+// operation order) of the scalar andRule.
+func (b *BatchAnalyzer) and2Lanes(base int, compute uint64, x, y *faninLanes, z0, z1 uint64, invert bool) (live uint64) {
+	mx, bx, spx := x.live, x.base, x.p1
+	my, by, spy := y.live, y.base, y.p1
+	if invert {
+		z0, z1 = z1, z0
+	}
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
 		var xa, xab, x1 float64
@@ -395,25 +471,20 @@ func (b *BatchAnalyzer) and2Lanes(base int, compute uint64, fx, fy netlist.ID, i
 		} else {
 			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
 		}
+		if differs(pa, pab, p0, p1, z0, z1) {
+			live |= 1 << uint(l)
+		}
 	}
+	return live
 }
 
 // or2Lanes is the dual of and2Lanes for 2-input OR/NOR (Table 1 OR rule).
-func (b *BatchAnalyzer) or2Lanes(base int, compute uint64, fx, fy netlist.ID, invert bool) {
-	onX := b.stamp[fx] == b.epoch
-	onY := b.stamp[fy] == b.epoch
-	var mx, my uint64
-	var bx, by int
-	if onX {
-		mx = b.mask[fx]
-		bx = int(b.pos[fx]) * b.stride
+func (b *BatchAnalyzer) or2Lanes(base int, compute uint64, x, y *faninLanes, z0, z1 uint64, invert bool) (live uint64) {
+	mx, bx, spx := x.live, x.base, x.p0
+	my, by, spy := y.live, y.base, y.p0
+	if invert {
+		z0, z1 = z1, z0
 	}
-	if onY {
-		my = b.mask[fy]
-		by = int(b.pos[fy]) * b.stride
-	}
-	spx, spy := b.a.sp[fx], b.a.sp[fy]
-
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
 		var xa, xab, x0 float64
@@ -421,14 +492,14 @@ func (b *BatchAnalyzer) or2Lanes(base int, compute uint64, fx, fy netlist.ID, in
 			j := bx + l
 			xa, xab, x0 = b.pa[j], b.pab[j], b.p0[j]
 		} else {
-			xa, xab, x0 = 0, 0, 1-spx
+			xa, xab, x0 = 0, 0, spx
 		}
 		var ya, yab, y0 float64
 		if my>>uint(l)&1 == 1 {
 			j := by + l
 			ya, yab, y0 = b.pa[j], b.pab[j], b.p0[j]
 		} else {
-			ya, yab, y0 = 0, 0, 1-spy
+			ya, yab, y0 = 0, 0, spy
 		}
 
 		p0 := x0 * y0
@@ -450,17 +521,29 @@ func (b *BatchAnalyzer) or2Lanes(base int, compute uint64, fx, fy netlist.ID, in
 		} else {
 			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
 		}
+		if differs(pa, pab, p0, p1, z0, z1) {
+			live |= 1 << uint(l)
+		}
 	}
+	return live
 }
 
 // andNLanes applies the n-ary Table 1 AND rule per lane (same accumulation
 // order as the scalar andRule: fanins in declaration order).
-func (b *BatchAnalyzer) andNLanes(base int, compute uint64, fanin []netlist.ID, invert bool) {
+func (b *BatchAnalyzer) andNLanes(base int, compute uint64, fin []faninLanes, z0, z1 uint64, invert bool) (live uint64) {
+	if invert {
+		z0, z1 = z1, z0
+	}
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
 		p1, pa, pab := 1.0, 1.0, 1.0
-		for _, f := range fanin {
-			xa, xab, _, x1 := b.laneIn(f, l)
+		for k := range fin {
+			in := &fin[k]
+			xa, xab, x1 := 0.0, 0.0, in.p1
+			if in.live>>uint(l)&1 == 1 {
+				j := in.base + l
+				xa, xab, x1 = b.pa[j], b.pab[j], b.p1[j]
+			}
 			p1 *= x1
 			pa *= x1 + xa
 			pab *= x1 + xab
@@ -483,16 +566,28 @@ func (b *BatchAnalyzer) andNLanes(base int, compute uint64, fanin []netlist.ID, 
 		} else {
 			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
 		}
+		if differs(pa, pab, p0, p1, z0, z1) {
+			live |= 1 << uint(l)
+		}
 	}
+	return live
 }
 
 // orNLanes applies the n-ary Table 1 OR rule per lane (dual of andNLanes).
-func (b *BatchAnalyzer) orNLanes(base int, compute uint64, fanin []netlist.ID, invert bool) {
+func (b *BatchAnalyzer) orNLanes(base int, compute uint64, fin []faninLanes, z0, z1 uint64, invert bool) (live uint64) {
+	if invert {
+		z0, z1 = z1, z0
+	}
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
 		p0, pa, pab := 1.0, 1.0, 1.0
-		for _, f := range fanin {
-			xa, xab, x0, _ := b.laneIn(f, l)
+		for k := range fin {
+			in := &fin[k]
+			xa, xab, x0 := 0.0, 0.0, in.p0
+			if in.live>>uint(l)&1 == 1 {
+				j := in.base + l
+				xa, xab, x0 = b.pa[j], b.pab[j], b.p0[j]
+			}
 			p0 *= x0
 			pa *= x0 + xa
 			pab *= x0 + xab
@@ -515,34 +610,45 @@ func (b *BatchAnalyzer) orNLanes(base int, compute uint64, fanin []netlist.ID, i
 		} else {
 			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
 		}
+		if differs(pa, pab, p0, p1, z0, z1) {
+			live |= 1 << uint(l)
+		}
 	}
+	return live
 }
 
 // unaryLanes handles BUF (copy) and NOT (polarity/constant swap) lanes.
-func (b *BatchAnalyzer) unaryLanes(base int, compute uint64, f netlist.ID, invert bool) {
+func (b *BatchAnalyzer) unaryLanes(base int, compute uint64, in *faninLanes, z0, z1 uint64, invert bool) (live uint64) {
+	if invert {
+		z0, z1 = z1, z0
+	}
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
-		xa, xab, x0, x1 := b.laneIn(f, l)
+		xa, xab, x0, x1 := b.read(in, l)
 		j := base + l
 		if invert {
 			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = xab, xa, x1, x0
 		} else {
 			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = xa, xab, x0, x1
 		}
+		if differs(xa, xab, x0, x1, z0, z1) {
+			live |= 1 << uint(l)
+		}
 	}
+	return live
 }
 
 // genericLanes is the fallback shared with the scalar sweep: gather fanin
-// Prob4 states and apply the configured rule implementation. XOR/XNOR under
-// every rule set, and all gates under RulesPairwise/RulesNoPolarity, take
-// this path, so the batched engine inherits the scalar semantics exactly.
-func (b *BatchAnalyzer) genericLanes(base int, compute uint64, kind logic.Kind, fanin []netlist.ID, closed bool) {
-	noPol := b.a.opt.Rules == RulesNoPolarity
+// Prob4 states and apply the configured rule (Analyzer.rule). XOR/XNOR
+// under every rule set, and all gates under RulesPairwise/RulesNoPolarity,
+// take this path, so the batched engine inherits the scalar semantics
+// exactly.
+func (b *BatchAnalyzer) genericLanes(base int, compute uint64, kind logic.Kind, fin []faninLanes, z0, z1 uint64) (live uint64) {
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
 		b.ins = b.ins[:0]
-		for _, f := range fanin {
-			xa, xab, x0, x1 := b.laneIn(f, l)
+		for k := range fin {
+			xa, xab, x0, x1 := b.read(&fin[k], l)
 			b.ins = append(b.ins, logic.Prob4{
 				logic.SymA:    xa,
 				logic.SymABar: xab,
@@ -550,17 +656,43 @@ func (b *BatchAnalyzer) genericLanes(base int, compute uint64, kind logic.Kind, 
 				logic.SymOne:  x1,
 			})
 		}
-		var st logic.Prob4
-		if closed {
-			st = closedForm(kind, b.ins)
-		} else {
-			st = logic.CombineN(kind, b.ins)
-		}
-		if noPol {
-			st[logic.SymA] += st[logic.SymABar]
-			st[logic.SymABar] = 0
-		}
+		st := b.a.rule(kind, b.ins)
+		pa, pab, p0, p1 := st[logic.SymA], st[logic.SymABar], st[logic.SymZero], st[logic.SymOne]
 		j := base + l
-		b.pa[j], b.pab[j], b.p0[j], b.p1[j] = st[logic.SymA], st[logic.SymABar], st[logic.SymZero], st[logic.SymOne]
+		b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
+		if differs(pa, pab, p0, p1, z0, z1) {
+			live |= 1 << uint(l)
+		}
 	}
+	return live
+}
+
+// offPathFixed returns, per node, whether the configured rule applied to
+// every fanin's off-path state reproduces the node's own off-path state
+// FromSP(sp) bitwise. Where it holds, a lane with no live fanin would
+// compute exactly the off-path state, so the batched sweep skips it. It
+// fails where the rule's arithmetic does not round-trip the signal
+// probability (a NAND's 1 − (1 − x) ≠ x, or Monte Carlo SP that no gate
+// rule reproduces). Computed once per Analyzer and shared with its Clones;
+// false for non-gates, which the sweep never evaluates.
+func (a *Analyzer) offPathFixed() []bool {
+	if a.fixed != nil {
+		return a.fixed
+	}
+	fixed := make([]bool, a.c.N())
+	var ins []logic.Prob4
+	for id, kind := range a.kinds {
+		if !kind.IsGate() {
+			continue
+		}
+		ins = ins[:0]
+		for _, f := range a.fiArr[a.fiIdx[id]:a.fiIdx[id+1]] {
+			ins = append(ins, logic.FromSP(a.sp[f]))
+		}
+		st, off := a.rule(kind, ins), logic.FromSP(a.sp[id])
+		fixed[id] = !differs(st[logic.SymA], st[logic.SymABar], st[logic.SymZero], st[logic.SymOne],
+			math.Float64bits(off[logic.SymZero]), math.Float64bits(off[logic.SymOne]))
+	}
+	a.fixed = fixed
+	return fixed
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -21,11 +22,11 @@ var batchWidths = []int{1, 4, 8, 64}
 
 // TestBatchMatchesScalar is the batched engine's conformance suite: on
 // random generated circuits, for every rule set and every batch width, the
-// batched P_sensitized of every site must match the scalar Analyzer (the
-// executable specification) to ≤ 1e-12, and the per-output states must
-// match to the same tolerance. The only legitimate divergence between the
-// two engines is floating-point product order when folding per-output miss
-// probabilities, which is far below this bound.
+// batched P_sensitized of every site and every per-output state must be
+// bitwise equal to the scalar Analyzer's (the executable specification):
+// both apply the same rule arithmetic in the same fanin order and fold the
+// output misses in the same ascending output-ID order, and a skipped quiet
+// lane holds exactly the bits the scalar sweep computes there.
 func TestBatchMatchesScalar(t *testing.T) {
 	rules := []RuleSet{RulesClosedForm, RulesPairwise, RulesNoPolarity}
 	for seed := uint64(0); seed < 6; seed++ {
@@ -38,58 +39,48 @@ func TestBatchMatchesScalar(t *testing.T) {
 				want[id] = scalar.EPP(netlist.ID(id))
 			}
 			for _, width := range batchWidths {
-				eng := NewBatch(MustNew(c, sp, Options{Rules: rs}), width)
-				got := make([]Result, c.N())
-				sites := make([]netlist.ID, 0, width)
-				for lo := 0; lo < c.N(); lo += width {
-					hi := lo + width
-					if hi > c.N() {
-						hi = c.N()
-					}
-					sites = sites[:0]
-					for id := lo; id < hi; id++ {
-						sites = append(sites, netlist.ID(id))
-					}
-					eng.EPPBatch(sites, got[lo:hi])
-				}
-				for id := 0; id < c.N(); id++ {
-					g, w := got[id], want[id]
-					if d := math.Abs(g.PSensitized - w.PSensitized); d > 1e-12 {
-						t.Fatalf("seed %d rules %v width %d site %d: batched %v, scalar %v (|d| = %g)",
-							seed, rs, width, id, g.PSensitized, w.PSensitized, d)
-					}
-					if g.ConeSize != w.ConeSize {
-						t.Fatalf("seed %d rules %v width %d site %d: cone size %d, scalar %d",
-							seed, rs, width, id, g.ConeSize, w.ConeSize)
-					}
-					if len(g.Outputs) != len(w.Outputs) {
-						t.Fatalf("seed %d rules %v width %d site %d: %d outputs, scalar %d",
-							seed, rs, width, id, len(g.Outputs), len(w.Outputs))
-					}
-					// Both engines emit outputs in a valid topological
-					// order, but within-level tie-breaking differs (single-
-					// root vs multi-root DFS discovery), so match by node.
-					wantState := make(map[netlist.ID]logic.Prob4, len(w.Outputs))
-					for _, o := range w.Outputs {
-						wantState[o.Output] = o.State
-					}
-					for i, o := range g.Outputs {
-						ws, ok := wantState[o.Output]
-						if !ok {
-							t.Fatalf("seed %d rules %v width %d site %d output %d: node %d not in scalar outputs",
-								seed, rs, width, id, i, o.Output)
-						}
-						for s := range o.State {
-							if d := o.State[s] - ws[s]; math.Abs(d) > 1e-12 {
-								t.Fatalf("seed %d rules %v width %d site %d output node %d: state %v, scalar %v",
-									seed, rs, width, id, o.Output, o.State, ws)
-							}
-						}
+				got := sweepAll(NewBatch(MustNew(c, sp, Options{Rules: rs}), width), nil)
+				for id := range got {
+					if d := diffResult(got[id], want[id]); d != "" {
+						t.Fatalf("seed %d rules %v width %d site %d: %s", seed, rs, width, id, d)
 					}
 				}
 			}
 		}
 	}
+}
+
+// diffResult describes the first difference between a batched and a scalar
+// Result, or returns "" when they are bitwise equal: P_sensitized, cone
+// size, and the state reaching every output. Outputs are matched by node,
+// because both engines list them in a valid topological order but break
+// within-level ties differently.
+func diffResult(got, want Result) string {
+	if math.Float64bits(got.PSensitized) != math.Float64bits(want.PSensitized) {
+		return fmt.Sprintf("P_sensitized %v, scalar %v", got.PSensitized, want.PSensitized)
+	}
+	if got.ConeSize != want.ConeSize {
+		return fmt.Sprintf("cone size %d, scalar %d", got.ConeSize, want.ConeSize)
+	}
+	if len(got.Outputs) != len(want.Outputs) {
+		return fmt.Sprintf("%d outputs, scalar %d", len(got.Outputs), len(want.Outputs))
+	}
+	wantState := make(map[netlist.ID]logic.Prob4, len(want.Outputs))
+	for _, o := range want.Outputs {
+		wantState[o.Output] = o.State
+	}
+	for _, o := range got.Outputs {
+		ws, ok := wantState[o.Output]
+		if !ok {
+			return fmt.Sprintf("output node %d not in scalar outputs", o.Output)
+		}
+		for s := range o.State {
+			if math.Float64bits(o.State[s]) != math.Float64bits(ws[s]) {
+				return fmt.Sprintf("output node %d: state %v, scalar %v", o.Output, [4]float64(o.State), [4]float64(ws))
+			}
+		}
+	}
+	return ""
 }
 
 // sweepAll runs every node of eng's circuit through eng as the error site,
@@ -179,7 +170,7 @@ func TestBatchWidthClamp(t *testing.T) {
 // property that lets the cone-locality scheduler reorder the all-sites
 // sweep freely. Exercised for every rule set and the full width ladder,
 // against the ascending-ID width-64 packing as the reference, with results
-// additionally cross-checked against the scalar engine to 1e-12.
+// additionally cross-checked bitwise against the scalar engine.
 func TestBatchPackingInvariance(t *testing.T) {
 	rules := []RuleSet{RulesClosedForm, RulesPairwise, RulesNoPolarity}
 	for seed := uint64(0); seed < 3; seed++ {
@@ -224,9 +215,9 @@ func TestBatchPackingInvariance(t *testing.T) {
 						t.Fatalf("seed %d rules %v width %d site %d: shuffled packing %v != reference %v (must be bit-identical)",
 							seed, rs, width, id, got[id], ref[id])
 					}
-					if d := math.Abs(got[id] - scalar.EPP(netlist.ID(id)).PSensitized); d > 1e-12 {
-						t.Fatalf("seed %d rules %v width %d site %d: |batch - scalar| = %g > 1e-12",
-							seed, rs, width, id, d)
+					if w := scalar.EPP(netlist.ID(id)).PSensitized; math.Float64bits(got[id]) != math.Float64bits(w) {
+						t.Fatalf("seed %d rules %v width %d site %d: batched %v, scalar %v (must be bit-identical)",
+							seed, rs, width, id, got[id], w)
 					}
 				}
 			}
@@ -312,4 +303,184 @@ func TestBatchEpochWraparound(t *testing.T) {
 func parkEpoch(w *graph.Walker, epoch uint32) {
 	f := reflect.ValueOf(w).Elem().FieldByName("epoch")
 	*(*uint32)(unsafe.Pointer(f.UnsafeAddr())) = epoch
+}
+
+// TestBatchQuietLanes covers the quiet-lane skip at its edges, every case
+// bitwise against the scalar Analyzer.EPP under every rule set, plus
+// white-box checks of the live masks under the default closed-form rules.
+func TestBatchQuietLanes(t *testing.T) {
+	type quietCase struct {
+		name  string
+		build func(b *netlist.Builder)
+		src   map[string]float64 // source probabilities (default 0.5)
+		mcSP  bool               // Monte Carlo instead of topological SP
+		sites []string
+		check func(t *testing.T, c *netlist.Circuit, eng *BatchAnalyzer, res []Result)
+	}
+	cases := []quietCase{
+		{
+			// q is quiet in a's lane (the constant masks a) and its OR rule
+			// has the off-path fixed point, so the lane is skipped there.
+			// r = NAND(q, c) has no live fanin but no fixed point either:
+			// SP(r) = 1 − 0.15, and 1 − (1 − 0.15) ≠ 0.15, so its lane must
+			// still be evaluated — it stores P0 = 0.15, which differs from
+			// the off-path P0, and the OR at y reads exactly that.
+			name: "nand-without-fixed-point",
+			build: func(b *netlist.Builder) {
+				a, bb, c := b.Input("a"), b.Input("b"), b.Input("c")
+				m := b.And("m", a, b.Const("z", false))
+				q := b.Or("q", m, bb)
+				r := b.Nand("r", q, c)
+				b.MarkOutput(b.Or("y", r, a))
+			},
+			src:   map[string]float64{"c": 0.3},
+			sites: []string{"a"},
+			check: func(t *testing.T, c *netlist.Circuit, eng *BatchAnalyzer, res []Result) {
+				q, r := c.ByName("q"), c.ByName("r")
+				if !eng.fixed[q] || eng.fixed[r] {
+					t.Fatalf("fixed(q, r) = (%v, %v), want (true, false)", eng.fixed[q], eng.fixed[r])
+				}
+				if eng.live[q]&1 != 0 || eng.live[r]&1 == 0 {
+					t.Errorf("live bits (q, r) = (%d, %d), want (0, 1)", eng.live[q]&1, eng.live[r]&1)
+				}
+				if pa := res[0].Outputs[0].State[logic.SymA]; pa != 0.15 {
+					t.Errorf("Pa(y) = %v, want 0.15 (read through r's evaluated P0)", pa)
+				}
+			},
+		},
+		{
+			// a XOR NOT(a) is constantly 1, so under Monte Carlo SP the XOR's
+			// lane converges back to its off-path state: quiet again, and g
+			// (whose AND rule has the fixed point) skips the lane.
+			name: "xor-reconvergence",
+			build: func(b *netlist.Builder) {
+				a, c := b.Input("a"), b.Input("c")
+				x := b.Xor("x", a, b.Not("n", a))
+				b.MarkOutput(b.And("g", x, c))
+				b.MarkOutput(b.And("h", a, c))
+			},
+			mcSP:  true,
+			sites: []string{"a"},
+			check: func(t *testing.T, c *netlist.Circuit, eng *BatchAnalyzer, res []Result) {
+				x, g := c.ByName("x"), c.ByName("g")
+				if eng.mask[x]&1 == 0 || eng.live[x]&1 != 0 {
+					t.Errorf("x: on-path %d live %d, want on-path and quiet", eng.mask[x]&1, eng.live[x]&1)
+				}
+				if !eng.fixed[g] || eng.live[g]&1 != 0 {
+					t.Errorf("g: fixed %v live %d, want a skipped quiet lane", eng.fixed[g], eng.live[g]&1)
+				}
+				if sims, evals := eng.LaneCounters(); evals >= sims {
+					t.Errorf("lane counters %d evaluated of %d on path, want a skip", evals, sims)
+				}
+			},
+		},
+		{
+			// A constant-0 AND input masks the error: m's lane is quiet and
+			// the observed y downstream never carries it.
+			name: "constant-masking",
+			build: func(b *netlist.Builder) {
+				a, bb := b.Input("a"), b.Input("b")
+				m := b.And("m", a, b.Const("z", false))
+				b.MarkOutput(b.Or("y", m, bb))
+			},
+			sites: []string{"a"},
+			check: func(t *testing.T, c *netlist.Circuit, eng *BatchAnalyzer, res []Result) {
+				if m := c.ByName("m"); eng.mask[m]&1 == 0 || eng.live[m]&1 != 0 {
+					t.Errorf("m: on-path %d live %d, want on-path and quiet", eng.mask[m]&1, eng.live[m]&1)
+				}
+				if res[0].PSensitized != 0 {
+					t.Errorf("P_sensitized(a) = %v, want 0", res[0].PSensitized)
+				}
+			},
+		},
+		{
+			// Every lane of the observed y is quiet: EPPBatch still lists y
+			// for both sites, with its off-path state, and the cone sizes
+			// keep counting the static on-path signals.
+			name: "observed-output-all-quiet",
+			build: func(b *netlist.Builder) {
+				a, bb, c := b.Input("a"), b.Input("b"), b.Input("c")
+				m := b.And("m", a, bb, b.Const("z", false))
+				b.MarkOutput(b.Or("y", m, c))
+			},
+			src:   map[string]float64{"c": 0.3},
+			sites: []string{"a", "b"},
+			check: func(t *testing.T, c *netlist.Circuit, eng *BatchAnalyzer, res []Result) {
+				y := c.ByName("y")
+				if eng.mask[y] != 0b11 || eng.live[y] != 0 {
+					t.Errorf("y: on-path %b live %b, want 11 and 0", eng.mask[y], eng.live[y])
+				}
+				for _, r := range res {
+					if r.ConeSize != 3 || len(r.Outputs) != 1 || r.Outputs[0].Output != y ||
+						r.Outputs[0].State != logic.FromSP(eng.a.sp[y]) {
+						t.Errorf("site %d: cone %d outputs %v, want cone 3 and y at its off-path state",
+							r.Site, r.ConeSize, r.Outputs)
+					}
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nb := netlist.NewBuilder(tc.name)
+			tc.build(nb)
+			c, err := nb.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := make([]float64, c.N())
+			for id := range src {
+				src[id] = 0.5
+			}
+			for name, p := range tc.src {
+				src[c.ByName(name)] = p
+			}
+			cfg := sigprob.Config{SourceProb: src, Vectors: 1024, Seed: 1}
+			sp := sigprob.Topological(c, cfg)
+			if tc.mcSP {
+				sp = sigprob.MonteCarlo(c, cfg)
+			}
+			sites := make([]netlist.ID, len(tc.sites))
+			for i, name := range tc.sites {
+				sites[i] = c.ByName(name)
+			}
+			for _, rs := range []RuleSet{RulesClosedForm, RulesPairwise, RulesNoPolarity} {
+				scalar := MustNew(c, sp, Options{Rules: rs})
+				eng := NewBatch(MustNew(c, sp, Options{Rules: rs}), MaxBatchWidth)
+				res := make([]Result, len(sites))
+				eng.EPPBatch(sites, res)
+				for i, site := range sites {
+					if d := diffResult(res[i], scalar.EPP(site)); d != "" {
+						t.Fatalf("rules %v site %s: %s", rs, tc.sites[i], d)
+					}
+				}
+				if rs == RulesClosedForm {
+					tc.check(t, c, eng, res)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchLaneEvalShare gates the quiet-lane skip on the s9234 profile:
+// the share of non-seed on-path gate lanes an all-sites sweep evaluates
+// (about 0.59 with topological SP) must stay at or below 0.65.
+func TestBatchLaneEvalShare(t *testing.T) {
+	c, err := gen.ByName("s9234")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := MustNew(c, sigprob.Topological(c, sigprob.Config{}), Options{})
+	eng := a.Batch()
+	sweepAll(eng, a.Schedule().Order)
+	onPath, evaluated := eng.LaneCounters()
+	share := float64(evaluated) / float64(onPath)
+	t.Logf("s9234: %d of %d on-path lanes evaluated (%.4f)", evaluated, onPath, share)
+	if onPath == 0 || share > 0.65 {
+		t.Errorf("evaluated share = %.4f (%d/%d), want ≤ 0.65", share, evaluated, onPath)
+	}
+	eng.ResetCounters()
+	if p, e := eng.LaneCounters(); p != 0 || e != 0 {
+		t.Errorf("ResetCounters left lane counters (%d, %d)", p, e)
+	}
 }

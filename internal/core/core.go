@@ -24,7 +24,8 @@
 // per-node on-path lane membership in a uint64 mask and storing the
 // four-valued states struct-of-arrays, which amortizes cone extraction,
 // adjacency loads and rule dispatch across the batch (~5× on the large
-// ISCAS'89 profiles). Both
+// ISCAS'89 profiles), and it skips the lanes whose error has already been
+// masked. The two engines agree bitwise. Both
 // engines read the netlist through the CSR adjacency arrays
 // (netlist.Circuit.FaninCSR/FanoutCSR) and fold the per-output miss product
 // in canonical ascending output-ID order, so a site's P_sensitized is a
@@ -135,6 +136,7 @@ type Analyzer struct {
 
 	batch *BatchAnalyzer  // lazily created batched engine (Batch)
 	order *sched.Schedule // lazily computed cone-locality site schedule
+	fixed []bool          // lazily computed off-path fixed points (offPathFixed)
 }
 
 // New returns an Analyzer for circuit c using the given signal probabilities
@@ -175,14 +177,15 @@ func MustNew(c *netlist.Circuit, sp []float64, opt Options) *Analyzer {
 
 // Clone returns an independent Analyzer sharing the circuit and signal
 // probabilities, for concurrent use from another goroutine. The clone also
-// shares the (immutable) site schedule, so worker fleets do not recompute
-// it.
+// shares the (immutable) site schedule and off-path fixed-point flags, so
+// worker fleets do not recompute them.
 func (a *Analyzer) Clone() *Analyzer {
 	cp, err := New(a.c, a.sp, a.opt)
 	if err != nil {
 		panic("core: Clone: " + err.Error())
 	}
 	cp.order = a.order
+	cp.fixed = a.fixed
 	return cp
 }
 
@@ -250,18 +253,24 @@ func (a *Analyzer) sweep(cone *graph.Cone) {
 				a.ins = append(a.ins, logic.FromSP(a.sp[f])) // off-path fanin
 			}
 		}
-		var st logic.Prob4
-		if a.opt.Rules == RulesPairwise {
-			st = logic.CombineN(kind, a.ins)
-		} else {
-			st = closedForm(kind, a.ins)
-		}
-		if a.opt.Rules == RulesNoPolarity {
-			st[logic.SymA] += st[logic.SymABar]
-			st[logic.SymABar] = 0
-		}
-		a.state[id] = st
+		a.state[id] = a.rule(kind, a.ins)
 	}
+}
+
+// rule applies the configured rule set to one gate's fanin states — the
+// specification every batched lane kernel reproduces bit for bit.
+func (a *Analyzer) rule(kind logic.Kind, ins []logic.Prob4) logic.Prob4 {
+	var st logic.Prob4
+	if a.opt.Rules == RulesPairwise {
+		st = logic.CombineN(kind, ins)
+	} else {
+		st = closedForm(kind, ins)
+	}
+	if a.opt.Rules == RulesNoPolarity {
+		st[logic.SymA] += st[logic.SymABar]
+		st[logic.SymABar] = 0
+	}
+	return st
 }
 
 // StateOf returns the four-valued state computed for node id by the most
