@@ -29,6 +29,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seq"
 	"repro/internal/sigprob"
@@ -112,6 +113,63 @@ func BenchmarkEPPAllNodes(b *testing.B) {
 			b.ReportMetric(float64(c.N()), "nodes")
 		})
 	}
+}
+
+// BenchmarkEPPInverters: BenchmarkEPPAllNodes/s9234 with every NAND and NOR
+// rewritten as an AND or OR followed by a NOT. The generated profiles have
+// no BUF or NOT gates at all, so this is the workload that times the
+// epp-batch kernel's unary path.
+func BenchmarkEPPInverters(b *testing.B) {
+	c := splitInverters(b, circuitFor(b, "s9234"))
+	b.ReportAllocs()
+	benchEPP(b, &engine.Request{Circuit: c, SP: spFor(b, c), Workers: 1})
+	b.ReportMetric(float64(c.N()), "nodes")
+}
+
+// splitInverters returns c with each NAND/NOR gate g replaced by an AND/OR
+// gate g_pre driving a NOT named g, so g keeps its fanouts and outputs.
+func splitInverters(b *testing.B, c *netlist.Circuit) *netlist.Circuit {
+	b.Helper()
+	// Fanins may point forward (flip-flop feedback), so map every old ID to
+	// its new one before adding any node.
+	newID := make([]netlist.ID, c.N())
+	next := netlist.ID(0)
+	for id := range c.Nodes {
+		if k := c.Nodes[id].Kind; k == logic.Nand || k == logic.Nor {
+			next++ // the AND/OR half comes first
+		}
+		newID[id] = next
+		next++
+	}
+	nb := netlist.NewBuilder(c.Name + "-inverters")
+	for _, n := range c.Nodes {
+		fanin := make([]netlist.ID, len(n.Fanin))
+		for i, f := range n.Fanin {
+			fanin[i] = newID[f]
+		}
+		switch n.Kind {
+		case logic.Input:
+			nb.Input(n.Name)
+		case logic.Const0, logic.Const1:
+			nb.Const(n.Name, n.Kind == logic.Const1)
+		case logic.DFF:
+			nb.DFF(n.Name, fanin[0])
+		case logic.Nand:
+			nb.Not(n.Name, nb.And(n.Name+"_pre", fanin...))
+		case logic.Nor:
+			nb.Not(n.Name, nb.Or(n.Name+"_pre", fanin...))
+		default:
+			nb.Gate(n.Kind, n.Name, fanin...)
+		}
+	}
+	for _, po := range c.POs {
+		nb.MarkOutput(newID[po])
+	}
+	out, err := nb.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
 }
 
 // benchEPP times b.N all-sites epp-batch sweeps of req.
@@ -370,7 +428,7 @@ func BenchmarkMCAllNodes(b *testing.B) {
 			mb := simulate.NewMCBatch(c, simulate.MCOptions{Vectors: vectors, Seed: 1})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mb.EPPAll(context.Background(), 1); err != nil {
+				if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -392,7 +392,7 @@ func runBench(ctx context.Context, names []string, engNames []string, jsonPath s
 		}
 	}
 	t.AddNote("one op = P_sensitized for every node (default batch width %d)", core.DefaultBatchWidth)
-	t.AddNote("ops go through the stateless engine API and include per-call engine construction; BenchmarkEPPAllNodes times the warm core kernel")
+	t.AddNote("ops go through the stateless engine API and include per-call engine construction, as does BenchmarkEPPAllNodes, which times the same epp-batch PSensitizedAll call")
 	t.AddNote("swept/site = union-cone nodes per site (batched EPP); goodsims/word = good sims per 64-vector word (sampling; the shared kernels pin it at 1 per frame)")
 	if err := t.Render(os.Stdout); err != nil {
 		fatal(err)

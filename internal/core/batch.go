@@ -1,7 +1,8 @@
 // Batched all-sites EPP kernel: core.BatchAnalyzer sweeps up to 64 error
 // sites per union-cone pass with struct-of-arrays Prob4 lanes, evaluating a
 // lane only where its error effect can still differ from the off-path state
-// — the production kernel the epp-batch engine sweeps every site with.
+// — the production kernel the epp-batch engine sweeps every site with. One
+// closed-form lane kernel per arity serves AND, NAND, OR and NOR.
 
 package core
 
@@ -43,7 +44,9 @@ const DefaultBatchWidth = MaxBatchWidth
 // index, gate-kind and signal-probability loads (hoisted once per node,
 // not per lane), and the gate-rule dispatch. The AND/OR/NAND/NOR gates
 // that dominate mapped netlists additionally take a closed-form path
-// evaluated directly on the lane arrays.
+// evaluated directly on the lane arrays: one 2-input and one N-input
+// kernel, each running the AND rule over the fanins' non-controlling field
+// (OR is AND with 0 and 1 exchanged).
 //
 // Most on-path lanes carry no error at all: the error was masked upstream
 // and the lane's state is bitwise the off-path state FromSP(sp). A lane is
@@ -338,9 +341,15 @@ func (b *BatchAnalyzer) sweepUnion() {
 		// m, the lanes some fanin is live in into hot.
 		var hot uint64
 		fin := b.fin[:0]
+		andOr := fast && (kind == logic.And || kind == logic.Nand || kind == logic.Or || kind == logic.Nor)
+		or := kind == logic.Or || kind == logic.Nor
 		if kind.IsGate() {
 			for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
 				in := faninLanes{p0: 1 - sp[f], p1: sp[f]}
+				in.nc = in.p1
+				if or {
+					in.nc = in.p0
+				}
 				if b.stamp[f] == b.epoch {
 					m |= b.mask[f]
 					in.live = b.live[f]
@@ -368,16 +377,14 @@ func (b *BatchAnalyzer) sweepUnion() {
 			if compute != 0 {
 				b.laneEvals += int64(bits.OnesCount64(compute))
 				z0, z1 := math.Float64bits(1-sp[id]), math.Float64bits(sp[id])
-				nf := len(fin)
 				switch {
-				case fast && nf == 2 && (kind == logic.And || kind == logic.Nand):
-					live |= b.and2Lanes(base, compute, &fin[0], &fin[1], z0, z1, kind == logic.Nand)
-				case fast && nf == 2 && (kind == logic.Or || kind == logic.Nor):
-					live |= b.or2Lanes(base, compute, &fin[0], &fin[1], z0, z1, kind == logic.Nor)
-				case fast && (kind == logic.And || kind == logic.Nand):
-					live |= b.andNLanes(base, compute, fin, z0, z1, kind == logic.Nand)
-				case fast && (kind == logic.Or || kind == logic.Nor):
-					live |= b.orNLanes(base, compute, fin, z0, z1, kind == logic.Nor)
+				case andOr:
+					d := b.andOrView(or, kind.Inverting(), z0, z1)
+					if len(fin) == 2 {
+						live |= b.andOr2Lanes(base, compute, &fin[0], &fin[1], &d)
+					} else {
+						live |= b.andOrNLanes(base, compute, fin, &d)
+					}
 				case fast && (kind == logic.Buf || kind == logic.Not):
 					live |= b.unaryLanes(base, compute, &fin[0], z0, z1, kind == logic.Not)
 				default:
@@ -395,11 +402,12 @@ func (b *BatchAnalyzer) sweepUnion() {
 
 // faninLanes is one fanin of the node being swept, hoisted out of the lane
 // loops: the lanes it is live in (0 when it is off the union cone), its
-// base index into the lane arrays, and its off-path state's P0 and P1.
+// base index into the lane arrays, its off-path state's P0 and P1, and of
+// those the swept gate's non-controlling value (P0 for OR/NOR, else P1).
 type faninLanes struct {
-	live   uint64
-	base   int
-	p0, p1 float64
+	live       uint64
+	base       int
+	p0, p1, nc float64
 }
 
 // read returns fanin in's state in lane l: the stored lane state where the
@@ -422,202 +430,129 @@ func differs(pa, pab, p0, p1 float64, z0, z1 uint64) bool {
 
 // The lane kernels below evaluate the compute lanes of one node at base,
 // store each lane's state and return the lanes whose state differs from
-// the node's off-path state, whose P0/P1 bits are z0/z1. An inverting
-// kernel compares its pre-inversion values, against swapped z0/z1.
+// the node's off-path state, whose P0/P1 bits are z0/z1.
+//
+// The two closed-form kernels, one 2-input and one N-input, serve AND,
+// NAND, OR and NOR alike. Table 1's OR rule is its AND rule with the roles
+// of 0 and 1 exchanged, so both run the AND arithmetic over the fanins'
+// non-controlling field (P1 for AND, P0 for OR); only where the results go
+// differs (see andOrView). The operations and their order, pa paired with
+// xa, are exactly the scalar andRule's or orRule's, so the bits match; OR
+// as NOT∘AND∘NOT would sum the remainder as (prod + pab) + pa instead.
 
-// and2Lanes is the branch-light closed-form path for 2-input AND/NAND: the
-// fanin pair's live masks, lane bases and off-path states are read once,
-// and the Table 1 AND rule is applied with exactly the arithmetic (and
-// operation order) of the scalar andRule.
-func (b *BatchAnalyzer) and2Lanes(base int, compute uint64, x, y *faninLanes, z0, z1 uint64, invert bool) (live uint64) {
-	mx, bx, spx := x.live, x.base, x.p1
-	my, by, spy := y.live, y.base, y.p1
-	if invert {
-		z0, z1 = z1, z0
+// andOrDst is a closed-form kernel's view of the lane arrays: nc is the
+// fanins' non-controlling field; prod and rest receive the product term and
+// the remainder 1 − (prod + pa + pab), with zProd and zRest the node's
+// off-path bits of those fields; a and ab receive pa and pab.
+type andOrDst struct {
+	nc, prod, rest, a, ab []float64
+	zProd, zRest          uint64
+}
+
+// andOrView returns the view for an AND (or == false) or OR gate. An
+// inverting gate swaps the pa/pab and the prod/rest destinations, and with
+// them the off-path bits prod and rest are compared against.
+func (b *BatchAnalyzer) andOrView(or, invert bool, z0, z1 uint64) andOrDst {
+	d := andOrDst{nc: b.p1, a: b.pa, ab: b.pab}
+	if or {
+		d.nc = b.p0
 	}
+	if or == invert { // AND or NOR: the product lands in P1
+		d.prod, d.rest, d.zProd, d.zRest = b.p1, b.p0, z1, z0
+	} else {
+		d.prod, d.rest, d.zProd, d.zRest = b.p0, b.p1, z0, z1
+	}
+	if invert {
+		d.a, d.ab = d.ab, d.a
+	}
+	return d
+}
+
+// andOr2Lanes is the branch-light closed-form path for 2-input
+// AND/NAND/OR/NOR: the fanin pair's live masks, lane bases and off-path
+// non-controlling values are read once per node.
+func (b *BatchAnalyzer) andOr2Lanes(base int, compute uint64, x, y *faninLanes, d *andOrDst) (live uint64) {
+	mx, bx, spx := x.live, x.base, x.nc
+	my, by, spy := y.live, y.base, y.nc
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
-		var xa, xab, x1 float64
+		var xa, xab, xn float64
 		if mx>>uint(l)&1 == 1 {
 			j := bx + l
-			xa, xab, x1 = b.pa[j], b.pab[j], b.p1[j]
+			xa, xab, xn = b.pa[j], b.pab[j], d.nc[j]
 		} else {
-			xa, xab, x1 = 0, 0, spx
+			xa, xab, xn = 0, 0, spx
 		}
-		var ya, yab, y1 float64
+		var ya, yab, yn float64
 		if my>>uint(l)&1 == 1 {
 			j := by + l
-			ya, yab, y1 = b.pa[j], b.pab[j], b.p1[j]
+			ya, yab, yn = b.pa[j], b.pab[j], d.nc[j]
 		} else {
-			ya, yab, y1 = 0, 0, spy
+			ya, yab, yn = 0, 0, spy
 		}
 
-		p1 := x1 * y1
-		pa := (x1+xa)*(y1+ya) - p1
-		pab := (x1+xab)*(y1+yab) - p1
+		prod := xn * yn
+		pa := (xn+xa)*(yn+ya) - prod
+		pab := (xn+xab)*(yn+yab) - prod
 		if pa < 0 {
 			pa = 0
 		}
 		if pab < 0 {
 			pab = 0
 		}
-		p0 := 1 - (p1 + pa + pab)
-		if p0 < 0 {
-			p0 = 0
+		rest := 1 - (prod + pa + pab)
+		if rest < 0 {
+			rest = 0
 		}
 		j := base + l
-		if invert {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pab, pa, p1, p0
-		} else {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
-		}
-		if differs(pa, pab, p0, p1, z0, z1) {
+		d.a[j], d.ab[j], d.prod[j], d.rest[j] = pa, pab, prod, rest
+		if differs(pa, pab, prod, rest, d.zProd, d.zRest) {
 			live |= 1 << uint(l)
 		}
 	}
 	return live
 }
 
-// or2Lanes is the dual of and2Lanes for 2-input OR/NOR (Table 1 OR rule).
-func (b *BatchAnalyzer) or2Lanes(base int, compute uint64, x, y *faninLanes, z0, z1 uint64, invert bool) (live uint64) {
-	mx, bx, spx := x.live, x.base, x.p0
-	my, by, spy := y.live, y.base, y.p0
-	if invert {
-		z0, z1 = z1, z0
-	}
+// andOrNLanes applies the n-ary closed form per lane, fanins in declaration
+// order as in the scalar rule.
+func (b *BatchAnalyzer) andOrNLanes(base int, compute uint64, fin []faninLanes, d *andOrDst) (live uint64) {
 	for mm := compute; mm != 0; mm &= mm - 1 {
 		l := bits.TrailingZeros64(mm)
-		var xa, xab, x0 float64
-		if mx>>uint(l)&1 == 1 {
-			j := bx + l
-			xa, xab, x0 = b.pa[j], b.pab[j], b.p0[j]
-		} else {
-			xa, xab, x0 = 0, 0, spx
-		}
-		var ya, yab, y0 float64
-		if my>>uint(l)&1 == 1 {
-			j := by + l
-			ya, yab, y0 = b.pa[j], b.pab[j], b.p0[j]
-		} else {
-			ya, yab, y0 = 0, 0, spy
-		}
-
-		p0 := x0 * y0
-		pa := (x0+xa)*(y0+ya) - p0
-		pab := (x0+xab)*(y0+yab) - p0
-		if pa < 0 {
-			pa = 0
-		}
-		if pab < 0 {
-			pab = 0
-		}
-		p1 := 1 - (p0 + pa + pab)
-		if p1 < 0 {
-			p1 = 0
-		}
-		j := base + l
-		if invert {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pab, pa, p1, p0
-		} else {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
-		}
-		if differs(pa, pab, p0, p1, z0, z1) {
-			live |= 1 << uint(l)
-		}
-	}
-	return live
-}
-
-// andNLanes applies the n-ary Table 1 AND rule per lane (same accumulation
-// order as the scalar andRule: fanins in declaration order).
-func (b *BatchAnalyzer) andNLanes(base int, compute uint64, fin []faninLanes, z0, z1 uint64, invert bool) (live uint64) {
-	if invert {
-		z0, z1 = z1, z0
-	}
-	for mm := compute; mm != 0; mm &= mm - 1 {
-		l := bits.TrailingZeros64(mm)
-		p1, pa, pab := 1.0, 1.0, 1.0
+		prod, pa, pab := 1.0, 1.0, 1.0
 		for k := range fin {
 			in := &fin[k]
-			xa, xab, x1 := 0.0, 0.0, in.p1
+			xa, xab, xn := 0.0, 0.0, in.nc
 			if in.live>>uint(l)&1 == 1 {
 				j := in.base + l
-				xa, xab, x1 = b.pa[j], b.pab[j], b.p1[j]
+				xa, xab, xn = b.pa[j], b.pab[j], d.nc[j]
 			}
-			p1 *= x1
-			pa *= x1 + xa
-			pab *= x1 + xab
+			prod *= xn
+			pa *= xn + xa
+			pab *= xn + xab
 		}
-		pa -= p1
-		pab -= p1
+		pa -= prod
+		pab -= prod
 		if pa < 0 {
 			pa = 0
 		}
 		if pab < 0 {
 			pab = 0
 		}
-		p0 := 1 - (p1 + pa + pab)
-		if p0 < 0 {
-			p0 = 0
+		rest := 1 - (prod + pa + pab)
+		if rest < 0 {
+			rest = 0
 		}
 		j := base + l
-		if invert {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pab, pa, p1, p0
-		} else {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
-		}
-		if differs(pa, pab, p0, p1, z0, z1) {
+		d.a[j], d.ab[j], d.prod[j], d.rest[j] = pa, pab, prod, rest
+		if differs(pa, pab, prod, rest, d.zProd, d.zRest) {
 			live |= 1 << uint(l)
 		}
 	}
 	return live
 }
 
-// orNLanes applies the n-ary Table 1 OR rule per lane (dual of andNLanes).
-func (b *BatchAnalyzer) orNLanes(base int, compute uint64, fin []faninLanes, z0, z1 uint64, invert bool) (live uint64) {
-	if invert {
-		z0, z1 = z1, z0
-	}
-	for mm := compute; mm != 0; mm &= mm - 1 {
-		l := bits.TrailingZeros64(mm)
-		p0, pa, pab := 1.0, 1.0, 1.0
-		for k := range fin {
-			in := &fin[k]
-			xa, xab, x0 := 0.0, 0.0, in.p0
-			if in.live>>uint(l)&1 == 1 {
-				j := in.base + l
-				xa, xab, x0 = b.pa[j], b.pab[j], b.p0[j]
-			}
-			p0 *= x0
-			pa *= x0 + xa
-			pab *= x0 + xab
-		}
-		pa -= p0
-		pab -= p0
-		if pa < 0 {
-			pa = 0
-		}
-		if pab < 0 {
-			pab = 0
-		}
-		p1 := 1 - (p0 + pa + pab)
-		if p1 < 0 {
-			p1 = 0
-		}
-		j := base + l
-		if invert {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pab, pa, p1, p0
-		} else {
-			b.pa[j], b.pab[j], b.p0[j], b.p1[j] = pa, pab, p0, p1
-		}
-		if differs(pa, pab, p0, p1, z0, z1) {
-			live |= 1 << uint(l)
-		}
-	}
-	return live
-}
-
-// unaryLanes handles BUF (copy) and NOT (polarity/constant swap) lanes.
+// unaryLanes handles BUF (copy) and NOT (polarity/constant swap) lanes. NOT
+// compares its pre-inversion values against swapped z0/z1.
 func (b *BatchAnalyzer) unaryLanes(base int, compute uint64, in *faninLanes, z0, z1 uint64, invert bool) (live uint64) {
 	if invert {
 		z0, z1 = z1, z0

@@ -54,7 +54,7 @@ func TestMCCheckpointPins(t *testing.T) {
 
 	opt := simulate.MCOptions{Vectors: vectors, Seed: seed}
 	single := simulate.NewMCBatch(c, opt)
-	if _, err := single.EPPAll(context.Background(), 2); err != nil {
+	if _, err := single.PDetectAll(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
 	multi := simulate.NewMCSeqBatch(c, opt, 3)

@@ -113,12 +113,12 @@ func (a *Analyzer) rVector(lookahead int) []float64 {
 	r := make([]float64, a.nFFs)
 	if lookahead == 1 {
 		for i := 0; i < a.nFFs; i++ {
-			r[i] = a.ffProfile(i).pPO
+			r[i] = a.ffSweep[i].pPO
 		}
 	} else {
 		prev := a.rVector(lookahead - 1)
 		for i := 0; i < a.nFFs; i++ {
-			fs := a.ffProfile(i)
+			fs := a.ffSweep[i]
 			miss := 1 - fs.pPO
 			for j, c := range fs.cap {
 				if c > 0 {
@@ -162,58 +162,25 @@ func (a *Analyzer) profileFromResult(res *core.Result) *frameSweep {
 	return fs
 }
 
-// ffProfile memoizes the single-frame sweep from flip-flop index i.
-func (a *Analyzer) ffProfile(i int) *frameSweep {
-	if a.ffSweep[i] == nil {
-		a.ffSweep[i] = a.sweepFrom(a.ffIDs[i])
-	}
-	return a.ffSweep[i]
-}
-
 // ensureFFProfiles computes every flip-flop's single-frame profile through
 // the EPP analyzer's batched engine, a batch of sources per union-cone
 // sweep. The R iteration (rVector) needs all of them anyway, so batching
 // here amortizes cone extraction across flip-flops exactly as the
-// all-sites analysis does across error sites.
+// all-sites analysis does across error sites. It fills every profile in
+// one call, so a set first one means all are.
 func (a *Analyzer) ensureFFProfiles() {
-	if a.nFFs == 0 {
-		return
-	}
-	missing := 0
-	for i := range a.ffSweep {
-		if a.ffSweep[i] == nil {
-			missing++
-		}
-	}
-	if missing == 0 {
+	if a.nFFs == 0 || a.ffSweep[0] != nil {
 		return
 	}
 	eng := a.epp.Batch()
-	sites := make([]netlist.ID, 0, eng.Width())
-	idx := make([]int, 0, eng.Width())
 	results := make([]core.Result, eng.Width())
-	flush := func() {
-		if len(sites) == 0 {
-			return
-		}
-		eng.EPPBatch(sites, results[:len(sites)])
-		for j := range sites {
-			a.ffSweep[idx[j]] = a.profileFromResult(&results[j])
-		}
-		sites = sites[:0]
-		idx = idx[:0]
-	}
-	for i := 0; i < a.nFFs; i++ {
-		if a.ffSweep[i] != nil {
-			continue
-		}
-		sites = append(sites, a.ffIDs[i])
-		idx = append(idx, i)
-		if len(sites) == eng.Width() {
-			flush()
+	for lo := 0; lo < a.nFFs; lo += eng.Width() {
+		hi := min(lo+eng.Width(), a.nFFs)
+		eng.EPPBatch(a.ffIDs[lo:hi], results[:hi-lo])
+		for j := range results[:hi-lo] {
+			a.ffSweep[lo+j] = a.profileFromResult(&results[j])
 		}
 	}
-	flush()
 }
 
 // PDetect returns the probability that an SEU at site is observed at a

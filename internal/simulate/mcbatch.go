@@ -551,35 +551,13 @@ func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 	return nil
 }
 
-// EPPAll sweeps every word and returns the estimate for every node of the
-// circuit (indexed by node ID) as an MCResult — P_sensitized in
-// single-cycle mode. Each 64-vector word costs exactly one good simulation
-// per frame shared by all sites. On cancellation the partial estimate is
-// discarded and ctx.Err() returned. Results are identical at any worker
-// count.
-func (m *MCBatch) EPPAll(ctx context.Context, workers int) ([]MCResult, error) {
-	if err := m.sweep(ctx, workers); err != nil {
-		return nil, err
-	}
-	nv := m.opt.Words() * 64
-	out := make([]MCResult, m.c.N())
-	for id, d := range m.fin.Detected {
-		p := float64(d) / float64(nv)
-		out[id] = MCResult{
-			Site:        netlist.ID(id),
-			PSensitized: p,
-			StdErr:      math.Sqrt(p * (1 - p) / float64(nv)),
-			Vectors:     nv,
-			Detected:    int(d),
-		}
-	}
-	return out, nil
-}
-
 // PDetectAll sweeps every word and returns the estimate for every node of
 // the circuit (indexed by node ID) as a SeqResult — the multi-cycle
 // detection probability in multi-cycle mode, P_sensitized with
-// DetectedLater == 0 in single-cycle mode. The sweep contract is EPPAll's.
+// DetectedLater == 0 in single-cycle mode. Each 64-vector word costs
+// exactly one good simulation per frame shared by all sites. On
+// cancellation the partial estimate is discarded and ctx.Err() returned.
+// Results are identical at any worker count.
 func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, error) {
 	if err := m.sweep(ctx, workers); err != nil {
 		return nil, err

@@ -20,7 +20,7 @@ func TestMCBatchMatchesPerSite(t *testing.T) {
 		c := gen.SmallRandomSequential(seed + 50)
 		opt := MCOptions{Vectors: 256, Seed: seed + 1}
 		mb := NewMCBatch(c, opt)
-		got, err := mb.EPPAll(context.Background(), 1)
+		got, err := mb.PDetectAll(context.Background(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,15 +31,19 @@ func TestMCBatchMatchesPerSite(t *testing.T) {
 		optShared.SharedVectors = true
 		ps := NewMonteCarlo(c, optShared)
 		for id := 0; id < c.N(); id++ {
-			want := ps.EPP(netlist.ID(id))
-			g := got[id]
-			if g.Site != want.Site || g.Detected != want.Detected ||
-				g.Vectors != want.Vectors || g.PSensitized != want.PSensitized ||
-				g.StdErr != want.StdErr {
-				t.Fatalf("seed %d site %d: batched %+v, per-site shared %+v", seed, id, g, want)
+			if want := ps.EPP(netlist.ID(id)); !matchesMC(got[id], want) {
+				t.Fatalf("seed %d site %d: batched %+v, per-site shared %+v", seed, id, got[id], want)
 			}
 		}
 	}
+}
+
+// matchesMC reports whether a single-cycle MCBatch estimate equals a
+// per-site MonteCarlo one field for field: Detected, Trials as Vectors,
+// PDetect as PSensitized and StdErr, with no later-frame detections.
+func matchesMC(got SeqResult, want MCResult) bool {
+	return got.Site == want.Site && got.Detected == want.Detected && got.Trials == want.Vectors &&
+		got.PDetect == want.PSensitized && got.StdErr == want.StdErr && got.DetectedLater == 0
 }
 
 // TestMCBatchWorkerInvariance: detection counts are summed integers, so the
@@ -47,12 +51,12 @@ func TestMCBatchMatchesPerSite(t *testing.T) {
 func TestMCBatchWorkerInvariance(t *testing.T) {
 	c := gen.SmallRandomSequential(61)
 	mb := NewMCBatch(c, MCOptions{Vectors: 512, Seed: 7})
-	base, err := mb.EPPAll(context.Background(), 1)
+	base, err := mb.PDetectAll(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
-		got, err := mb.EPPAll(context.Background(), workers)
+		got, err := mb.PDetectAll(context.Background(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +75,7 @@ func TestMCBatchGoodSimInvariant(t *testing.T) {
 	c := gen.SmallRandomSequential(42)
 	vectors := 1000 // rounds up to 16 words
 	mb := NewMCBatch(c, MCOptions{Vectors: vectors, Seed: 1})
-	if _, err := mb.EPPAll(context.Background(), 3); err != nil {
+	if _, err := mb.PDetectAll(context.Background(), 3); err != nil {
 		t.Fatal(err)
 	}
 	st := mb.Stats()
@@ -102,16 +106,16 @@ dead = AND(a, b)
 y = OR(a, b)
 `)
 	mb := NewMCBatch(c, MCOptions{Vectors: 128, Seed: 3})
-	out, err := mb.EPPAll(context.Background(), 1)
+	out, err := mb.PDetectAll(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := c.ByName("dead")
-	if out[dead].PSensitized != 0 || out[dead].Detected != 0 {
+	if out[dead].PDetect != 0 || out[dead].Detected != 0 {
 		t.Fatalf("dead node: %+v, want P = 0", out[dead])
 	}
-	if out[dead].Vectors != 128 {
-		t.Fatalf("dead node vectors = %d, want 128", out[dead].Vectors)
+	if out[dead].Trials != 128 {
+		t.Fatalf("dead node vectors = %d, want 128", out[dead].Trials)
 	}
 	if got := mb.Stats().Unobservable; got != 1 {
 		t.Fatalf("Stats().Unobservable = %d, want 1 (just the dead gate)", got)
@@ -119,7 +123,7 @@ y = OR(a, b)
 	// And an always-observed site: a is a PO's fanin through OR... the PO
 	// itself must be P = 1 (its own flip is always visible).
 	y := c.ByName("y")
-	if out[y].PSensitized != 1 {
+	if out[y].PDetect != 1 {
 		t.Fatalf("PO site: %+v, want P = 1", out[y])
 	}
 }
@@ -131,7 +135,7 @@ func TestMCBatchCancellation(t *testing.T) {
 	mb := NewMCBatch(c, MCOptions{Vectors: 1 << 14, Seed: 5})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mb.EPPAll(ctx, 2); !errors.Is(err, context.Canceled) {
+	if _, err := mb.PDetectAll(ctx, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -155,7 +159,7 @@ func TestMonteCarloSeedGolden(t *testing.T) {
 		t.Errorf("shared regime: Detected = %d, want %d (wordSeed stream changed!)", got, want)
 	}
 	// MCBatch inherits the shared-regime value verbatim.
-	batched, err := NewMCBatch(c, MCOptions{Vectors: 1024, Seed: 1}).EPPAll(context.Background(), 2)
+	batched, err := NewMCBatch(c, MCOptions{Vectors: 1024, Seed: 1}).PDetectAll(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,10 +216,10 @@ func TestMCBatchLaneEvals(t *testing.T) {
 // checkMatchesPerSiteAllFrames holds the batched kernel to the per-site
 // shared-vector estimators bit-exactly on circuit c: single-cycle against
 // MonteCarlo, and frame budgets 1 to 4 against Sequential.
-func checkMatchesPerSiteAllFrames(t *testing.T, c *netlist.Circuit) []MCResult {
+func checkMatchesPerSiteAllFrames(t *testing.T, c *netlist.Circuit) []SeqResult {
 	t.Helper()
 	opt := MCOptions{Vectors: 256, Seed: 3}
-	single, err := NewMCBatch(c, opt).EPPAll(context.Background(), 2)
+	single, err := NewMCBatch(c, opt).PDetectAll(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +227,7 @@ func checkMatchesPerSiteAllFrames(t *testing.T, c *netlist.Circuit) []MCResult {
 	shared.SharedVectors = true
 	ps := NewMonteCarlo(c, shared)
 	for id := 0; id < c.N(); id++ {
-		if want := ps.EPP(netlist.ID(id)); single[id] != want {
+		if want := ps.EPP(netlist.ID(id)); !matchesMC(single[id], want) {
 			t.Fatalf("site %s: batched %+v, per-site shared %+v", c.NameOf(netlist.ID(id)), single[id], want)
 		}
 	}

@@ -252,7 +252,7 @@ func TestMCSeqBatchOnWord(t *testing.T) {
 		if kernel == "seq" {
 			_, err = NewMCSeqBatch(c, opt, 2).PDetectAll(context.Background(), 3)
 		} else {
-			_, err = NewMCBatch(c, opt).EPPAll(context.Background(), 3)
+			_, err = NewMCBatch(c, opt).PDetectAll(context.Background(), 3)
 		}
 		if err != nil {
 			t.Fatal(err)

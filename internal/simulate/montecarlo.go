@@ -184,7 +184,7 @@ func (m *MonteCarlo) EPP(site netlist.ID) MCResult {
 
 // EPPAll estimates P_sensitized for every node ID in sites, serially on one
 // engine. It exists for baseline comparisons; the production all-sites path
-// is MCBatch.EPPAll, which shares each word's good simulation across all
+// is MCBatch.PDetectAll, which shares each word's good simulation across all
 // sites and parallelizes over words.
 func (m *MonteCarlo) EPPAll(sites []netlist.ID) []MCResult {
 	out := make([]MCResult, len(sites))
