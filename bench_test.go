@@ -442,6 +442,23 @@ func BenchmarkMCAllNodes(b *testing.B) {
 	}
 }
 
+// BenchmarkNewMCBatch: single-cycle Monte Carlo construction on its own —
+// the cone-locality schedule, every 64-site group's union cone
+// (graph.GroupCones) and the per-group lane masks. BenchmarkMCAllNodes
+// builds its MCBatch before the timer starts, so this is the only timing of
+// the set-up an end-to-end monte-carlo run pays.
+func BenchmarkNewMCBatch(b *testing.B) {
+	for _, name := range []string{"s9234", "s38417"} {
+		c := circuitFor(b, name)
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				simulate.NewMCBatch(c, simulate.MCOptions{Vectors: 256, Seed: 1})
+			}
+		})
+	}
+}
+
 // BenchmarkMCSeqAllNodes: the all-nodes multi-cycle Monte Carlo sweep
 // (simulate.MCBatch in multi-cycle mode) on s9234 at frame budgets 1/2/4,
 // 128 vectors. Cost grows roughly linearly with frames — each 64-vector word

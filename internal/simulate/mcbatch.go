@@ -5,7 +5,6 @@
 package simulate
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -13,7 +12,6 @@ import (
 	"math/bits"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -177,9 +175,10 @@ type mcInject struct {
 }
 
 // NewMCBatch builds the estimator in single-cycle mode for circuit c:
-// schedules all observable sites by cone locality and extracts one union
-// cone per 64-site group. The precomputed structures are shared read-only
-// by all sweep workers.
+// schedules all observable sites by cone locality and extracts every 64-site
+// group's union cone in one graph.GroupCones call (64 groups per topological
+// pass). The precomputed structures are shared read-only by all sweep
+// workers.
 func NewMCBatch(c *netlist.Circuit, opt MCOptions) *MCBatch {
 	m := newMCBatch(c, opt, 1)
 	for id := range m.obs {
@@ -200,10 +199,12 @@ func newMCBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 	return m
 }
 
-// buildMCGroups schedules all observable sites by cone locality and extracts
-// one strike-frame union cone per 64-site group. Cones stop at flip-flop
-// boundaries; skipped counts the sites excluded because no observation point
-// is reachable.
+// buildMCGroups schedules all observable sites by cone locality and takes
+// every 64-site group's strike-frame union cone from one graph.GroupCones
+// call: members in c.Topo() order, stopping at flip-flop boundaries. Each
+// group's sites, members, lane masks and injections are slices of shared
+// backing arrays. skipped counts the sites excluded because no observation
+// point is reachable.
 func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped int) {
 	// Observable sites only, in cone-locality order: a site whose signature
 	// is zero reaches no observation point, so no vector can ever detect it.
@@ -217,50 +218,45 @@ func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped in
 	}
 	skipped = c.N() - len(sites)
 
-	w := graph.NewWalker(c)
-	pos := make([]int32, c.N())
+	cones, idx := graph.GroupCones(c, sites, mcLanes)
+	masks := make([]uint64, len(cones))
+	injs := make([]mcInject, len(sites))
+	lanes := make([]uint64, c.N()) // on-path lanes of the group being built, by node
 	fiIdx, fiArr := c.FaninCSR()
 	kinds := c.Kinds()
 
-	for lo := 0; lo < len(sites); lo += mcLanes {
-		hi := lo + mcLanes
-		if hi > len(sites) {
-			hi = len(sites)
-		}
-		gsites := sites[lo:hi]
-		members := w.UnionCone(gsites)
-		stamp, epoch := w.Stamps()
-		fr := mcFrame{
-			members: append([]netlist.ID(nil), members...),
-			mask:    make([]uint64, len(members)),
-		}
-		for i, id := range fr.members {
-			pos[id] = int32(i)
+	groups = make([]mcGroup, len(idx)-1)
+	for gi := range groups {
+		lo, hi := gi*mcLanes, min((gi+1)*mcLanes, len(sites))
+		a, b := idx[gi], idx[gi+1]
+		fr := mcFrame{members: cones[a:b:b], mask: masks[a:b:b], inj: injs[lo:lo:hi]}
+		gsites := sites[lo:hi:hi]
+		for lane, site := range gsites {
+			lanes[site] = 1 << uint(lane)
 		}
 		// Lane masks by forward propagation in topological order: a node is
 		// on-path for lane l iff it is lane l's site or has an on-path fanin.
-		for lane, site := range gsites {
-			fr.mask[pos[site]] |= 1 << uint(lane)
-			fr.inj = append(fr.inj, mcInject{member: pos[site], slot: -1, lanes: 1 << uint(lane)})
-		}
+		// Non-members hold no lanes, so fanins need no membership test, and
+		// the strike injections come out sorted by member.
 		for i, id := range fr.members {
+			mk := lanes[id]
+			if mk != 0 {
+				fr.inj = append(fr.inj, mcInject{member: int32(i), slot: -1, lanes: mk})
+			}
 			if kinds[id].IsGate() {
 				for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-					if stamp[f] == epoch {
-						fr.mask[i] |= fr.mask[pos[f]]
-					}
+					mk |= lanes[f]
 				}
 			}
+			lanes[id] = mk
+			fr.mask[i] = mk
+			fr.laneSims += int64(bits.OnesCount64(mk))
 		}
-		slices.SortFunc(fr.inj, func(a, b mcInject) int { return cmp.Compare(a.member, b.member) })
-		fr.laneSims = staticLanes(fr.mask)
-		if len(fr.members) > maxMembers {
-			maxMembers = len(fr.members)
+		for _, id := range fr.members {
+			lanes[id] = 0
 		}
-		groups = append(groups, mcGroup{
-			sites:  append([]netlist.ID(nil), gsites...),
-			frames: []mcFrame{fr},
-		})
+		maxMembers = max(maxMembers, len(fr.members))
+		groups[gi] = mcGroup{sites: gsites, frames: []mcFrame{fr}}
 	}
 	return groups, maxMembers, skipped
 }
@@ -597,7 +593,7 @@ type mcWorker struct {
 	dm       []uint64   // per member: lanes whose faulty word differs from the good word
 	active   []uint64   // bitset of member indices still to visit in the current sweep
 	fan      []mcFanin  // the current member's fanins, gathered once per member
-	ins      []uint64   // per-lane fanin words for logic.EvalWord
+	ins      []uint64   // per-lane fanin words for logic.EvalWord (kinds other than AND/NAND/OR/NOR)
 	carry    []uint64   // carried faulty flip-flop state: carry[slot*64+lane]
 	pos      []int32    // member index of node, valid where stamp == stampVal
 	stamp    []int64    // int64: one epoch per (word, group, frame), never wraps in practice
@@ -784,22 +780,55 @@ func (wk *mcWorker) sweep(fr *mcFrame, good []uint64, det *[mcLanes]uint64) {
 					wk.fan = append(wk.fan, fi)
 				}
 				eval &^= injected
-				if cap(wk.ins) < len(wk.fan) {
-					wk.ins = make([]uint64, len(wk.fan))
-				}
-				ins := wk.ins[:len(wk.fan)]
-				for mm := eval; mm != 0; mm &= mm - 1 {
-					l := bits.TrailingZeros64(mm)
-					for k, fi := range wk.fan {
-						v := fi.good
-						if fi.dm>>uint(l)&1 == 1 {
-							v = wk.lanes[fi.base+l]
-						}
-						ins[k] = v
+				isAnd := kind == logic.And || kind == logic.Nand
+				if isAnd || kind == logic.Or || kind == logic.Nor {
+					// Closed form: fold the fanin words straight into the
+					// lane, from all-ones (AND) or zero (OR), and complement
+					// for NAND and NOR.
+					var v0, inv uint64
+					if isAnd {
+						v0 = ^uint64(0)
 					}
-					if v := logic.EvalWord(kind, ins); v != gv {
-						wk.lanes[base+l] = v
-						dm |= 1 << uint(l)
+					if kind == logic.Nand || kind == logic.Nor {
+						inv = ^uint64(0)
+					}
+					for mm := eval; mm != 0; mm &= mm - 1 {
+						l := bits.TrailingZeros64(mm)
+						v := v0
+						for _, fi := range wk.fan {
+							w := fi.good
+							if fi.dm>>uint(l)&1 == 1 {
+								w = wk.lanes[fi.base+l]
+							}
+							if isAnd {
+								v &= w
+							} else {
+								v |= w
+							}
+						}
+						if v ^= inv; v != gv {
+							wk.lanes[base+l] = v
+							dm |= 1 << uint(l)
+						}
+					}
+				} else {
+					if cap(wk.ins) < len(wk.fan) {
+						wk.ins = make([]uint64, len(wk.fan))
+					}
+					ins := wk.ins[:len(wk.fan)]
+					for mm := eval; mm != 0; mm &= mm - 1 {
+						l := bits.TrailingZeros64(mm)
+						for k, fi := range wk.fan {
+							v := fi.good
+							if fi.dm>>uint(l)&1 == 1 {
+								v = wk.lanes[fi.base+l]
+							}
+							ins[k] = v
+						}
+						if v := logic.EvalWord(kind, ins); v != gv {
+							wk.lanes[base+l] = v
+							dm |= 1 << uint(l)
+						}
 					}
 				}
 				wk.laneEvals += int64(bits.OnesCount64(eval))

@@ -3,9 +3,12 @@ package simulate
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
@@ -326,4 +329,70 @@ z = BUFF(q2)
 			}
 		}
 	})
+}
+
+// TestMCBatchGateArity holds the sweep's closed-form AND/NAND/OR/NOR lanes
+// and its logic.EvalWord lanes (XOR, XNOR, BUF, NOT) to the per-site
+// estimators bit-exactly, at fanin 1, 2, 3 and 5 of every AND/OR kind, with
+// sites whose divergence reaches a gate on one fanin and on several — a and
+// s feed several gates twice, nor2 reads s on both fanins — and flip-flops
+// carrying divergence into later frames.
+func TestMCBatchGateArity(t *testing.T) {
+	c := mustParse(t, `
+INPUT(a)
+INPUT(b)
+INPUT(c)
+INPUT(d)
+INPUT(e)
+OUTPUT(y1)
+OUTPUT(y2)
+OUTPUT(or5)
+OUTPUT(nor1)
+s = NAND(a, b)
+p = BUFF(a)
+nb = NOT(b)
+x = XOR(s, c, q1)
+xn = XNOR(p, d)
+and1 = AND(s)
+nand1 = NAND(x)
+or1 = OR(xn)
+nor1 = NOR(q2)
+and2 = AND(s, c)
+nand2 = NAND(a, p)
+or2 = OR(nb, e)
+nor2 = NOR(s, s)
+and3 = AND(a, s, d)
+nand3 = NAND(x, xn, q1)
+or3 = OR(p, nb, c)
+nor3 = NOR(a, b, e)
+and5 = AND(p, s, x, q2, e)
+nand5 = NAND(and1, and2, and3, c, d)
+or5 = OR(nand1, nand2, nand3, nor1, e)
+nor5 = NOR(or1, or2, or3, nor2, nor3)
+y1 = XOR(and5, nand5)
+y2 = XNOR(or5, nor5)
+q1 = DFF(y1)
+q2 = DFF(nor5)
+`)
+	for _, k := range []logic.Kind{logic.And, logic.Nand, logic.Or, logic.Nor} {
+		for _, arity := range []int{1, 2, 3, 5} {
+			name := fmt.Sprintf("%s%d", strings.ToLower(k.String()), arity)
+			if id := c.ByName(name); id < 0 || c.KindOf(id) != k || len(c.FaninOf(id)) != arity {
+				t.Fatalf("netlist lacks %s: a %v gate with %d fanins", name, k, arity)
+			}
+		}
+	}
+	got := checkMatchesPerSiteAllFrames(t, c)
+	for id, r := range got {
+		if r.Detected == 0 {
+			t.Errorf("site %s never detected: the test would not exercise its cone", c.NameOf(netlist.ID(id)))
+		}
+	}
+	later, err := NewMCSeqBatch(c, MCOptions{Vectors: 256, Seed: 3}, 3).PDetectAll(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := c.ByName("a"); later[a].DetectedLater == 0 {
+		t.Fatal("a never detected after a clock edge: no carried divergence reaches the gates")
+	}
 }
