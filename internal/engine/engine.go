@@ -224,7 +224,9 @@ type Request struct {
 	// may perform (units already restored from a checkpoint are free).
 	// Site-major engines stop at the first batch boundary at or past the
 	// budget; the word-major monte-carlo engine maps it to a word budget of
-	// ceil(MaxSweepNodes × words / N) completed words. A budgeted stop
+	// ceil(MaxSweepNodes × words / N) completed words. The work list is cut
+	// before any unit is claimed, so the stop is the same at any worker
+	// count. A budgeted stop
 	// returns a *PartialError wrapping ErrBudget; combined with Resume,
 	// repeated budgeted calls converge to completion.
 	MaxSweepNodes int

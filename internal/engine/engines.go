@@ -1,15 +1,14 @@
 // The five built-in Engine implementations (epp-batch, epp-scalar,
-// monte-carlo, enum, bdd), all running on the shared resilient sweep
-// drivers (see resilience.go): atomic-cursor span distribution, panic
-// isolation, checkpoint/resume, deadlines and node budgets.
+// monte-carlo, enum, bdd), all running on the one resilient sweep driver,
+// resume.SweepSpans (site spans here, 64-vector words inside the Monte
+// Carlo kernel): atomic-cursor span distribution, panic isolation,
+// checkpoint/resume, deadlines and node budgets (see resilience.go).
 
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/bddsp"
 	"repro/internal/core"
@@ -26,15 +25,6 @@ func init() {
 	Register(mcEngine{})
 	Register(enumEngine{})
 	Register(bddEngine{})
-}
-
-// resolveWorkers maps the Request.Workers convention (0 = all cores) to a
-// concrete goroutine count.
-func resolveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // batchEngine is the production EPP backend: core.BatchAnalyzer sweeping up
@@ -172,7 +162,7 @@ func (scalarEngine) PSensitizedAll(ctx context.Context, req *Request, out []floa
 
 // mcEngine is the random-vector fault-injection baseline, built on the
 // shared-good-sim batched kernel simulate.MCBatch: the outer loop claims
-// 64-vector words from an atomic cursor, each word costs exactly one
+// 64-vector words through resume.SweepSpans, each word costs exactly one
 // full-circuit good simulation per frame shared by every error site, and
 // faulty re-simulation runs over cone-locality site groups. A single-frame
 // request runs the kernel in single-cycle mode (P_sensitized: flip-flop
@@ -188,10 +178,11 @@ func (scalarEngine) PSensitizedAll(ctx context.Context, req *Request, out []floa
 // word and cancellation stays word-granular.
 //
 // Resilience follows the word-major shape: a checkpoint commits completed
-// words with the kernel's integer counters (per-word merge regime) and
-// flushes the kernel's final counters on completion, the MaxSweepNodes
-// budget maps to a word budget, and kernel or callback panics surface as
-// *SweepPanicError with the failing word.
+// words with the kernel's integer counters (folded per word, in the same
+// step as the commit) and flushes the kernel's final counters on
+// completion, the MaxSweepNodes budget maps to a word budget, and kernel or
+// callback panics surface as *SweepPanicError with Unit "word" and the
+// failing word.
 type mcEngine struct{}
 
 func (mcEngine) Name() string { return "monte-carlo" }
@@ -275,7 +266,7 @@ func mcSweep(ctx context.Context, req *Request, out []float64) error {
 		if err != nil {
 			return err
 		}
-		opt.Resume = &simulate.Resume{Skip: rs.DoneMask(), Counters: rs.Counters()}
+		opt.Resume = &simulate.Resume{Done: rs.DoneRanges(), Counters: rs.Counters()}
 		opt.OnCommit = rs.CommitWord
 		opt.OnAbort = func(snap resume.Counters) {
 			// The interval cadence may not have written the last commits;
@@ -303,15 +294,8 @@ func mcSweep(ctx context.Context, req *Request, out []float64) error {
 	} else {
 		mb = simulate.NewMCBatch(c, opt)
 	}
-	res, err := mb.PDetectAll(ctx, resolveWorkers(req.Workers))
+	res, err := mb.PDetectAll(ctx, req.Workers)
 	if err != nil {
-		var pe *simulate.PanicError
-		if errors.As(err, &pe) {
-			return &SweepPanicError{Engine: "monte-carlo", Unit: "word", Lo: pe.Word, Hi: pe.Word + 1, Value: pe.Value, Stack: pe.Stack}
-		}
-		if errors.Is(err, simulate.ErrWordBudget) {
-			err = ErrBudget
-		}
 		return wrapSweepErr("monte-carlo", n, n*wordsDone/words, err)
 	}
 	for id := range res {

@@ -1,6 +1,8 @@
-// The engines' resilience layer: the span-based parallel sweep driver with
-// panic isolation, the checkpoint/resume plumbing shared by the site-major
-// engines, node budgets, and the structured errors partial sweeps surface.
+// The engines' resilience layer: the checkpoint/resume and ECO memo
+// plumbing shared by the site-major engines, the request fingerprints, node
+// budgets, and the structured errors partial sweeps surface. The parallel
+// sweep driver itself — span claiming, panic isolation, the budget cut —
+// is resume.SweepSpans, shared with the word-major Monte Carlo kernel.
 
 package engine
 
@@ -13,16 +15,15 @@ import (
 	"hash"
 	"math"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/eco"
 	"repro/internal/resume"
 )
 
 // ErrBudget is the sentinel wrapped by a *PartialError when a sweep stops at
-// its MaxSweepNodes budget; test with errors.Is.
-var ErrBudget = errors.New("engine: sweep node budget exhausted")
+// its MaxSweepNodes budget; test with errors.Is. It is the sweep driver's
+// resume.ErrBudget.
+var ErrBudget = resume.ErrBudget
 
 // PartialError reports a sweep that stopped before completion for an
 // orderly reason — cancellation, a deadline, or the node budget — together
@@ -46,29 +47,9 @@ func (e *PartialError) Error() string {
 func (e *PartialError) Unwrap() error { return e.Err }
 
 // SweepPanicError is a panic recovered from inside a sweep — a worker
-// goroutine processing a batch or word, or a user callback
-// (OnBatch/OnProgress/OnWord) — converted to a returned error so a buggy
-// callback or one poisoned input aborts the sweep cleanly instead of
-// crashing the process.
-type SweepPanicError struct {
-	Engine string // registry name of the engine whose sweep panicked
-	Unit   string // failing unit kind: "batch", "word", "setup" or "sweep"
-	Lo, Hi int    // failing unit range: [Lo, Hi) sites, or word index Lo; -1 if unknown
-	Value  any    // the recovered panic value
-	Stack  []byte // stack of the panicking goroutine at recovery
-}
-
-// Error summarizes the panic; the full stack is in Stack.
-func (e *SweepPanicError) Error() string {
-	where := ""
-	switch {
-	case e.Unit == "word" && e.Lo >= 0:
-		where = fmt.Sprintf(" at word %d", e.Lo)
-	case e.Lo >= 0:
-		where = fmt.Sprintf(" at %s [%d,%d)", e.Unit, e.Lo, e.Hi)
-	}
-	return fmt.Sprintf("engine: panic in %s sweep%s: %v", e.Engine, where, e.Value)
-}
+// goroutine or a user callback — converted to a returned error; see
+// resume.SweepPanicError.
+type SweepPanicError = resume.SweepPanicError
 
 // Fingerprint canonically hashes everything that determines the request's
 // results for the named engine: the circuit's content hash plus every
@@ -266,134 +247,6 @@ func (r *Request) openRestoreSource(engName string, sp []float64, n int) (restor
 	return nil, nil
 }
 
-// sweepSpans is the shared driver of the site-major engines: spans are
-// claimed from a lock-free atomic cursor by workers goroutines, each
-// running its own do closure from newWorker. Because every engine built on
-// it writes per-unit results exactly once, results are bit-identical at any
-// worker count and any span partitioning. Cancellation is checked before
-// each claim. After each completed span the driver runs the serialized
-// report section — onBatch, then progress accounting against doneBase (units
-// completed before this call, i.e. restored from a checkpoint), then the
-// maxUnits budget check — under one mutex, with panics in callbacks or
-// workers recovered into a *SweepPanicError that aborts the sweep. The
-// returned done count (doneBase plus units completed here) is valid on
-// error paths too, for partial-progress metadata.
-func sweepSpans(ctx context.Context, spans []resume.Range, total, doneBase, workers, maxUnits int, onBatch func(lo, hi int) error, onProgress func(done, total int), newWorker func() (func(lo, hi int) error, error)) (int, error) {
-	if len(spans) == 0 {
-		if onProgress != nil && doneBase > 0 {
-			onProgress(doneBase, total)
-		}
-		return doneBase, nil
-	}
-	if workers > len(spans) {
-		workers = len(spans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		abort  atomic.Bool
-		first  error
-		done   = doneBase
-	)
-	fail := func(err error) {
-		func() {
-			mu.Lock()
-			defer mu.Unlock()
-			if first == nil {
-				first = err
-			}
-		}()
-		abort.Store(true)
-	}
-	// report is the per-span critical section. The deferred recover turns a
-	// callback panic into an error while the deferred unlock keeps the
-	// mutex released either way — a panicking callback must never leave
-	// wg.Wait() deadlocked behind a held lock.
-	report := func(lo, hi int) (err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		defer func() {
-			if r := recover(); r != nil {
-				err = &SweepPanicError{Unit: "batch", Lo: lo, Hi: hi, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		if first != nil {
-			return first
-		}
-		if onBatch != nil {
-			if err := onBatch(lo, hi); err != nil {
-				return err
-			}
-		}
-		done += hi - lo
-		if onProgress != nil {
-			onProgress(done, total)
-		}
-		if maxUnits > 0 && done >= maxUnits && done < total {
-			return ErrBudget
-		}
-		return nil
-	}
-	for w := 0; w < workers; w++ {
-		do, err := newSweepWorker(newWorker)
-		if err != nil {
-			fail(err)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lo, hi := -1, -1
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&SweepPanicError{Unit: "batch", Lo: lo, Hi: hi, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			for {
-				if abort.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				lo, hi = spans[i].Lo, spans[i].Hi
-				if err := do(lo, hi); err != nil {
-					fail(err)
-					return
-				}
-				if err := report(lo, hi); err != nil {
-					fail(err)
-					return
-				}
-				lo, hi = -1, -1
-			}
-		}()
-	}
-	wg.Wait()
-	return done, first
-}
-
-// newSweepWorker runs an engine's worker constructor with panic recovery:
-// construction happens serially in the caller's goroutine, so a panic there
-// (a poisoned circuit, say) must also become an error, not a crash.
-func newSweepWorker(newWorker func() (func(lo, hi int) error, error)) (do func(lo, hi int) error, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &SweepPanicError{Unit: "setup", Lo: -1, Hi: -1, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return newWorker()
-}
-
 // wrapSweepErr finalizes a sweep's error for the engine boundary: panic
 // errors get the engine name attached; orderly stops (cancellation,
 // deadline, budget) are wrapped in a *PartialError carrying the progress
@@ -501,7 +354,7 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 	// Spans start at gap starts, not at chunk multiples; the engines are
 	// packing-invariant, so the tiling never changes results.
 	spans := resume.Pending(lo0, hi0, chunk, restored)
-	done, err := sweepSpans(ctx, spans, total, doneBase, resolveWorkers(req.Workers), maxUnits, onBatch, req.OnProgress, newWorker)
+	done, err := resume.SweepSpans(ctx, spans, total, doneBase, req.Workers, maxUnits, onBatch, req.OnProgress, newWorker)
 	if src != nil {
 		// Flush on every path: after an orderly stop (budget, deadline,
 		// cancel) the batches committed since the last write become durable,

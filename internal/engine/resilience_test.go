@@ -6,8 +6,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/netlist"
+	"repro/internal/resume"
 	"repro/internal/sigprob"
 )
 
@@ -79,6 +83,18 @@ func TestCallbackPanicIsolation(t *testing.T) {
 					if len(spe.Stack) == 0 {
 						t.Error("no stack captured")
 					}
+					// Attribution follows the sweep's shape: monte-carlo
+					// progress ticks per 64-vector word of its word sweep;
+					// every OnBatch call (monte-carlo's included, which
+					// replay site ranges after the last word) and every
+					// site-major tick is a site batch.
+					if e.Name() == "monte-carlo" && cb == "OnProgress" {
+						if spe.Unit != "word" || spe.Lo < 0 || spe.Hi != spe.Lo+1 {
+							t.Errorf("panic attributed to %s [%d,%d), want one word", spe.Unit, spe.Lo, spe.Hi)
+						}
+					} else if spe.Unit != "batch" || spe.Lo < 0 || spe.Lo >= spe.Hi {
+						t.Errorf("panic attributed to %s [%d,%d), want a non-empty site batch", spe.Unit, spe.Lo, spe.Hi)
+					}
 				})
 			}
 		}
@@ -87,24 +103,50 @@ func TestCallbackPanicIsolation(t *testing.T) {
 
 // TestBudgetAllEngines: MaxSweepNodes stops every engine at the first unit
 // boundary at or past the budget, surfacing a *PartialError that wraps
-// ErrBudget and reports partial progress.
+// ErrBudget and reports partial progress. The stop is the same at any
+// worker count: the sweep driver cuts the work list before any span is
+// claimed, so 4 workers report the same Done as 1 and, for the
+// checkpointing engines, leave a byte-identical checkpoint file.
 func TestBudgetAllEngines(t *testing.T) {
 	for _, e := range Engines() {
 		t.Run(e.Name(), func(t *testing.T) {
 			c, sp := engineFixture(t, e.Name())
 			budget := c.N() / 2
-			req := &Request{Circuit: c, SP: sp, Vectors: 512, Seed: 5, Workers: 1, MaxSweepNodes: budget}
-			out := make([]float64, c.N())
-			err := e.PSensitizedAll(context.Background(), req, out)
-			if !errors.Is(err, ErrBudget) {
-				t.Fatalf("err = %v, want ErrBudget", err)
+			checkpointed := e.Name() == "epp-batch" || e.Name() == "monte-carlo"
+			var dones []int
+			var files [][]byte
+			for _, workers := range []int{1, 4} {
+				req := &Request{Circuit: c, SP: sp, Vectors: 512, Seed: 5, Workers: workers, MaxSweepNodes: budget}
+				path := filepath.Join(t.TempDir(), "ck.json")
+				if checkpointed {
+					req.Resume = resume.New(path, time.Hour)
+				}
+				out := make([]float64, c.N())
+				err := e.PSensitizedAll(context.Background(), req, out)
+				if !errors.Is(err, ErrBudget) {
+					t.Fatalf("workers=%d: err = %v, want ErrBudget", workers, err)
+				}
+				var perr *PartialError
+				if !errors.As(err, &perr) {
+					t.Fatalf("workers=%d: err = %T, want *PartialError", workers, err)
+				}
+				if perr.Done < 1 || perr.Done >= perr.Total || perr.Total != c.N() {
+					t.Errorf("workers=%d: PartialError reports %d/%d, want mid-sweep stop of %d units", workers, perr.Done, perr.Total, c.N())
+				}
+				dones = append(dones, perr.Done)
+				if checkpointed {
+					b, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatalf("workers=%d: budgeted stop left no checkpoint: %v", workers, err)
+					}
+					files = append(files, b)
+				}
 			}
-			var perr *PartialError
-			if !errors.As(err, &perr) {
-				t.Fatalf("err = %T, want *PartialError", err)
+			if dones[0] != dones[1] {
+				t.Errorf("PartialError.Done = %d at 1 worker, %d at 4", dones[0], dones[1])
 			}
-			if perr.Done < 1 || perr.Done >= perr.Total || perr.Total != c.N() {
-				t.Errorf("PartialError reports %d/%d, want mid-sweep stop of %d units", perr.Done, perr.Total, c.N())
+			if checkpointed && !bytes.Equal(files[0], files[1]) {
+				t.Errorf("checkpoint after the budgeted stop differs between 1 and 4 workers:\n%s\n%s", files[0], files[1])
 			}
 		})
 	}

@@ -10,7 +10,7 @@
 // seed (deterministic per seed, randomized across seeds) and fires exactly
 // once when progress crosses it:
 //
-//   - Panic panics inside the callback, exercising the sweep drivers' panic
+//   - Panic panics inside the callback, exercising the sweep driver's panic
 //     isolation (the run must return a *engine.SweepPanicError, not crash).
 //   - Cancel cancels the run's context, exercising orderly cancellation.
 //   - Stall sleeps inside the callback, exercising WithTimeout deadlines.

@@ -36,11 +36,14 @@ type Params struct {
 	Levels int
 	// MaxFanin bounds gate fanin (default 4, minimum 2).
 	MaxFanin int
-	// InverterFrac is the fraction of gates that are single-input NOT/BUFF
-	// (default 0.15, matching mapped netlists).
+	// InverterFrac is the fraction of gates that are single-input NOT/BUFF.
+	// Only an out-of-range value (negative or >= 1) is replaced, by 0.15
+	// (the share in mapped netlists); the zero value stays 0 and generates
+	// no NOT/BUFF gates, which is what every built-in profile does.
 	InverterFrac float64
-	// XorFrac is the fraction of multi-input gates that are XOR/XNOR
-	// (default 0.05).
+	// XorFrac is the fraction of multi-input gates that are XOR/XNOR. Only
+	// an out-of-range value (negative or >= 1) is replaced, by 0.05; the
+	// zero value stays 0 and generates no XOR/XNOR gates.
 	XorFrac float64
 	// NoXor removes XOR/XNOR entirely (some flows exclude them).
 	NoXor bool

@@ -12,6 +12,17 @@
 // completed units plus their values/counters — no scheduler state, no
 // in-flight partial sums.
 //
+// # Sweep driver
+//
+// The package also holds the one parallel driver those sweeps run on,
+// SweepSpans: it claims the Pending work list span by span across workers,
+// recovers worker and callback panics into *SweepPanicError, cuts the work
+// list at a unit budget (ErrBudget) and reports each finished span —
+// commit, then progress — in one serialized section. The site-major
+// engines pass it site spans; the word-major Monte Carlo kernel passes it
+// one span per 64-vector word. How a sweep claims work, stops and commits
+// is therefore decided here, once.
+//
 // # File format
 //
 // A checkpoint is a single JSON object written atomically (temp file +
@@ -59,7 +70,7 @@
 //
 // # Consistency
 //
-// Writers commit completed units under the sweep's merge mutex, so every
+// Writers commit completed units in the driver's report section, so every
 // write captures a consistent pair (done set, values/counters): exactly the
 // units in done are reflected in the counters. Interval-based cadence only
 // delays writes — the file on disk is always some consistent prefix of the
@@ -101,29 +112,6 @@ const (
 type Range struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-}
-
-// Pending tiles the part of [lo, hi) not covered by done (sorted, disjoint
-// ranges within [lo, hi)) into pieces of at most chunk units, each gap cut
-// from its own start — the work list of a fresh (done empty) or resumed
-// sweep.
-func Pending(lo, hi, chunk int, done []Range) []Range {
-	var out []Range
-	emit := func(a, b int) {
-		for ; a+chunk < b; a += chunk {
-			out = append(out, Range{Lo: a, Hi: a + chunk})
-		}
-		if a < b {
-			out = append(out, Range{Lo: a, Hi: b})
-		}
-	}
-	next := lo
-	for _, r := range done {
-		emit(next, r.Lo)
-		next = r.Hi
-	}
-	emit(next, hi)
-	return out
 }
 
 // Counters is the integer counter state of a word-major sweep — the
@@ -387,8 +375,8 @@ func (cp *Checkpoint) ArmRecovering(engineName, fingerprint, kind string, units 
 
 // State is one armed sweep's checkpoint state: the done-unit set plus the
 // restored and subsequently committed values/counters. Commit methods are
-// safe for concurrent use (sweep drivers call them under their merge mutex
-// anyway); Flush is called once after the sweep stops.
+// safe for concurrent use (SweepSpans calls them from its serialized report
+// section anyway); Flush is called once after the sweep stops.
 type State struct {
 	mu        sync.Mutex
 	cp        *Checkpoint
@@ -416,19 +404,6 @@ func (s *State) DoneRanges() []Range {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.rangesLocked()
-}
-
-// DoneMask returns the completed units as a dense boolean mask.
-func (s *State) DoneMask() []bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	mask := make([]bool, s.units)
-	for u := 0; u < s.units; u++ {
-		if s.doneBits[u/64]>>uint(u%64)&1 == 1 {
-			mask[u] = true
-		}
-	}
-	return mask
 }
 
 // RestoreSites writes the restored per-site values into out (indexed by

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -79,11 +80,8 @@ func TestWordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask := st2.DoneMask()
-	for w, want := range []bool{false, true, false, false, false, true, false, false} {
-		if mask[w] != want {
-			t.Fatalf("restored mask[%d] = %v, want %v (mask %v)", w, mask[w], want, mask)
-		}
+	if got, want := st2.DoneRanges(), []Range{{1, 2}, {5, 6}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored done ranges %v, want %v", got, want)
 	}
 	c := st2.Counters()
 	if c == nil || c.Words != 2 || len(c.Detected) != 3 || c.Detected[2] != 7 {

@@ -480,8 +480,8 @@ func prepare(c *netlist.Circuit, cfg *Config) (*prepared, error) {
 }
 
 // runEngine invokes the engine's all-sites sweep with the pipeline-level
-// deadline applied and a defense-in-depth panic guard: the sweep drivers
-// recover worker and callback panics themselves, but a panic on an
+// deadline applied and a defense-in-depth panic guard: the sweep driver
+// recovers worker and callback panics itself, but a panic on an
 // engine's synchronous setup path (kernel construction, say) must equally
 // surface as an error rather than crash the caller.
 func (p *prepared) runEngine(ctx context.Context, cfg *Config, psens []float64) (err error) {

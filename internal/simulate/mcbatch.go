@@ -1,6 +1,7 @@
 // The batched Monte Carlo kernel: shared good simulations, cone-locality
-// lane groups and the word-major sweep driver, in single-cycle
-// (P_sensitized) and multi-cycle (detection within a frame budget) mode.
+// lane groups and the word-major sweep (64-vector words as spans of the
+// shared driver resume.SweepSpans), in single-cycle (P_sensitized) and
+// multi-cycle (detection within a frame budget) mode.
 
 package simulate
 
@@ -10,10 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/logic"
@@ -107,9 +104,10 @@ type MCStats struct {
 //
 // Vectors are drawn from the shared-stream regime (one stream per word,
 // seeded by (Seed, word index) — see MCOptions.SharedVectors): every site
-// sees the same vectors, which is what makes the good sharing sound. Word
-// claims are distributed over workers by an atomic cursor. An MCBatch may
-// be reused for repeated sweeps but is not safe for concurrent use.
+// sees the same vectors, which is what makes the good sharing sound. Words
+// are distributed over workers by the shared sweep driver
+// resume.SweepSpans, one span per word. An MCBatch may be reused for
+// repeated sweeps but is not safe for concurrent use.
 type MCBatch struct {
 	c      *netlist.Circuit
 	opt    MCOptions
@@ -302,197 +300,6 @@ func (m *MCBatch) FrameDetected(frame int) []int64 {
 	return m.fin.Frames[frame*n : (frame+1)*n]
 }
 
-// wordWorker is the per-goroutine state of a word-major sweep: runWord
-// processes one claimed 64-vector word; merge folds the worker's counters
-// into the sweep totals (called under the driver's mutex — at worker exit
-// normally, after every word in the per-word commit regime); reset zeroes
-// the local tallies between per-word merges.
-type wordWorker interface {
-	runWord(w int64)
-	merge(tot *resume.Counters)
-	reset()
-}
-
-// ErrWordBudget reports that a sweep stopped at its MaxNewWords budget with
-// the remaining words unprocessed; see MCOptions.MaxNewWords.
-var ErrWordBudget = errors.New("simulate: word budget exhausted")
-
-// PanicError is a panic recovered from a word-major sweep — in a worker
-// processing a word or in a user callback (OnWord/OnCommit) — converted to
-// an error so one poisoned word or buggy callback aborts the sweep cleanly
-// instead of crashing the process.
-type PanicError struct {
-	Word  int    // 64-vector word being processed; -1 if not word-bound
-	Value any    // the recovered panic value
-	Stack []byte // stack of the panicking goroutine at recovery
-}
-
-// Error summarizes the panic; the full stack is in Stack.
-func (e *PanicError) Error() string {
-	if e.Word < 0 {
-		return fmt.Sprintf("simulate: panic in word sweep: %v", e.Value)
-	}
-	return fmt.Sprintf("simulate: panic in word sweep at word %d: %v", e.Word, e.Value)
-}
-
-// wordSweepCfg parameterizes runWordSweep; see MCOptions for the contracts
-// of the optional fields.
-type wordSweepCfg struct {
-	workers int
-	words   int    // total words of the full request
-	skip    []bool // words already completed by a resumed run (nil: none)
-	maxNew  int    // MaxNewWords bound (0: none)
-	onWord  func(done, total int)
-	commit  func(word int, snap func() resume.Counters) error
-}
-
-// runWordSweep is the word-major driver of the batched Monte Carlo kernel: it
-// claims pending 64-vector words from an atomic cursor across workers
-// goroutines (each with its own worker from newWorker), reports per-word
-// OnWord progress under the merge mutex (so done counts are strictly
-// increasing and calls never overlap), honors ctx between word claims, and
-// merges per-worker counters into tot — per word under the mutex when a
-// commit hook is set (so each commit's snapshot covers exactly the
-// committed words), otherwise once at worker exit. Panics in workers or
-// callbacks are recovered into a *PanicError that aborts the sweep; on any
-// abort the partial result is discarded by the caller and the error
-// returned. All counters are integers summed per site (and per frame), so
-// the totals are identical at any worker count and any merge regime.
-func runWordSweep(ctx context.Context, cfg wordSweepCfg, tot *resume.Counters, newWorker func() wordWorker) error {
-	pending := make([]int32, 0, cfg.words)
-	doneBase := 0
-	for w := 0; w < cfg.words; w++ {
-		if cfg.skip != nil && cfg.skip[w] {
-			doneBase++
-			continue
-		}
-		pending = append(pending, int32(w))
-	}
-	budgetHit := false
-	if cfg.maxNew > 0 && len(pending) > cfg.maxNew {
-		pending = pending[:cfg.maxNew]
-		budgetHit = true
-	}
-	if len(pending) == 0 {
-		if cfg.onWord != nil && doneBase > 0 {
-			cfg.onWord(doneBase, cfg.words)
-		}
-		return nil
-	}
-	workers := cfg.workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		cursor    atomic.Int64
-		abort     atomic.Bool
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		wordsDone = doneBase
-	)
-	fail := func(err error) {
-		func() {
-			mu.Lock()
-			defer mu.Unlock()
-			if firstErr == nil {
-				firstErr = err
-			}
-		}()
-		abort.Store(true)
-	}
-	perWordMerge := cfg.commit != nil
-	snapshot := func() resume.Counters { return *tot.Clone() }
-	// afterWord runs the post-word critical section: fold the worker's
-	// counters into the totals (per-word regime), commit, then report
-	// progress. The deferred recover turns a callback panic into an error
-	// while the deferred unlock keeps the mutex released either way — a
-	// panicking callback must never leave the sweep deadlocked.
-	afterWord := func(word int, wk wordWorker) (err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Word: word, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		if firstErr != nil {
-			return firstErr
-		}
-		if perWordMerge {
-			wk.merge(tot)
-			wk.reset()
-		}
-		wordsDone++
-		if cfg.commit != nil {
-			if err := cfg.commit(word, snapshot); err != nil {
-				return err
-			}
-		}
-		if cfg.onWord != nil {
-			cfg.onWord(wordsDone, cfg.words)
-		}
-		return nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cur := -1
-			defer func() {
-				if r := recover(); r != nil {
-					fail(&PanicError{Word: cur, Value: r, Stack: debug.Stack()})
-				}
-			}()
-			wk := newWorker()
-			for {
-				if abort.Load() {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					break
-				}
-				i := cursor.Add(1) - 1
-				if i >= int64(len(pending)) {
-					break
-				}
-				cur = int(pending[i])
-				wk.runWord(int64(cur))
-				if perWordMerge || cfg.onWord != nil {
-					if err := afterWord(cur, wk); err != nil {
-						fail(err)
-						break
-					}
-				}
-				cur = -1
-			}
-			// The deferred unlock matters: a merge panic with the mutex
-			// still held would turn the outer recover's fail() — which
-			// takes the same mutex — into a self-deadlock instead of a
-			// structured *PanicError.
-			if !perWordMerge {
-				func() {
-					mu.Lock()
-					defer mu.Unlock()
-					wk.merge(tot)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if budgetHit {
-		return ErrWordBudget
-	}
-	return nil
-}
-
 // newCounters returns zeroed counters shaped for this kernel: per-site
 // detections always, later-frame and per-frame detections only when the
 // frame budget exceeds 1.
@@ -506,26 +313,27 @@ func (m *MCBatch) newCounters() resume.Counters {
 	return cnt
 }
 
-// sweep runs every pending word across workers goroutines (0 = GOMAXPROCS)
-// and, on success, records the final counters. Cancellation of ctx is
-// honored between word claims; on any abort the partial counters go to
-// OnAbort (when checkpointing) and the error is returned.
+// sweep runs every pending word on the shared driver resume.SweepSpans,
+// one span per word, across workers goroutines (0 = GOMAXPROCS) and, on
+// success, records the final counters. A word's counters are folded into
+// the totals in the driver's serialized report section, in the same step
+// as its OnCommit, so the totals never include an uncommitted word.
+// Cancellation of ctx is honored between word claims; on any abort the
+// partial counters go to OnAbort (when checkpointing) and the error is
+// returned.
 func (m *MCBatch) sweep(ctx context.Context, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	words := m.opt.Words()
 	tot := m.newCounters()
-	cfg := wordSweepCfg{
-		workers: workers,
-		words:   words,
-		maxNew:  m.opt.MaxNewWords,
-		onWord:  m.opt.OnWord,
-		commit:  m.opt.OnCommit,
-	}
+	var done []resume.Range
+	doneBase := 0
 	if r := m.opt.Resume; r != nil {
-		if len(r.Skip) != words {
-			return fmt.Errorf("simulate: Resume.Skip has %d words, sweep has %d", len(r.Skip), words)
+		prev := 0
+		for _, rg := range r.Done {
+			if rg.Lo < prev || rg.Hi <= rg.Lo || rg.Hi > words {
+				return fmt.Errorf("simulate: Resume.Done range [%d,%d) is unsorted, empty or outside the sweep's %d words", rg.Lo, rg.Hi, words)
+			}
+			prev = rg.Hi
+			doneBase += rg.Hi - rg.Lo
 		}
 		if c := r.Counters; c != nil {
 			if len(c.Detected) != len(tot.Detected) || len(c.Later) != len(tot.Later) || len(c.Frames) != len(tot.Frames) {
@@ -534,10 +342,43 @@ func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 			}
 			tot.Add(c)
 		}
-		cfg.skip = r.Skip
+		done = r.Done
 	}
-	var evals int64 // summed by the workers' merges, under the driver's mutex
-	if err := runWordSweep(ctx, cfg, &tot, func() wordWorker { return m.newWorker(&evals) }); err != nil {
+	maxUnits := 0
+	if m.opt.MaxNewWords > 0 {
+		maxUnits = doneBase + m.opt.MaxNewWords
+	}
+	// ran[w] is the worker that ran word w. The driver reports a word on the
+	// goroutine that ran it, so onBatch reads a worker whose tallies hold
+	// exactly that word.
+	ran := make([]*mcWorker, words)
+	var evals int64
+	snapshot := func() resume.Counters { return *tot.Clone() }
+	onBatch := func(w, _ int) error {
+		wk := ran[w]
+		tot.Add(&wk.Counters)
+		evals += wk.laneEvals
+		wk.reset()
+		if m.opt.OnCommit != nil {
+			return m.opt.OnCommit(w, snapshot)
+		}
+		return nil
+	}
+	spans := resume.Pending(0, words, 1, done)
+	_, err := resume.SweepSpans(ctx, spans, words, doneBase, workers, maxUnits, onBatch, m.opt.OnWord,
+		func() (func(lo, hi int) error, error) {
+			wk := m.newWorker()
+			return func(w, _ int) error {
+				wk.runWord(int64(w))
+				ran[w] = wk
+				return nil
+			}, nil
+		})
+	if err != nil {
+		var pe *resume.SweepPanicError
+		if errors.As(err, &pe) && pe.Unit == "batch" {
+			pe.Unit = "word"
+		}
 		if m.opt.OnCommit != nil && m.opt.OnAbort != nil {
 			m.opt.OnAbort(tot)
 		}
@@ -579,12 +420,12 @@ func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, err
 
 // mcWorker is the per-goroutine state of one sweep: a bit-parallel engine
 // for the shared good trajectory, the lane-value and divergence scratch for
-// faulty re-simulation, the per-lane carried flip-flop state, and local
-// counters merged under the driver's mutex.
+// faulty re-simulation, the per-lane carried flip-flop state, and the
+// counters of the word it last ran, folded into the sweep totals when the
+// driver reports that word.
 type mcWorker struct {
 	resume.Counters
-	laneEvals int64  // lanes evaluated since the last merge
-	evalTot   *int64 // the sweep's LaneEvals total, written by merge
+	laneEvals int64 // lanes evaluated since the last fold
 
 	m        *MCBatch
 	eng      *Engine
@@ -608,11 +449,10 @@ type mcFanin struct {
 	base     int
 }
 
-func (m *MCBatch) newWorker(evalTot *int64) *mcWorker {
+func (m *MCBatch) newWorker() *mcWorker {
 	n := m.c.N()
 	wk := &mcWorker{
 		Counters: m.newCounters(),
-		evalTot:  evalTot,
 		m:        m,
 		eng:      NewEngine(m.c),
 		good:     make([][]uint64, m.frames),
@@ -630,11 +470,6 @@ func (m *MCBatch) newWorker(evalTot *int64) *mcWorker {
 	}
 	wk.good[m.frames-1] = wk.eng.values
 	return wk
-}
-
-func (wk *mcWorker) merge(tot *resume.Counters) {
-	tot.Add(&wk.Counters)
-	*wk.evalTot += wk.laneEvals
 }
 
 func (wk *mcWorker) reset() {

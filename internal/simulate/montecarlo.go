@@ -41,42 +41,43 @@ type MCOptions struct {
 	SharedVectors bool
 	// OnWord, when non-nil, is invoked by the batched kernel (MCBatch)
 	// after each completed 64-vector word with the number of words finished
-	// so far and the total. Calls are serialized under a mutex, so done is
+	// so far and the total. It is the sweep driver's progress callback
+	// (resume.SweepSpans), serialized in its report section, so done is
 	// strictly increasing and calls never overlap — the word-granular
 	// progress signal the word-major sweep can honestly report (per-site
 	// results all finalize together at the last word). The per-site
 	// estimators ignore it. A panic in the callback aborts the sweep with a
-	// *PanicError instead of crashing the worker goroutine.
+	// *resume.SweepPanicError (Unit "word") instead of crashing the worker
+	// goroutine.
 	OnWord func(done, total int)
 	// Resume, when non-nil, seeds a batched sweep from a prior partial run:
-	// words with Skip[w] set are not re-run and the saved Counters are
+	// the words in its Done ranges are not re-run and the saved Counters are
 	// folded into the totals before the sweep starts. Because every counter
 	// is an integer sum over words under the shared-stream vector regime,
 	// the completed sweep is bit-identical to an uninterrupted one. The
 	// per-site estimators ignore it.
 	Resume *Resume
-	// OnCommit, when non-nil, is invoked by the batched kernel under the
-	// merge mutex after each word's counters are folded into the sweep
-	// totals, before OnWord — the durability hook checkpointing rides on.
-	// snap returns a copy of the totals consistent with every committed
-	// word including this one; call it only if the commit will be
-	// persisted. Setting OnCommit switches the sweep to per-word merging
-	// (workers fold into the shared totals after every word instead of once
-	// at exit), which is what makes the snapshot meaningful mid-sweep. A
-	// non-nil error aborts the sweep and is returned verbatim.
+	// OnCommit, when non-nil, is invoked by the batched kernel in the sweep
+	// driver's serialized report section right after the word's counters
+	// are folded into the sweep totals, before OnWord — the durability hook
+	// checkpointing rides on. snap returns a copy of the totals consistent
+	// with every committed word including this one; call it only if the
+	// commit will be persisted. A non-nil error aborts the sweep and is
+	// returned verbatim.
 	OnCommit func(word int, snap func() resume.Counters) error
 	// OnAbort, when non-nil alongside OnCommit, is invoked once after the
 	// sweep's workers have stopped on any failed or truncated run —
 	// cancellation, deadline, budget stop, recovered panic — with a counter
-	// snapshot consistent with every committed word (the per-word merge
-	// regime guarantees the totals never include an uncommitted word). The
-	// durability layer uses it to flush the final partial state that the
-	// interval-based commit cadence may not have written yet.
+	// snapshot consistent with every committed word (a word is folded into
+	// the totals in the same step as its commit, so they never include an
+	// uncommitted word). The durability layer uses it to flush the final
+	// partial state that the interval-based commit cadence may not have
+	// written yet.
 	OnAbort func(snap resume.Counters)
 	// MaxNewWords, when > 0, bounds the number of words one sweep call may
 	// process (not counting words skipped via Resume). When it truncates
 	// the sweep, the kernel processes exactly that many words and returns
-	// ErrWordBudget — combined with OnCommit the completed words are
+	// resume.ErrBudget — combined with OnCommit the completed words are
 	// durable, so repeated budgeted calls converge to completion.
 	MaxNewWords int
 }
@@ -84,10 +85,10 @@ type MCOptions struct {
 // Resume seeds a batched Monte Carlo sweep with the completed work of a
 // prior partial run; see MCOptions.Resume.
 type Resume struct {
-	// Skip marks the 64-vector words already completed, indexed by word.
-	// Its length must equal the sweep's word count.
-	Skip []bool
-	// Counters is the integer counter snapshot over exactly the skipped
+	// Done lists the 64-vector words already completed as sorted, disjoint
+	// word ranges within the sweep's word count (resume.State.DoneRanges).
+	Done []resume.Range
+	// Counters is the integer counter snapshot over exactly the Done
 	// words (nil means all-zero, a fresh start). Its shape must match the
 	// kernel's: Later and Frames are present iff the frame budget exceeds 1.
 	Counters *resume.Counters
