@@ -15,7 +15,8 @@ import (
 	"repro/internal/ser"
 )
 
-// ecoRun estimates c with the cache attached and returns the sweep counters.
+// ecoRun estimates c with the cache attached (nil: a cold estimate) and
+// returns the sweep counters.
 func ecoRun(tb testing.TB, c *netlist.Circuit, cache *eco.Cache) (*ser.Report, *engine.Stats) {
 	tb.Helper()
 	st := &engine.Stats{}
@@ -89,10 +90,13 @@ func cheapestGates(tb testing.TB, c *netlist.Circuit, stride, k int) []netlist.I
 
 // TestECOIncrementalSweepRatio is the PR's acceptance bound: on s9234, a
 // single-gate TMR re-estimate sweeps fewer than 25% of the sites — the
-// rest restore from the cone-hash cache. The edit is the differ-predicted
-// cheapest candidate (see cheapestGates); the engine counters are the
-// proof that the engine actually skipped what the differ promised, and the
-// differential harness separately proves the restored values are exact.
+// rest restore from the cone-hash cache — and visits fewer than 25% of the
+// union-cone nodes a cold estimate of the same edited circuit visits, so
+// the restored sites must not fragment the batches of the swept ones. The
+// edit is the differ-predicted cheapest candidate (see cheapestGates); the
+// engine counters are the proof that the engine actually skipped what the
+// differ promised, and the differential harness separately proves the
+// restored values are exact.
 func TestECOIncrementalSweepRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("s9234 acceptance bound is not a -short test")
@@ -120,6 +124,14 @@ func TestECOIncrementalSweepRatio(t *testing.T) {
 	} else {
 		t.Logf("s9234 re-estimate: swept %d of %d sites (%.2f%%), %d restored", swept, n, 100*ratio, hits)
 	}
+	_, cold := ecoRun(t, edited, nil)
+	nodes, coldNodes := st.SweptNodes.Load(), cold.SweptNodes.Load()
+	if ratio := float64(nodes) / float64(coldNodes); ratio >= 0.25 {
+		t.Fatalf("single-site TMR re-estimate swept %d union-cone nodes, %.1f%% of a cold estimate's %d, want < 25%%",
+			nodes, 100*ratio, coldNodes)
+	} else {
+		t.Logf("s9234 re-estimate: swept %d of a cold estimate's %d union-cone nodes (%.2f%%)", nodes, coldNodes, 100*ratio)
+	}
 }
 
 // TestECOBenchArtifact emits the touched-cones-per-edit measurement as JSON
@@ -135,11 +147,13 @@ func TestECOBenchArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	type editRec struct {
-		Gate       string  `json:"gate"`
-		Sites      int64   `json:"sites"`
-		SweptSites int64   `json:"swept_sites"`
-		MemoHits   int64   `json:"memo_hits"`
-		Ratio      float64 `json:"swept_ratio"`
+		Gate           string  `json:"gate"`
+		Sites          int64   `json:"sites"`
+		SweptSites     int64   `json:"swept_sites"`
+		MemoHits       int64   `json:"memo_hits"`
+		Ratio          float64 `json:"swept_ratio"`
+		SweptNodes     int64   `json:"swept_nodes"`
+		ColdSweptNodes int64   `json:"cold_swept_nodes"`
 	}
 	out := struct {
 		Circuit string    `json:"circuit"`
@@ -157,14 +171,17 @@ func TestECOBenchArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, st := ecoRun(t, cur, cache)
+		_, cold := ecoRun(t, cur, nil)
 		n := int64(cur.N())
 		swept := st.Sites.Load()
 		out.Edits = append(out.Edits, editRec{
-			Gate:       c.NameOf(g),
-			Sites:      n,
-			SweptSites: swept,
-			MemoHits:   st.MemoHits.Load(),
-			Ratio:      float64(swept) / float64(n),
+			Gate:           c.NameOf(g),
+			Sites:          n,
+			SweptSites:     swept,
+			MemoHits:       st.MemoHits.Load(),
+			Ratio:          float64(swept) / float64(n),
+			SweptNodes:     st.SweptNodes.Load(),
+			ColdSweptNodes: cold.SweptNodes.Load(),
 		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

@@ -518,15 +518,17 @@ func (ca *Cache) Lookup(key string, hashes []Hash, out []float64) ([]resume.Rang
 	return ranges, hits
 }
 
-// Store records the computed values of sites [lo, hi) (vals[i] is the value
-// of site lo+i) under the request key. Safe to call concurrently from sweep
-// workers.
-func (ca *Cache) Store(key string, hashes []Hash, lo, hi int, vals []float64) {
+// Store records the computed values of the given sites under the request
+// key: out[id] is the value of site id (out is indexed by site ID, parallel
+// to hashes, as in Lookup), and sites may come in any order — a sweep
+// commits each batch by its site list. Safe to call concurrently from
+// sweep workers.
+func (ca *Cache) Store(key string, hashes []Hash, sites []netlist.ID, out []float64) {
 	ca.mu.Lock()
 	defer ca.mu.Unlock()
 	e := ca.entry(key)
-	for id := lo; id < hi; id++ {
-		e.vals[hashes[id]] = math.Float64bits(vals[id-lo])
+	for _, id := range sites {
+		e.vals[hashes[id]] = math.Float64bits(out[id])
 	}
 	e.dirty = true
 }

@@ -3,6 +3,7 @@ package eco_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -111,7 +112,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		vals[i] = 1.0 / float64(i+3)
 	}
 	const key = "reqkey"
-	ca.Store(key, hashes, 0, n, vals)
+	ca.Store(key, hashes, idRange(0, n), vals)
 	if err := ca.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +155,11 @@ func TestCachePartialRanges(t *testing.T) {
 		vals[i] = float64(i)
 	}
 	const key = "k"
-	ca.Store(key, hashes, 0, 3, vals[0:3])
-	ca.Store(key, hashes, 5, n, vals[5:])
+	// Commit order is free: the second store lists its sites descending.
+	ca.Store(key, hashes, idRange(0, 3), vals)
+	tail := idRange(5, n)
+	slices.Reverse(tail)
+	ca.Store(key, hashes, tail, vals)
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = -1
@@ -186,7 +190,7 @@ func TestCacheCorruptFile(t *testing.T) {
 	hashes := ca.Hashes(c, 1)
 	vals := make([]float64, n)
 	const key = "abc123"
-	ca.Store(key, hashes, 0, n, vals)
+	ca.Store(key, hashes, idRange(0, n), vals)
 	if err := ca.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +220,15 @@ func TestCacheCorruptFile(t *testing.T) {
 			t.Errorf("%s: corrupt file yielded %d hits, want 0", name, hits)
 		}
 	}
+}
+
+// idRange returns the site IDs lo..hi-1.
+func idRange(lo, hi int) []netlist.ID {
+	ids := make([]netlist.ID, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		ids = append(ids, netlist.ID(id))
+	}
+	return ids
 }
 
 // TestOpenEmptyDir: Open requires a directory.

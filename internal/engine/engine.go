@@ -130,10 +130,15 @@ type Request struct {
 	// OnBatch, when non-nil, is invoked after each batch of results is
 	// finalized. The ranges tile [0, N) exactly, and hi−lo counts newly
 	// finalized sites (what progress reporting needs), but [lo:hi) indexes
-	// the engine's sweep schedule — only with OrderedSweep set is it also
-	// the node-ID range out[lo:hi]. When Workers allows parallelism the
-	// calls may arrive out of order (but never overlap); a non-nil return
-	// aborts the sweep and is returned verbatim from PSensitizedAll.
+	// the engine's sweep schedule — only with OrderedSweep set (or a
+	// checkpoint or shard, which force ID order) is it also the node-ID
+	// range out[lo:hi]. Under a Memo without OrderedSweep the schedule puts
+	// the memo-restored sites first, in ascending ID, then the misses in the
+	// engine's sweep order: the restored sites replay as one first range
+	// [0, hits) and the swept batches tile [hits, N). When Workers allows
+	// parallelism the calls may arrive out of order (but never overlap); a
+	// non-nil return aborts the sweep and is returned verbatim from
+	// PSensitizedAll.
 	//
 	// The monte-carlo engine finalizes all sites together (its outer loop
 	// is over vector words, not sites), so its OnBatch calls all arrive
@@ -187,8 +192,11 @@ type Request struct {
 	// any miss recomputes every site (its shared-good-sim kernel prices a
 	// sweep by words, not sites), and its memo key folds in the ordered
 	// source-ID list (source insertion shifts every later source's vector
-	// stream). Site-major engines force ascending-ID sweep order under a
-	// memo, like under a checkpoint; results are unchanged.
+	// stream). Site-major engines keep their cone-locality sweep order
+	// under a memo: the restored sites leave the schedule and the misses
+	// pack into full-width batches, each committed back by its site list,
+	// so scattered hits never fragment the swept batches (see OnBatch for
+	// the ranges a memo sweep reports); results are unchanged.
 	Memo *eco.Cache
 	// Resume, when non-nil, makes the sweep crash-safe: completed units
 	// (site batches or 64-vector words) and their integer counters are

@@ -50,21 +50,21 @@ func (batchEngine) PSensitizedAll(ctx context.Context, req *Request, out []float
 		return err
 	}
 	chunk := proto.Batch().Width()
-	// Sweep order: cone-locality schedule positions by default, so lanes in
-	// one batch share most of their union cone; ascending node IDs when the
-	// caller needs OnBatch's out[lo:hi] ranges to be ID ranges (streaming,
-	// and any checkpointed sweep — committed ranges must be ID ranges). The
-	// kernel is packing-invariant and the multi-cycle composition —
-	// including the latch-window strike weight — is per-site arithmetic, so
-	// both orders, every width and every worker count produce bit-identical
-	// results.
+	// Sweep order: the cone-locality schedule by default, so lanes in one
+	// batch share most of their union cone (under an ECO memo siteSweep
+	// packs the schedule's misses into full batches); ascending node IDs
+	// when the caller needs OnBatch's out[lo:hi] ranges to be ID ranges
+	// (streaming, a checkpoint, a shard). The kernel is packing-invariant
+	// and the multi-cycle composition — including the latch-window strike
+	// weight — is per-site arithmetic, so every order, width and worker
+	// count produces bit-identical results.
 	var order []netlist.ID
 	if !req.sweepOrdered() {
 		order = proto.Schedule().Order
 	}
 	w0 := req.strikeWeight()
-	return siteSweep(ctx, req, "epp-batch", sp, chunk, out,
-		func() (func(lo, hi int) error, error) {
+	return siteSweep(ctx, req, "epp-batch", sp, chunk, order, out,
+		func() (func(sites []netlist.ID) error, error) {
 			local := proto.Clone()
 			eng := local.Batch()
 			kernel := eng.PSensitizedBatch
@@ -76,22 +76,12 @@ func (batchEngine) PSensitizedAll(ctx context.Context, req *Request, out []float
 					sa.PDetectBatchWeighted(sites, req.Frames, w0, dst)
 				}
 			}
-			sites := make([]netlist.ID, 0, chunk)
 			tmp := make([]float64, chunk)
 			var prevSwept int64
-			return func(lo, hi int) error {
-				if order != nil {
-					batch := order[lo:hi]
-					kernel(batch, tmp[:hi-lo])
-					for i, site := range batch {
-						out[site] = tmp[i]
-					}
-				} else {
-					sites = sites[:0]
-					for id := lo; id < hi; id++ {
-						sites = append(sites, netlist.ID(id))
-					}
-					kernel(sites, out[lo:hi])
+			return func(sites []netlist.ID) error {
+				kernel(sites, tmp[:len(sites)])
+				for i, site := range sites {
+					out[site] = tmp[i]
 				}
 				if req.Stats != nil {
 					// Sites are counted generically by siteSweep; only the
@@ -131,29 +121,29 @@ func (scalarEngine) PSensitizedAll(ctx context.Context, req *Request, out []floa
 		// — is deterministic arithmetic, so results are identical at any
 		// worker count.
 		w0 := req.strikeWeight()
-		return siteSweep(ctx, req, "epp-scalar", sp, 64, out,
-			func() (func(lo, hi int) error, error) {
+		return siteSweep(ctx, req, "epp-scalar", sp, 64, nil, out,
+			func() (func(sites []netlist.ID) error, error) {
 				sa, err := seq.New(c, sp)
 				if err != nil {
 					return nil, err
 				}
-				return func(lo, hi int) error {
-					for id := lo; id < hi; id++ {
-						out[id] = sa.PDetectWeighted(netlist.ID(id), req.Frames, w0)
+				return func(sites []netlist.ID) error {
+					for _, id := range sites {
+						out[id] = sa.PDetectWeighted(id, req.Frames, w0)
 					}
 					return nil
 				}, nil
 			})
 	}
-	return siteSweep(ctx, req, "epp-scalar", sp, 64, out,
-		func() (func(lo, hi int) error, error) {
+	return siteSweep(ctx, req, "epp-scalar", sp, 64, nil, out,
+		func() (func(sites []netlist.ID) error, error) {
 			an, err := core.New(c, sp, core.Options{Rules: req.Rules})
 			if err != nil {
 				return nil, err
 			}
-			return func(lo, hi int) error {
-				for id := lo; id < hi; id++ {
-					out[id] = an.EPP(netlist.ID(id)).PSensitized
+			return func(sites []netlist.ID) error {
+				for _, id := range sites {
+					out[id] = an.EPP(id).PSensitized
 				}
 				return nil
 			}, nil
@@ -223,7 +213,7 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 			if err := mcSweep(ctx, req, out); err != nil {
 				return err
 			}
-			req.Memo.Store(key, hashes, 0, n, out)
+			req.Memo.Store(key, hashes, siteIDs(n), out)
 			if err := req.Memo.Flush(); err != nil {
 				return err
 			}
@@ -340,11 +330,11 @@ func (enumEngine) PSensitizedAll(ctx context.Context, req *Request, out []float6
 		return fmt.Errorf("engine: enum supports only uniform sources (Bias must be nil; use the bdd engine for biased sources)")
 	}
 	c := req.Circuit
-	return siteSweep(ctx, req, "enum", nil, 1, out,
-		func() (func(lo, hi int) error, error) {
-			return func(lo, hi int) error {
-				for id := lo; id < hi; id++ {
-					p, err := exact.PSensitized(c, netlist.ID(id))
+	return siteSweep(ctx, req, "enum", nil, 1, nil, out,
+		func() (func(sites []netlist.ID) error, error) {
+			return func(sites []netlist.ID) error {
+				for _, id := range sites {
+					p, err := exact.PSensitized(c, id)
 					if err != nil {
 						return err
 					}
@@ -370,11 +360,11 @@ func (bddEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64
 		return fmt.Errorf("engine: bdd does not support multi-cycle frames")
 	}
 	c := req.Circuit
-	return siteSweep(ctx, req, "bdd", nil, 1, out,
-		func() (func(lo, hi int) error, error) {
-			return func(lo, hi int) error {
-				for id := lo; id < hi; id++ {
-					p, err := bddsp.PSensitized(c, netlist.ID(id), req.Bias, req.BDDBudget)
+	return siteSweep(ctx, req, "bdd", nil, 1, nil, out,
+		func() (func(sites []netlist.ID) error, error) {
+			return func(sites []netlist.ID) error {
+				for _, id := range sites {
+					p, err := bddsp.PSensitized(c, id, req.Bias, req.BDDBudget)
 					if err != nil {
 						return err
 					}

@@ -17,6 +17,7 @@ import (
 	"runtime/debug"
 
 	"repro/internal/eco"
+	"repro/internal/netlist"
 	"repro/internal/resume"
 )
 
@@ -196,16 +197,28 @@ func (r *Request) checkRestore(sharded, wordMajor bool) error {
 }
 
 // restoreSource is where a site-major sweep restores finished sites from
-// and commits newly computed ones to: an armed checkpoint (*resume.State)
-// or the ECO memo cache (memoSource).
+// and commits newly computed ones to: an armed checkpoint
+// (checkpointSource) or the ECO memo cache (memoSource).
 type restoreSource interface {
 	// RestoreSites writes the stored values into out (indexed by site ID)
-	// and returns the restored ranges, sorted and disjoint.
+	// and returns the restored ID ranges, sorted and disjoint.
 	RestoreSites(out []float64) []resume.Range
-	// CommitSites records the computed values of sites [lo, hi).
-	CommitSites(lo, hi int, vals []float64) error
+	// CommitSites records the computed values out[site] of one batch's
+	// sites (out is indexed by site ID).
+	CommitSites(sites []netlist.ID, out []float64) error
 	// Flush persists every commit; the sweep calls it on every exit path.
 	Flush() error
+}
+
+// checkpointSource is an armed checkpoint as a restoreSource. A
+// checkpointed sweep runs in ascending-ID order (Request.sweepOrdered), so
+// every batch it commits is one contiguous ID range.
+type checkpointSource struct{ *resume.State }
+
+func (c checkpointSource) CommitSites(sites []netlist.ID, out []float64) error {
+	lo := int(sites[0])
+	hi := lo + len(sites)
+	return c.State.CommitSites(lo, hi, out[lo:hi])
 }
 
 // memoSource is the ECO cache as a restoreSource: one request key plus the
@@ -221,8 +234,8 @@ func (m memoSource) RestoreSites(out []float64) []resume.Range {
 	return ranges
 }
 
-func (m memoSource) CommitSites(lo, hi int, vals []float64) error {
-	m.cache.Store(m.key, m.hashes, lo, hi, vals)
+func (m memoSource) CommitSites(sites []netlist.ID, out []float64) error {
+	m.cache.Store(m.key, m.hashes, sites, out)
 	return nil
 }
 
@@ -240,7 +253,7 @@ func (r *Request) openRestoreSource(engName string, sp []float64, n int) (restor
 		if err != nil {
 			return nil, err
 		}
-		return rs, nil
+		return checkpointSource{rs}, nil
 	case r.Memo != nil:
 		return memoSource{cache: r.Memo, key: r.memoKey(engName, false), hashes: r.memoHashes(engName, sp)}, nil
 	}
@@ -271,13 +284,21 @@ func wrapSweepErr(engName string, total, done int, err error) error {
 
 // siteSweep runs a site-major all-sites sweep for an engine with the full
 // resilience layer: restore and replay, pending-span scheduling, per-batch
-// commits, the node budget, and final flush. out must be the engine's
-// result vector indexed by sweep unit — which is why engines under a
-// restore source force ascending-ID order (Request.sweepOrdered): restored
-// ranges must be ID ranges. sp is the engine's resolved signal probability
-// vector (nil for non-analytic engines), consumed by the request
-// fingerprint and the analytic cone hashes.
-func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, chunk int, out []float64, newWorker func() (func(lo, hi int) error, error)) error {
+// commits, the node budget, and final flush. Each worker from newWorker
+// computes one batch at a time, given as its site list, and writes every
+// site's value to out[site]; out is indexed by site ID. order is the
+// engine's preferred sweep order over all sites (the cone-locality
+// schedule), or nil for ascending IDs; the engine passes nil when
+// Request.sweepOrdered requires ID order. Sweep positions — the spans
+// SweepSpans claims and the ranges OnBatch sees — index order, except that
+// an unordered sweep with restored sites moves them to the front: positions
+// [0, hits) are the restored sites in ascending ID and [hits, N) the misses
+// in order, so the misses pack into full-width batches instead of being
+// cut at every restored gap. The kernels are packing-invariant, so the
+// order never changes results. sp is the engine's resolved signal
+// probability vector (nil for non-analytic engines), consumed by the
+// request fingerprint and the analytic cone hashes.
+func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, chunk int, order []netlist.ID, out []float64, newWorker func() (func(sites []netlist.ID) error, error)) error {
 	n := req.Circuit.N()
 	lo0, hi0, sharded, err := req.shardRange(n)
 	if err != nil {
@@ -287,28 +308,12 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 		return err
 	}
 	total := hi0 - lo0
-	if req.Stats != nil {
-		// Count analyzed sites generically: every chunk a worker actually
-		// computes (restored sites — checkpoint or memo — are not analyzed,
-		// so on a memo-assisted run MemoHits + Sites covers the whole sweep).
-		stats, inner := req.Stats, newWorker
-		newWorker = func() (func(lo, hi int) error, error) {
-			w, err := inner()
-			if err != nil {
-				return nil, err
-			}
-			return func(lo, hi int) error {
-				if err := w(lo, hi); err != nil {
-					return err
-				}
-				stats.Sites.Add(int64(hi - lo))
-				return nil
-			}, nil
-		}
-	}
 	src, err := req.openRestoreSource(engName, sp, n)
 	if err != nil {
 		return err
+	}
+	if order == nil {
+		order = siteIDs(n)
 	}
 	var (
 		restored []resume.Range
@@ -328,6 +333,9 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 		if req.Memo != nil && req.Stats != nil {
 			req.Stats.MemoHits.Add(int64(doneBase))
 		}
+		if doneBase > 0 && !req.sweepOrdered() {
+			order, restored = packRestored(order, restored)
+		}
 		if onBatch != nil {
 			for _, rg := range restored {
 				if err := callOnBatch(onBatch, rg.Lo, rg.Hi); err != nil {
@@ -337,7 +345,7 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 		}
 		inner := onBatch
 		onBatch = func(lo, hi int) error {
-			if err := src.CommitSites(lo, hi, out[lo:hi]); err != nil {
+			if err := src.CommitSites(order[lo:hi], out); err != nil {
 				return err
 			}
 			if inner != nil {
@@ -354,7 +362,25 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 	// Spans start at gap starts, not at chunk multiples; the engines are
 	// packing-invariant, so the tiling never changes results.
 	spans := resume.Pending(lo0, hi0, chunk, restored)
-	done, err := resume.SweepSpans(ctx, spans, total, doneBase, req.Workers, maxUnits, onBatch, req.OnProgress, newWorker)
+	done, err := resume.SweepSpans(ctx, spans, total, doneBase, req.Workers, maxUnits, onBatch, req.OnProgress,
+		func() (func(lo, hi int) error, error) {
+			w, err := newWorker()
+			if err != nil {
+				return nil, err
+			}
+			return func(lo, hi int) error {
+				if err := w(order[lo:hi]); err != nil {
+					return err
+				}
+				if req.Stats != nil {
+					// Count analyzed sites generically: restored sites are
+					// not analyzed, so on a memo-assisted run MemoHits +
+					// Sites covers the whole sweep.
+					req.Stats.Sites.Add(int64(hi - lo))
+				}
+				return nil
+			}, nil
+		})
 	if src != nil {
 		// Flush on every path: after an orderly stop (budget, deadline,
 		// cancel) the batches committed since the last write become durable,
@@ -365,6 +391,37 @@ func siteSweep(ctx context.Context, req *Request, engName string, sp []float64, 
 		}
 	}
 	return wrapSweepErr(engName, total, done, err)
+}
+
+// siteIDs returns the ascending site IDs 0..n-1.
+func siteIDs(n int) []netlist.ID {
+	ids := make([]netlist.ID, n)
+	for i := range ids {
+		ids[i] = netlist.ID(i)
+	}
+	return ids
+}
+
+// packRestored reorders an unordered sweep around its restored sites (the
+// sorted, disjoint ID ranges restored): the restored sites first in
+// ascending ID, then the rest of order with its relative order kept. It
+// returns the new order and the one restored position range, [0, hits).
+func packRestored(order []netlist.ID, restored []resume.Range) ([]netlist.ID, []resume.Range) {
+	packed := make([]netlist.ID, 0, len(order))
+	hit := make([]bool, len(order))
+	for _, rg := range restored {
+		for id := rg.Lo; id < rg.Hi; id++ {
+			packed = append(packed, netlist.ID(id))
+			hit[id] = true
+		}
+	}
+	hits := len(packed)
+	for _, id := range order {
+		if !hit[id] {
+			packed = append(packed, id)
+		}
+	}
+	return packed, []resume.Range{{Lo: 0, Hi: hits}}
 }
 
 // callOnBatch invokes a user OnBatch callback with panic recovery — used
@@ -383,11 +440,13 @@ func callOnBatch(onBatch func(lo, hi int) error, lo, hi int) (err error) {
 // order: requested explicitly (streaming), forced by a checkpoint (whose
 // committed ranges must be ID ranges to be restorable), or forced by a
 // site-range shard (whose [SiteLo, SiteHi) bounds are ID bounds, so the
-// sweep positions must be IDs, not cone-locality schedule positions). The
-// engines' kernels are packing-invariant, so the order never changes
-// results.
+// sweep positions must be IDs, not cone-locality schedule positions). An
+// ECO memo does not force it: the memo commits each batch by its site list,
+// so a memo-assisted sweep keeps the cone-locality schedule and packs its
+// misses into full batches (see siteSweep). The engines' kernels are
+// packing-invariant, so the order never changes results.
 func (r *Request) sweepOrdered() bool {
-	return r.OrderedSweep || r.Resume != nil || r.Memo != nil || r.SiteHi > r.SiteLo
+	return r.OrderedSweep || r.Resume != nil || r.SiteHi > r.SiteLo
 }
 
 // shardRange validates and resolves the request's optional [SiteLo, SiteHi)

@@ -193,8 +193,9 @@ func Random(p Params) (*netlist.Circuit, error) {
 				case r < 0.85:
 					nIn = 3
 				default:
-					nIn = 3 + rng.IntN(p.MaxFanin-2)
+					nIn = 3 + rng.IntN(max(p.MaxFanin-2, 1))
 				}
+				nIn = min(nIn, p.MaxFanin)
 				if !p.NoXor && rng.Float64() < p.XorFrac {
 					if rng.Float64() < 0.5 {
 						kind = logic.Xor
@@ -289,4 +290,28 @@ func MustRandom(p Params) *netlist.Circuit {
 		panic(err)
 	}
 	return c
+}
+
+// FuzzParams maps raw fuzz-input fields onto valid small Params, so a
+// differential fuzz target explores circuit shape without rejecting
+// inputs: 5–80 gates (size), MaxFanin 2–5 (fanin), 0–7 flip-flops (ffs),
+// and from mix: NOT/BUF gates of fanin 1 (bit 0), XOR/XNOR gates (bit 1),
+// 1–8 primary inputs (bits 2–4) and 1–8 primary outputs (bits 5–7).
+func FuzzParams(seed uint64, size, fanin, ffs, mix uint8) Params {
+	p := Params{
+		Name:     "fuzz",
+		Seed:     seed,
+		Gates:    5 + int(size)%76,
+		MaxFanin: 2 + int(fanin)%4,
+		FFs:      int(ffs) % 8,
+		PIs:      1 + int(mix>>2)%8,
+		POs:      1 + int(mix>>5),
+	}
+	if mix&1 != 0 {
+		p.InverterFrac = 0.2
+	}
+	if mix&2 != 0 {
+		p.XorFrac = 0.15
+	}
+	return p
 }

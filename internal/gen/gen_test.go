@@ -194,3 +194,21 @@ func TestFFDInputsAssigned(t *testing.T) {
 	}
 	_ = netlist.InvalidID
 }
+
+// TestMaxFaninBound: every generated gate respects MaxFanin, including its
+// smallest accepted value 2 (which used to panic drawing a fanin count).
+func TestMaxFaninBound(t *testing.T) {
+	for _, maxFanin := range []int{2, 3, 5} {
+		for seed := uint64(0); seed < 8; seed++ {
+			c, err := Random(Params{Seed: seed, PIs: 4, POs: 2, FFs: 2, Gates: 80, MaxFanin: maxFanin})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := range c.Nodes {
+				if k := len(c.FaninOf(netlist.ID(id))); c.Nodes[id].Kind.IsGate() && k > maxFanin {
+					t.Fatalf("MaxFanin %d seed %d: gate %s has fanin %d", maxFanin, seed, c.NameOf(netlist.ID(id)), k)
+				}
+			}
+		}
+	}
+}
