@@ -52,9 +52,8 @@ func TestBatchMatchesScalar(t *testing.T) {
 
 // diffResult describes the first difference between a batched and a scalar
 // Result, or returns "" when they are bitwise equal: P_sensitized, cone
-// size, and the state reaching every output. Outputs are matched by node,
-// because both engines list them in a valid topological order but break
-// within-level ties differently.
+// size, and the outputs position by position — both engines list them in
+// ascending node-ID order — with the state reaching each.
 func diffResult(got, want Result) string {
 	if math.Float64bits(got.PSensitized) != math.Float64bits(want.PSensitized) {
 		return fmt.Sprintf("P_sensitized %v, scalar %v", got.PSensitized, want.PSensitized)
@@ -65,18 +64,14 @@ func diffResult(got, want Result) string {
 	if len(got.Outputs) != len(want.Outputs) {
 		return fmt.Sprintf("%d outputs, scalar %d", len(got.Outputs), len(want.Outputs))
 	}
-	wantState := make(map[netlist.ID]logic.Prob4, len(want.Outputs))
-	for _, o := range want.Outputs {
-		wantState[o.Output] = o.State
-	}
-	for _, o := range got.Outputs {
-		ws, ok := wantState[o.Output]
-		if !ok {
-			return fmt.Sprintf("output node %d not in scalar outputs", o.Output)
+	for i, o := range got.Outputs {
+		w := want.Outputs[i]
+		if o.Output != w.Output {
+			return fmt.Sprintf("output %d is node %d, scalar node %d", i, o.Output, w.Output)
 		}
 		for s := range o.State {
-			if math.Float64bits(o.State[s]) != math.Float64bits(ws[s]) {
-				return fmt.Sprintf("output node %d: state %v, scalar %v", o.Output, [4]float64(o.State), [4]float64(ws))
+			if math.Float64bits(o.State[s]) != math.Float64bits(w.State[s]) {
+				return fmt.Sprintf("output node %d: state %v, scalar %v", o.Output, [4]float64(o.State), [4]float64(w.State))
 			}
 		}
 	}
@@ -490,29 +485,41 @@ func TestBatchLiveMaskExact(t *testing.T) {
 						sites = append(sites, netlist.ID(id))
 					}
 					eng.PSensitizedBatch(sites, out[:len(sites)])
-					for l, site := range sites {
-						scalar.EPP(site)
-						for _, id := range eng.members {
-							if eng.mask[id]>>uint(l)&1 == 0 {
-								continue
-							}
-							st, ok := scalar.StateOf(id)
-							if !ok {
-								t.Fatalf("%s %s rules %v site %d: node %d on path but outside the scalar cone", c.Name, spName, rs, site, id)
-							}
-							off := logic.FromSP(sp[id])
-							want := differs(st[logic.SymA], st[logic.SymABar], st[logic.SymZero], st[logic.SymOne],
-								math.Float64bits(off[logic.SymZero]), math.Float64bits(off[logic.SymOne]))
-							if got := eng.live[id]>>uint(l)&1 == 1; got != want {
-								t.Fatalf("%s %s rules %v site %d node %d (%v): live %v, scalar state %v vs off-path %v",
-									c.Name, spName, rs, site, id, c.KindOf(id), got, [4]float64(st), [4]float64(off))
-							}
-						}
+					if d := liveMaskDiff(scalar, eng, sites); d != "" {
+						t.Fatalf("%s %s rules %v: %s", c.Name, spName, rs, d)
 					}
 				}
 			}
 		}
 	}
+}
+
+// liveMaskDiff describes the first union member and on-path lane of eng's
+// last batch, sites, whose live bit disagrees with the scalar sweep — set
+// exactly when the scalar state there differs bitwise from the off-path
+// state FromSP(sp) — or returns "" when every live bit matches.
+func liveMaskDiff(scalar *Analyzer, eng *BatchAnalyzer, sites []netlist.ID) string {
+	c := scalar.c
+	for l, site := range sites {
+		scalar.EPP(site)
+		for _, id := range eng.members {
+			if eng.mask[id]>>uint(l)&1 == 0 {
+				continue
+			}
+			st, ok := scalar.StateOf(id)
+			if !ok {
+				return fmt.Sprintf("site %d: node %d on path but outside the scalar cone", site, id)
+			}
+			off := logic.FromSP(scalar.sp[id])
+			want := differs(st[logic.SymA], st[logic.SymABar], st[logic.SymZero], st[logic.SymOne],
+				math.Float64bits(off[logic.SymZero]), math.Float64bits(off[logic.SymOne]))
+			if got := eng.live[id]>>uint(l)&1 == 1; got != want {
+				return fmt.Sprintf("site %d node %d (%v): live %v, scalar state %v vs off-path %v",
+					site, id, c.KindOf(id), got, [4]float64(st), [4]float64(off))
+			}
+		}
+	}
+	return ""
 }
 
 // TestBatchLaneEvalShare pins the quiet-lane skip on the s9234 profile: an

@@ -110,7 +110,8 @@ type Result struct {
 	// to at least one reachable output (PO or FF D input).
 	PSensitized float64
 	// Outputs lists the reachable observation points with their final
-	// states, in topological order.
+	// states, in ascending node-ID order (the scalar and batched engines
+	// list them identically).
 	Outputs []OutputEPP
 	// ConeSize is the number of on-path signals traversed.
 	ConeSize int
@@ -216,26 +217,24 @@ func (a *Analyzer) EPP(site netlist.ID) Result {
 	a.sweep(&cone)
 
 	res := Result{Site: site, ConeSize: cone.Size()}
-	if len(cone.Outputs) > 0 {
-		res.Outputs = make([]OutputEPP, len(cone.Outputs))
+	if len(cone.Outputs) == 0 {
+		return res // error site reaches no latching point
 	}
-	for i, out := range cone.Outputs {
-		res.Outputs[i] = OutputEPP{Output: out, State: a.state[out]}
-	}
-	// Fold the per-output miss product in ascending output-ID order — the
-	// same canonical order as the batched engine — so the result depends
-	// only on the set of reachable outputs and their states, not on the
-	// sweep's level ordering (see BatchAnalyzer.run).
+	// List the outputs and fold the per-output miss product in ascending
+	// output-ID order — the same canonical order as the batched engine — so
+	// the result, and any fold over its outputs (the multi-cycle
+	// composition's), depends only on the set of reachable outputs and
+	// their states, not on the sweep's level ordering (see
+	// BatchAnalyzer.run).
 	a.obs = append(a.obs[:0], cone.Outputs...)
 	slices.Sort(a.obs)
+	res.Outputs = make([]OutputEPP, len(a.obs))
 	missAll := 1.0
-	for _, out := range a.obs {
+	for i, out := range a.obs {
+		res.Outputs[i] = OutputEPP{Output: out, State: a.state[out]}
 		missAll *= 1 - a.state[out].PErr()
 	}
 	res.PSensitized = 1 - missAll
-	if len(cone.Outputs) == 0 {
-		res.PSensitized = 0 // error site reaches no latching point
-	}
 	return res
 }
 

@@ -1,0 +1,160 @@
+package core_test
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/logic"
+	"repro/internal/netlist"
+	"repro/internal/sigprob"
+)
+
+// FuzzEPPBatch differentially fuzzes the batched EPP kernel against the
+// scalar specification. The circuit is a small random one (gen.FuzzParams),
+// optionally with one edge-case gadget grafted on; a fuzzed byte list picks
+// the swept sites and their order (empty: every site, ascending), swept at
+// a fuzzed width (1–64) under a fuzzed rule set. Every EPPBatch Result
+// must equal the scalar Analyzer.EPP's bitwise — P_sensitized, cone size
+// and each output's state, in order — and every on-path lane's live bit
+// must match the scalar state. Then the epp-batch and epp-scalar engines
+// must agree bitwise on every site at a fuzzed frame count (1–3) and
+// worker count (1 or 3).
+func FuzzEPPBatch(f *testing.F) {
+	// One seed per gadget under the closed-form rules: XOR(s, s), constant
+	// masking, and the AND/OR family at fanin 1, 2, 3 and 5; then plain
+	// circuits under the pairwise and no-polarity rules, one sweeping a
+	// picked site list.
+	for g := uint8(1); g < 7; g++ {
+		f.Add(uint64(g)*0x9e3779b97f4a7c15+1, 20+10*g, g, g, uint8(0x27+0x31*g), g, []byte{}, 63-9*g, uint8(0), g, g)
+	}
+	f.Add(uint64(1), uint8(30), uint8(1), uint8(3), uint8(0x27), uint8(0), []byte{}, uint8(63), uint8(1), uint8(0), uint8(1))
+	f.Add(uint64(5), uint8(60), uint8(3), uint8(6), uint8(0xf3), uint8(0), []byte{90, 3, 17, 3, 250, 41}, uint8(2), uint8(2), uint8(0), uint8(0))
+	// Constant masking under the pairwise rules: a gate without the
+	// off-path fixed point whose lane is quiet in every fanin must still
+	// be evaluated.
+	f.Add(uint64(13064056694810536063), uint8(0x8a), uint8(1), uint8(1), uint8(0x89), uint8(2), []byte{}, uint8(7), uint8(1), uint8(0x1a), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, size, fanin, ffs, mix, gadget uint8, pick []byte, width, rules, frames, workers uint8) {
+		c, err := fuzzCircuit(gen.FuzzParams(seed, size, fanin, ffs, mix), gadget, seed)
+		if err != nil {
+			t.Skip(err)
+		}
+		n := c.N()
+		sp := sigprob.Topological(c, sigprob.Config{})
+		rs := core.RuleSet(int(rules) % 3)
+		w := 1 + int(width)%64
+		var sites []netlist.ID
+		seen := make([]bool, n)
+		for _, b := range pick {
+			if id := int(b) % n; !seen[id] {
+				seen[id] = true
+				sites = append(sites, netlist.ID(id))
+			}
+		}
+		if len(sites) == 0 {
+			for id := range n {
+				sites = append(sites, netlist.ID(id))
+			}
+		}
+
+		scalar := core.MustNew(c, sp, core.Options{Rules: rs})
+		eng := core.NewBatch(core.MustNew(c, sp, core.Options{Rules: rs}), w)
+		res := make([]core.Result, w)
+		for lo := 0; lo < len(sites); lo += w {
+			batch := sites[lo:min(lo+w, len(sites))]
+			eng.EPPBatch(batch, res[:len(batch)])
+			if d := core.LiveMaskDiff(scalar, eng, batch); d != "" {
+				t.Fatalf("rules %v width %d: %s", rs, w, d)
+			}
+			for i, site := range batch {
+				if d := core.DiffResult(res[i], scalar.EPP(site)); d != "" {
+					t.Fatalf("rules %v width %d site %d: %s", rs, w, site, d)
+				}
+			}
+		}
+
+		req := engine.Request{Circuit: c, SP: sp, BatchWidth: w, Frames: 1 + int(frames)%3, Workers: 1 + 2*int(workers%2)}
+		if req.Frames == 1 {
+			req.Rules = rs // the multi-cycle composition takes closed-form rules only
+		}
+		outs := map[string][]float64{}
+		for _, name := range []string{"epp-batch", "epp-scalar"} {
+			e, err := engine.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := req
+			outs[name] = make([]float64, n)
+			if err := e.PSensitizedAll(context.Background(), &r, outs[name]); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		for id, b := range outs["epp-batch"] {
+			if s := outs["epp-scalar"][id]; math.Float64bits(b) != math.Float64bits(s) {
+				t.Fatalf("frames %d rules %v site %d: epp-batch %v, epp-scalar %v", req.Frames, req.Rules, id, b, s)
+			}
+		}
+	})
+}
+
+// fuzzCircuit generates the random circuit of p and grafts edge-case
+// gadget gadget%7 onto it (0: none), wired to nodes picked by seed's bytes:
+//
+//	1: XOR(s, s), whose on-path state is constant 0 while topological SP
+//	   says 0.5, feeding a NAND and a flip-flop;
+//	2: constant masking — AND(s, 0) into an OR and a NAND without the
+//	   off-path fixed point, and NOR(s, 1) into a flip-flop;
+//	3–6: AND, NAND, OR and NOR at fanin 1, 2, 3 and 5, reconverging at an
+//	   XOR and through a flip-flop.
+func fuzzCircuit(p gen.Params, gadget uint8, seed uint64) (*netlist.Circuit, error) {
+	base, err := gen.Random(p)
+	g := int(gadget % 7)
+	if err != nil || g == 0 {
+		return base, err
+	}
+	nodes := make([]netlist.Node, base.N())
+	for i, nd := range base.Nodes {
+		nodes[i] = netlist.Node{ID: nd.ID, Name: nd.Name, Kind: nd.Kind, Fanin: nd.Fanin, IsPO: nd.IsPO}
+	}
+	pos, ffs := slices.Clone(base.POs), slices.Clone(base.FFs)
+	add := func(kind logic.Kind, fanin ...netlist.ID) netlist.ID {
+		id := netlist.ID(len(nodes))
+		nodes = append(nodes, netlist.Node{ID: id, Name: fmt.Sprintf("x%d", id), Kind: kind, Fanin: fanin})
+		if kind == logic.DFF {
+			ffs = append(ffs, id)
+		}
+		return id
+	}
+	out := func(id netlist.ID) {
+		nodes[id].IsPO = true
+		pos = append(pos, id)
+	}
+	var at [5]netlist.ID
+	for i := range at {
+		at[i] = netlist.ID(int(seed>>(8*i)&0xff) % base.N())
+	}
+	s, t, u := at[0], at[1], at[2]
+	switch g {
+	case 1:
+		x := add(logic.Xor, s, s)
+		out(add(logic.Nand, x, t))
+		out(add(logic.Or, add(logic.DFF, x), u))
+	case 2:
+		m := add(logic.And, s, add(logic.Const0))
+		out(add(logic.Or, add(logic.Nand, add(logic.Or, m, t), u), s))
+		out(add(logic.Xor, add(logic.DFF, add(logic.Nor, s, add(logic.Const1))), t))
+	default:
+		ins := at[:[]int{1, 2, 3, 5}[g-3]]
+		and, nor := add(logic.And, ins...), add(logic.Nor, ins...)
+		out(add(logic.Nand, ins...))
+		out(add(logic.Or, ins...))
+		out(add(logic.Xor, and, nor))
+		out(add(logic.Or, add(logic.DFF, and), nor))
+	}
+	return netlist.New(base.Name, nodes, base.PIs, pos, ffs)
+}

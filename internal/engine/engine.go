@@ -166,10 +166,13 @@ type Request struct {
 	// (atomically, so one Stats may be shared across requests). The batched
 	// EPP engine records swept union-cone nodes and sites; the monte-carlo
 	// engine records good simulations and vector words — the ratios that
-	// quantify the cone-locality and shared-good-sim savings. Under a
-	// resumed checkpoint the sampling counters reflect the whole logical
-	// sweep (restored words included); the site-major counters reflect only
-	// the work actually performed by this call.
+	// quantify the cone-locality and shared-good-sim savings. The analytic
+	// engines' counters do not depend on the worker count, at any frame
+	// count: a multi-cycle request sweeps its flip-flop lookahead once,
+	// whatever the number of workers. Under a resumed checkpoint the
+	// sampling counters reflect the whole logical sweep (restored words
+	// included); the site-major counters reflect only the work actually
+	// performed by this call.
 	Stats *Stats
 	// Memo, when non-nil, memoizes per-site results across netlist edits
 	// (the ECO cache): before sweeping, every site whose observation-cone
@@ -243,10 +246,14 @@ type Request struct {
 // Stats accumulates engine work counters. All fields are atomic so engines
 // may add from concurrent workers; the zero value is ready to use.
 type Stats struct {
-	// SweptNodes counts union-cone nodes visited by batched sweeps. For the
-	// monte-carlo engine it counts the static frame-cone members, summed
-	// over groups, frames and words; its divergence-driven sweep visits only
-	// the members a fault effect reaches (see LaneEvals).
+	// SweptNodes counts union-cone nodes visited by batched sweeps. For a
+	// multi-cycle analytic request it includes the one batched sweep of the
+	// flip-flop lookahead (the only batched sweep epp-scalar runs), made
+	// only when some site is left to sweep; the count is the same at every
+	// worker count. For the monte-carlo engine it counts the static
+	// frame-cone members, summed over groups, frames and words; its
+	// divergence-driven sweep visits only the members a fault effect
+	// reaches (see LaneEvals).
 	SweptNodes atomic.Int64
 	// Sites counts error sites analyzed.
 	Sites atomic.Int64

@@ -54,9 +54,9 @@ func TestRegistry(t *testing.T) {
 // circuits (c17, the majority voter): every registered engine runs the same
 // request, then
 //
-//   - deterministic engines of the same class must agree pairwise to 1e-9
-//     (the analytic engines share the same arithmetic; the exact engines
-//     share the same ground truth),
+//   - the two analytic engines must agree bitwise (they share the same
+//     arithmetic and fold the outputs in the same order), the exact engines
+//     pairwise to 1e-9 (they share the same ground truth),
 //   - the sampling engine must agree with the exact class within its
 //     statistical tolerance,
 //   - the analytic class must stay within the known EPP approximation error
@@ -84,8 +84,13 @@ func TestConformance(t *testing.T) {
 					}
 				}
 			}
-			// Within-class agreement: deterministic engines to 1e-9.
-			assertAgree("epp-batch", "epp-scalar", 1e-9)
+			// Within-class agreement: analytic engines bitwise, exact
+			// engines to 1e-9.
+			for id, b := range results["epp-batch"] {
+				if s := results["epp-scalar"][id]; math.Float64bits(b) != math.Float64bits(s) {
+					t.Errorf("epp-batch vs epp-scalar at node %s: %v vs %v (not bitwise equal)", c.NameOf(netlist.ID(id)), b, s)
+				}
+			}
 			assertAgree("enum", "bdd", 1e-9)
 			// Sampling vs truth: binomial noise at 2^15 vectors is ~2.8e-3
 			// per site; 5σ keeps the test deterministic-in-practice.
@@ -228,29 +233,33 @@ func TestOnBatchError(t *testing.T) {
 	}
 }
 
-// TestFramesConformance: the batched and scalar engines agree on the
-// multi-cycle detection probability.
+// TestFramesConformance: the batched and scalar engines agree bitwise on
+// the multi-cycle detection probability. The composition folds a site's
+// outputs in list order, so on s953 the bits depend on both engines
+// listing them in ascending node ID.
 func TestFramesConformance(t *testing.T) {
-	c, err := gen.ByName("s1423") // FF-heavy profile
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := sigprob.Topological(c, sigprob.Config{})
-	outs := map[string][]float64{}
-	for _, name := range []string{"epp-batch", "epp-scalar"} {
-		e, err := Lookup(name)
+	for _, name := range []string{"s953", "s1423"} { // s1423: the FF-heavy profile
+		c, err := gen.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]float64, c.N())
-		if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: 4, Workers: 1}, out); err != nil {
-			t.Fatal(err)
+		sp := sigprob.Topological(c, sigprob.Config{})
+		outs := map[string][]float64{}
+		for _, eng := range []string{"epp-batch", "epp-scalar"} {
+			e, err := Lookup(eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]float64, c.N())
+			if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: 4, Workers: 1}, out); err != nil {
+				t.Fatal(err)
+			}
+			outs[eng] = out
 		}
-		outs[name] = out
-	}
-	for id := range outs["epp-batch"] {
-		if d := math.Abs(outs["epp-batch"][id] - outs["epp-scalar"][id]); d > 1e-9 {
-			t.Fatalf("frames: node %d: batch %v vs scalar %v", id, outs["epp-batch"][id], outs["epp-scalar"][id])
+		for id := range outs["epp-batch"] {
+			if math.Float64bits(outs["epp-batch"][id]) != math.Float64bits(outs["epp-scalar"][id]) {
+				t.Fatalf("%s frames: node %d: batch %v vs scalar %v", name, id, outs["epp-batch"][id], outs["epp-scalar"][id])
+			}
 		}
 	}
 }
@@ -325,8 +334,10 @@ func TestMCEngineFrames(t *testing.T) {
 // TestAnalyticFramesWorkers: the multi-cycle sweeps of both analytic
 // engines honor Request.Workers (epp-scalar used to hardcode a single
 // worker; epp-batch used to run a serial multi-cycle sweep) and stay
-// bit-identical at any worker count — each worker's seq analyzer computes
-// the same deterministic composition over packing-invariant strike sweeps.
+// bit-identical at any worker count — every worker composes its
+// packing-invariant strike sweeps with the request's one shared flip-flop
+// lookahead — and so do their swept-node counters, which count that
+// lookahead's sweep once.
 func TestAnalyticFramesWorkers(t *testing.T) {
 	c, err := gen.ByName("s1423")
 	if err != nil {
@@ -339,17 +350,66 @@ func TestAnalyticFramesWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		base := make([]float64, c.N())
-		if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: 3, Workers: 1}, base); err != nil {
+		var baseSt Stats
+		if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: 3, Workers: 1, Stats: &baseSt}, base); err != nil {
 			t.Fatal(err)
+		}
+		if baseSt.SweptNodes.Load() == 0 {
+			t.Errorf("%s: no swept nodes counted at Frames=3", name)
 		}
 		for _, workers := range []int{2, 4, 0} {
 			out := make([]float64, c.N())
-			if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: 3, Workers: workers}, out); err != nil {
+			var st Stats
+			if err := e.PSensitizedAll(context.Background(), &Request{Circuit: c, SP: sp, Frames: 3, Workers: workers, Stats: &st}, out); err != nil {
 				t.Fatal(err)
 			}
 			for id := range out {
 				if out[id] != base[id] {
 					t.Fatalf("%s workers=%d: node %d differs: %v vs %v", name, workers, id, out[id], base[id])
+				}
+			}
+			if got, want := st.SweptNodes.Load(), baseSt.SweptNodes.Load(); got != want {
+				t.Errorf("%s workers=%d: SweptNodes = %d, %d at one worker", name, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestWeightedBatchMatchesScalar: with a latch model coupled into a
+// three-frame request, at strike weights 0, 0.18 (the default model) and
+// 1, the batched engine's composition equals the scalar engine's bitwise,
+// site for site, at one and three workers — the property the parallel
+// engine distribution relies on.
+func TestWeightedBatchMatchesScalar(t *testing.T) {
+	c := gen.SmallRandomSequential(17)
+	sp := sigprob.Topological(c, sigprob.Config{})
+	models := []latch.Model{
+		{ClockPeriodPs: 1000, PulseWidthPs: 0, WindowPs: 0, AttenuationPerLevel: 1},
+		latch.Default(),
+		{ClockPeriodPs: 1000, PulseWidthPs: 1000, WindowPs: 30, AttenuationPerLevel: 1},
+	}
+	for i, want := range []float64{0, 0.18, 1} {
+		lm := models[i]
+		if w := lm.FrameWeight(0); w != want {
+			t.Fatalf("model %d: strike weight %v, want %v", i, w, want)
+		}
+		for _, workers := range []int{1, 3} {
+			outs := map[string][]float64{}
+			for _, name := range []string{"epp-batch", "epp-scalar"} {
+				e, err := Lookup(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]float64, c.N())
+				req := &Request{Circuit: c, SP: sp, Frames: 3, Latch: &lm, Workers: workers}
+				if err := e.PSensitizedAll(context.Background(), req, out); err != nil {
+					t.Fatal(err)
+				}
+				outs[name] = out
+			}
+			for id, b := range outs["epp-batch"] {
+				if s := outs["epp-scalar"][id]; math.Float64bits(b) != math.Float64bits(s) {
+					t.Fatalf("weight %v workers %d site %d: batch %v != scalar %v", want, workers, id, b, s)
 				}
 			}
 		}

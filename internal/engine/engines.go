@@ -9,6 +9,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/bddsp"
 	"repro/internal/core"
@@ -30,8 +31,10 @@ func init() {
 // batchEngine is the production EPP backend: core.BatchAnalyzer sweeping up
 // to 64 error sites per union-cone pass, optionally across workers — the
 // one all-sites driver of the analytic method. Frames > 1 runs the same
-// batches through a seq analyzer over each worker's core analyzer, so the
-// multi-cycle strike sweeps share the kernel, batch width and counters.
+// batches through EPPBatch and composes every site's result with the
+// request's one flip-flop lookahead (seq.Lookahead), which the first
+// worker builds on its analyzer and every worker then reads; the strike
+// sweeps share the kernel, batch width and counters.
 type batchEngine struct{}
 
 func (batchEngine) Name() string { return "epp-batch" }
@@ -63,31 +66,34 @@ func (batchEngine) PSensitizedAll(ctx context.Context, req *Request, out []float
 		order = proto.Schedule().Order
 	}
 	w0 := req.strikeWeight()
+	var look lookahead
 	return siteSweep(ctx, req, "epp-batch", sp, chunk, order, out,
 		func() (func(sites []netlist.ID) error, error) {
 			local := proto.Clone()
 			eng := local.Batch()
-			kernel := eng.PSensitizedBatch
-			if req.Frames > 1 {
-				// The seq analyzer memoizes its flip-flop lookahead per
-				// worker and runs every sweep on eng.
-				sa := seq.NewFrom(local)
-				kernel = func(sites []netlist.ID, dst []float64) {
-					sa.PDetectBatchWeighted(sites, req.Frames, w0, dst)
-				}
-			}
+			la := look.get(req, local)
+			// Sites are counted generically by siteSweep; only the kernel's
+			// union-cone member count comes from here. The lookahead's
+			// sweep, if this worker built it, is already counted.
+			prevSwept, _ := eng.Counters()
 			tmp := make([]float64, chunk)
-			var prevSwept int64
+			var res []core.Result
+			if la != nil {
+				res = make([]core.Result, chunk)
+			}
 			return func(sites []netlist.ID) error {
-				kernel(sites, tmp[:len(sites)])
+				if la == nil {
+					eng.PSensitizedBatch(sites, tmp[:len(sites)])
+				} else {
+					eng.EPPBatch(sites, res[:len(sites)])
+					for i := range sites {
+						tmp[i] = la.PDetect(&res[i], req.Frames, w0)
+					}
+				}
 				for i, site := range sites {
 					out[site] = tmp[i]
 				}
 				if req.Stats != nil {
-					// Sites are counted generically by siteSweep; only the
-					// kernel's union-cone member count comes from here
-					// (multi-cycle: including the worker's one-off
-					// flip-flop profile sweeps).
 					swept, _ := eng.Counters()
 					req.Stats.SweptNodes.Add(swept - prevSwept)
 					prevSwept = swept
@@ -99,6 +105,9 @@ func (batchEngine) PSensitizedAll(ctx context.Context, req *Request, out []float
 
 // scalarEngine is the executable specification: one scalar EPP sweep per
 // site (core.Analyzer.EPP), against which the batched engine is verified.
+// Frames > 1 composes each strike sweep with the request's one flip-flop
+// lookahead exactly as the batched engine does; the lookahead's own sweep
+// is the only work this engine adds to Stats.SweptNodes.
 type scalarEngine struct{}
 
 func (scalarEngine) Name() string { return "epp-scalar" }
@@ -108,46 +117,59 @@ func (scalarEngine) PSensitizedAll(ctx context.Context, req *Request, out []floa
 	if err := checkOut(req, out); err != nil {
 		return err
 	}
-	sp := req.sp()
-	c := req.Circuit
-	if req.Frames > 1 {
-		if req.Rules != core.RulesClosedForm {
-			return fmt.Errorf("engine: Rules %v requires a single-frame analysis", req.Rules)
-		}
-		// Per-site multi-cycle composition over scalar strike sweeps. Each
-		// worker owns its own seq analyzer (the flip-flop lookahead vector
-		// is memoized per analyzer and the type is not safe for concurrent
-		// use); the composition — including the latch-window strike weight
-		// — is deterministic arithmetic, so results are identical at any
-		// worker count.
-		w0 := req.strikeWeight()
-		return siteSweep(ctx, req, "epp-scalar", sp, 64, nil, out,
-			func() (func(sites []netlist.ID) error, error) {
-				sa, err := seq.New(c, sp)
-				if err != nil {
-					return nil, err
-				}
-				return func(sites []netlist.ID) error {
-					for _, id := range sites {
-						out[id] = sa.PDetectWeighted(id, req.Frames, w0)
-					}
-					return nil
-				}, nil
-			})
+	if req.Frames > 1 && req.Rules != core.RulesClosedForm {
+		return fmt.Errorf("engine: Rules %v requires a single-frame analysis", req.Rules)
 	}
+	sp := req.sp()
+	w0 := req.strikeWeight()
+	var look lookahead
 	return siteSweep(ctx, req, "epp-scalar", sp, 64, nil, out,
 		func() (func(sites []netlist.ID) error, error) {
-			an, err := core.New(c, sp, core.Options{Rules: req.Rules})
+			an, err := core.New(req.Circuit, sp, core.Options{Rules: req.Rules, BatchWidth: req.BatchWidth})
 			if err != nil {
 				return nil, err
 			}
+			la := look.get(req, an)
 			return func(sites []netlist.ID) error {
 				for _, id := range sites {
-					out[id] = an.EPP(id).PSensitized
+					res := an.EPP(id)
+					if la == nil {
+						out[id] = res.PSensitized
+					} else {
+						out[id] = la.PDetect(&res, req.Frames, w0)
+					}
 				}
 				return nil
 			}, nil
 		})
+}
+
+// lookahead is one analytic request's multi-cycle flip-flop lookahead,
+// built by the first worker that asks for it — so a sweep with no pending
+// sites, a full memo hit or a finished checkpoint, builds none — and shared
+// read-only by every worker. Its sweep is counted once in
+// Stats.SweptNodes, so the counter does not depend on the worker count.
+type lookahead struct {
+	once sync.Once
+	la   *seq.Lookahead
+}
+
+// get returns the lookahead of req, building it on an if no worker has yet,
+// or nil for a single-frame request.
+func (l *lookahead) get(req *Request, an *core.Analyzer) *seq.Lookahead {
+	if req.Frames <= 1 {
+		return nil
+	}
+	l.once.Do(func() {
+		eng := an.Batch()
+		before, _ := eng.Counters()
+		l.la = seq.NewLookahead(an, req.Frames)
+		if req.Stats != nil {
+			after, _ := eng.Counters()
+			req.Stats.SweptNodes.Add(after - before)
+		}
+	})
+	return l.la
 }
 
 // mcEngine is the random-vector fault-injection baseline, built on the

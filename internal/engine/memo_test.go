@@ -53,9 +53,10 @@ func sweepBatch(tb testing.TB, req *Request) []float64 {
 // s38417 at 4 workers and one frame), analyzes exactly the misses, and
 // visits no more union-cone nodes than the cold sweep. Cutting the sweep at
 // every restored gap (one span per run of misses) costs ~23× cold on
-// s9234 at every 2nd site. The node bound is checked against the cold
-// sweep at the same worker count: a multi-cycle sweep adds each worker's
-// flip-flop profile sweeps to the counter.
+// s9234 at every 2nd site. The node counts, cold and memo-assisted, are the
+// same at every worker count (a multi-cycle sweep builds its flip-flop
+// lookahead once), and a sweep with every site restored visits no node at
+// all, not even the lookahead's.
 func TestMemoSweepPacksScatteredHits(t *testing.T) {
 	type memoCase struct {
 		name            string
@@ -63,7 +64,6 @@ func TestMemoSweepPacksScatteredHits(t *testing.T) {
 	}
 	cases := []memoCase{{"s9234", []int{1, 3}, []int{1, 4}}}
 	if !testing.Short() {
-		// One leg: at one frame the node counter is worker-invariant.
 		cases = append(cases, memoCase{"s38417", []int{1}, []int{4}})
 	}
 	for _, tc := range cases {
@@ -73,9 +73,21 @@ func TestMemoSweepPacksScatteredHits(t *testing.T) {
 		}
 		n := c.N()
 		for _, frames := range tc.frames {
+			// Swept nodes per hit pattern (0 = cold), from the first worker
+			// count; every other worker count must reproduce them.
+			firstSwept := map[int]int64{}
+			checkSwept := func(label string, k int, swept int64) {
+				t.Helper()
+				if want, ok := firstSwept[k]; !ok {
+					firstSwept[k] = swept
+				} else if swept != want {
+					t.Errorf("%s: swept %d union-cone nodes, %d at %d workers", label, swept, want, tc.workers[0])
+				}
+			}
 			for _, workers := range tc.workers {
 				coldSt := &Stats{}
 				cold := sweepBatch(t, &Request{Circuit: c, Frames: frames, Workers: workers, Stats: coldSt})
+				checkSwept(fmt.Sprintf("%s/frames%d/workers%d/cold", tc.name, frames, workers), 0, coldSt.SweptNodes.Load())
 				for _, k := range []int{2, 5} {
 					label := fmt.Sprintf("%s/frames%d/workers%d/every%d", tc.name, frames, workers, k)
 					st := &Stats{}
@@ -98,7 +110,23 @@ func TestMemoSweepPacksScatteredHits(t *testing.T) {
 					if swept > coldSwept {
 						t.Errorf("%s: swept %d union-cone nodes, more than the cold sweep's %d", label, swept, coldSwept)
 					}
+					checkSwept(label, k, swept)
 					t.Logf("%s: swept nodes %d (cold %d, %.1f%%)", label, swept, coldSwept, 100*float64(swept)/float64(coldSwept))
+				}
+				if frames > 1 {
+					// Every site restored: no strike sweep, no lookahead.
+					st := &Stats{}
+					req := &Request{Circuit: c, Frames: frames, Workers: workers, Memo: eco.NewCache(), Stats: st}
+					primeMemo(req, siteIDs(n), cold)
+					got := sweepBatch(t, req)
+					for id := range got {
+						if math.Float64bits(got[id]) != math.Float64bits(cold[id]) {
+							t.Fatalf("%s/frames%d/workers%d/all: site %d = %v, cold sweep %v", tc.name, frames, workers, id, got[id], cold[id])
+						}
+					}
+					if hits, swept := st.MemoHits.Load(), st.SweptNodes.Load(); hits != int64(n) || swept != 0 {
+						t.Errorf("%s/frames%d/workers%d/all: MemoHits %d, SweptNodes %d, want %d and 0", tc.name, frames, workers, hits, swept, n)
+					}
 				}
 			}
 		}

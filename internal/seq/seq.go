@@ -26,161 +26,188 @@
 // Flip-flop captures within one frame are treated as independent (the same
 // assumption the single-cycle method makes across reconvergent outputs), and
 // a captured error is assumed to be latched with certainty. The
-// latch-window coupling is the Weighted variants: the strike frame's
+// latch-window coupling is the strike weight: the strike frame's
 // primary-output detection term is a narrow transient racing the capturing
-// register's latching window, so PDetectWeighted/PDetectBatchWeighted scale
-// it by a strike weight (latch.Model.FrameWeight(0)); detections in frames
-// >= 1 are full-cycle values re-launched from flip-flops, whose capture
-// weight is identically 1 (latch.Model.FrameWeight(k >= 1)), so the
-// lookahead recursion R is never derated and flip-flop captures carry the
-// error deterministically — exactly the semantics of the Monte Carlo
-// kernel's carried lane state. Validation against the sequential
-// fault-injection simulator (simulate.Sequential) is in the test suite.
+// register's latching window, so the composition scales it by a strike
+// weight (latch.Model.FrameWeight(0)); detections in frames >= 1 are
+// full-cycle values re-launched from flip-flops, whose capture weight is
+// identically 1 (latch.Model.FrameWeight(k >= 1)), so the lookahead
+// recursion R is never derated and flip-flop captures carry the error
+// deterministically — exactly the semantics of the Monte Carlo kernel's
+// carried lane state. Validation against the sequential fault-injection
+// simulator (simulate.Sequential) is in the test suite.
+//
+// R depends only on the circuit and its signal probabilities, so it is one
+// immutable value, the Lookahead: built once by a single batched sweep of
+// every flip-flop's profile, then read concurrently by every worker of an
+// all-sites sweep. Lookahead.PDetect composes any strike-frame core.Result
+// with it — the batched and the scalar engines share that one composition.
 package seq
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
-// Analyzer computes multi-cycle detection probabilities over a fixed circuit
-// and signal probability assignment. Not safe for concurrent use.
-type Analyzer struct {
-	c    *netlist.Circuit
-	epp  *core.Analyzer
-	nFFs int
-	// ffIndex maps a DFF node ID to its dense index in sweep vectors.
-	ffIndex map[netlist.ID]int
-	ffIDs   []netlist.ID
-	// memoized per-FF single-frame sweeps.
-	ffSweep []*frameSweep
-	// rCache memoizes the converged R(·, lookahead) vectors, which are
-	// site-independent, so an all-nodes multi-cycle analysis pays the R
-	// iteration once per frame budget instead of once per site.
-	rCache map[int][]float64
-	// batchScratch holds the batched strike-sweep results reused across
-	// PDetectBatchWeighted calls.
-	batchScratch []core.Result
+// Lookahead is the flip-flop lookahead of one circuit and signal
+// probability vector: every flip-flop's one-frame propagation profile and
+// R(·, k) for k = 1..Frames()−1. It is immutable once built and safe to
+// share between goroutines.
+type Lookahead struct {
+	c     *netlist.Circuit
+	ffPos []int32     // position in c.FFs by node ID (flip-flops only)
+	prof  []profile   // per flip-flop, in c.FFs order
+	r     [][]float64 // r[k-1][j] = R(c.FFs[j], k)
 }
 
-// frameSweep is the one-frame propagation profile of an error source.
-type frameSweep struct {
-	pPO float64   // probability of reaching a primary output this frame
-	cap []float64 // per-FF-index probability of reaching that FF's D input
+// profile is the one-frame propagation profile of an error source: the
+// probability it reaches a primary output in that frame, and the flip-flops
+// whose D input it reaches with nonzero probability, in c.FFs order.
+type profile struct {
+	pPO  float64
+	caps []capture
+}
+
+// capture is the probability perr that an error reaches the D input of the
+// flip-flop at position ff of c.FFs.
+type capture struct {
+	ff   int
+	perr float64
+}
+
+// NewLookahead sweeps every flip-flop's one-frame profile on epp's batched
+// engine — c.FFs in order, a batch width of flip-flops per union-cone pass —
+// and iterates R(·, 1..frames−1) forward, so the lookahead serves
+// compositions of up to frames frames. It drives epp, which must not be in
+// use concurrently; the returned value reads nothing of epp afterwards.
+func NewLookahead(epp *core.Analyzer, frames int) *Lookahead {
+	c := epp.Circuit()
+	l := &Lookahead{c: c, ffPos: make([]int32, c.N()), prof: make([]profile, len(c.FFs))}
+	for j, ff := range c.FFs {
+		l.ffPos[ff] = int32(j)
+	}
+	eng := epp.Batch()
+	results := make([]core.Result, eng.Width())
+	for lo := 0; lo < len(c.FFs); lo += eng.Width() {
+		hi := min(lo+eng.Width(), len(c.FFs))
+		eng.EPPBatch(c.FFs[lo:hi], results[:hi-lo])
+		for j := range results[:hi-lo] {
+			l.prof[lo+j] = l.profile(&results[j])
+		}
+	}
+	return l.deepen(frames)
+}
+
+// Frames returns the largest frame budget the lookahead serves.
+func (l *Lookahead) Frames() int { return len(l.r) + 1 }
+
+// deepen returns a lookahead serving frames, l itself if it already does:
+// the missing rows are iterated forward on a copy, sharing the profiles.
+// R(f, k) is the composition of f's profile with R(·, k−1) at weight 1: an
+// error held in f is a strike at f's output one frame later.
+func (l *Lookahead) deepen(frames int) *Lookahead {
+	if frames <= l.Frames() {
+		return l
+	}
+	d := *l
+	d.r = slices.Clip(l.r)
+	for k := d.Frames(); k < frames; k++ {
+		row := make([]float64, len(d.prof))
+		for j := range d.prof {
+			row[j] = d.fold(&d.prof[j], k, 1)
+		}
+		d.r = append(d.r, row)
+	}
+	return &d
+}
+
+// profile converts one strike-frame EPP result (scalar or batched) into its
+// primary-output detection probability and flip-flop captures. The
+// primary-output miss product folds res.Outputs in list order, which both
+// engines give in ascending node ID.
+func (l *Lookahead) profile(res *core.Result) profile {
+	var p profile
+	missPO := 1.0
+	for _, o := range res.Outputs {
+		perr := o.State.PErr()
+		node := l.c.Node(o.Output)
+		if node.IsPO {
+			missPO *= 1 - perr
+		}
+		// The same net may also feed one or more flip-flops.
+		if perr > 0 {
+			for _, fo := range node.Fanout {
+				if l.c.Node(fo).Kind == logic.DFF {
+					p.caps = append(p.caps, capture{ff: int(l.ffPos[fo]), perr: perr})
+				}
+			}
+		}
+	}
+	p.pPO = 1 - missPO
+	slices.SortFunc(p.caps, func(a, b capture) int { return a.ff - b.ff })
+	return p
+}
+
+// fold composes a strike-frame profile with R(·, frames−1), the strike
+// term derated by w: the probability the error is observed at a primary
+// output within frames cycles. Captures multiply in c.FFs order.
+func (l *Lookahead) fold(p *profile, frames int, w float64) float64 {
+	if frames == 1 {
+		return w * p.pPO
+	}
+	r := l.r[frames-2]
+	miss := 1 - w*p.pPO
+	for _, c := range p.caps {
+		miss *= 1 - c.perr*r[c.ff]
+	}
+	return 1 - miss
+}
+
+// PDetect composes one site's strike-frame EPP result with the lookahead:
+// the probability an SEU at res.Site is observed at a primary output within
+// frames clock cycles, with the strike frame's primary-output detection
+// term scaled by strikeWeight — the latch-window coupling of the
+// composition (pass latch.Model.FrameWeight(0); 1 is the unweighted
+// analysis). The model: a detection event in frame k is captured by the
+// observing register with probability w(k), independent across frames;
+// w(0) = strikeWeight (the transient races the window) and w(k >= 1) = 1
+// (re-launched flip-flop values are full-cycle levels), so only the strike
+// term is derated. frames must lie in [1, Frames()] and strikeWeight in
+// [0, 1]. PDetect only reads the lookahead, so any number of goroutines may
+// call it at once, and the result is the same for a scalar or a batched
+// strike sweep of the site.
+func (l *Lookahead) PDetect(res *core.Result, frames int, strikeWeight float64) float64 {
+	if frames < 1 || frames > l.Frames() {
+		panic(fmt.Sprintf("seq: PDetect with frames = %d (lookahead serves 1..%d)", frames, l.Frames()))
+	}
+	if !(strikeWeight >= 0 && strikeWeight <= 1) { // also catches NaN
+		panic(fmt.Sprintf("seq: strike weight %v outside [0,1]", strikeWeight))
+	}
+	p := l.profile(res)
+	return l.fold(&p, frames, strikeWeight)
+}
+
+// Analyzer computes multi-cycle detection probabilities site by site over
+// a fixed circuit and signal probability assignment: a scalar strike sweep
+// per query, composed with a Lookahead that deepens to the largest frame
+// budget asked for so far. Not safe for concurrent use.
+type Analyzer struct {
+	epp *core.Analyzer
+	la  *Lookahead
 }
 
 // New returns a multi-cycle analyzer using the given off-path signal
-// probabilities (as in core.New).
+// probabilities (as in core.New); it sweeps the flip-flop profiles once.
 func New(c *netlist.Circuit, sp []float64) (*Analyzer, error) {
 	epp, err := core.New(c, sp, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return NewFrom(epp), nil
-}
-
-// NewFrom returns a multi-cycle analyzer whose strike and flip-flop sweeps
-// run on epp's batched engine, at epp's batch width. The returned analyzer
-// drives epp; neither may be used concurrently with the other.
-func NewFrom(epp *core.Analyzer) *Analyzer {
-	c := epp.Circuit()
-	a := &Analyzer{
-		c:       c,
-		epp:     epp,
-		nFFs:    len(c.FFs),
-		ffIndex: make(map[netlist.ID]int, len(c.FFs)),
-	}
-	a.ffIDs = append(a.ffIDs, c.FFs...)
-	for i, ff := range c.FFs {
-		a.ffIndex[ff] = i
-	}
-	a.ffSweep = make([]*frameSweep, a.nFFs)
-	a.rCache = make(map[int][]float64)
-	return a
-}
-
-// rVector returns the memoized R(·, lookahead) vector: per flip-flop, the
-// probability an error held in it is observed at a primary output within
-// lookahead frames. lookahead >= 1.
-func (a *Analyzer) rVector(lookahead int) []float64 {
-	if r, ok := a.rCache[lookahead]; ok {
-		return r
-	}
-	a.ensureFFProfiles()
-	r := make([]float64, a.nFFs)
-	if lookahead == 1 {
-		for i := 0; i < a.nFFs; i++ {
-			r[i] = a.ffSweep[i].pPO
-		}
-	} else {
-		prev := a.rVector(lookahead - 1)
-		for i := 0; i < a.nFFs; i++ {
-			fs := a.ffSweep[i]
-			miss := 1 - fs.pPO
-			for j, c := range fs.cap {
-				if c > 0 {
-					miss *= 1 - c*prev[j]
-				}
-			}
-			r[i] = 1 - miss
-		}
-	}
-	a.rCache[lookahead] = r
-	return r
-}
-
-// sweepFrom runs one single-frame EPP sweep from source and splits the
-// outcome into the PO-detection probability and per-FF capture
-// probabilities.
-func (a *Analyzer) sweepFrom(source netlist.ID) *frameSweep {
-	res := a.epp.EPP(source)
-	return a.profileFromResult(&res)
-}
-
-// profileFromResult converts one EPP Result (scalar or batched) into the
-// PO-detection probability and per-FF capture probabilities.
-func (a *Analyzer) profileFromResult(res *core.Result) *frameSweep {
-	fs := &frameSweep{cap: make([]float64, a.nFFs)}
-	missPO := 1.0
-	for _, o := range res.Outputs {
-		perr := o.State.PErr()
-		node := a.c.Node(o.Output)
-		if node.IsPO {
-			missPO *= 1 - perr
-		}
-		// The same net may also feed one or more flip-flops.
-		for _, fo := range node.Fanout {
-			if a.c.Node(fo).Kind == logic.DFF && a.c.Node(fo).Fanin[0] == o.Output {
-				fs.cap[a.ffIndex[fo]] = perr
-			}
-		}
-	}
-	fs.pPO = 1 - missPO
-	return fs
-}
-
-// ensureFFProfiles computes every flip-flop's single-frame profile through
-// the EPP analyzer's batched engine, a batch of sources per union-cone
-// sweep. The R iteration (rVector) needs all of them anyway, so batching
-// here amortizes cone extraction across flip-flops exactly as the
-// all-sites analysis does across error sites. It fills every profile in
-// one call, so a set first one means all are.
-func (a *Analyzer) ensureFFProfiles() {
-	if a.nFFs == 0 || a.ffSweep[0] != nil {
-		return
-	}
-	eng := a.epp.Batch()
-	results := make([]core.Result, eng.Width())
-	for lo := 0; lo < a.nFFs; lo += eng.Width() {
-		hi := min(lo+eng.Width(), a.nFFs)
-		eng.EPPBatch(a.ffIDs[lo:hi], results[:hi-lo])
-		for j := range results[:hi-lo] {
-			a.ffSweep[lo+j] = a.profileFromResult(&results[j])
-		}
-	}
+	return &Analyzer{epp: epp, la: NewLookahead(epp, 1)}, nil
 }
 
 // PDetect returns the probability that an SEU at site is observed at a
@@ -191,87 +218,13 @@ func (a *Analyzer) PDetect(site netlist.ID, frames int) float64 {
 }
 
 // PDetectWeighted is PDetect with the strike frame's primary-output
-// detection term scaled by strikeWeight — the latch-window coupling of the
-// multi-cycle composition (pass latch.Model.FrameWeight(0)). The model:
-// a detection event in frame k is captured by the observing register with
-// probability w(k), independent across frames; w(0) = strikeWeight (the
-// transient races the window) and w(k >= 1) = 1 (re-launched flip-flop
-// values are full-cycle levels), so only the strike term is derated —
-// flip-flop captures themselves carry the error deterministically and the
-// lookahead recursion is unchanged. strikeWeight must lie in [0, 1];
-// PDetectWeighted(site, frames, 1) == PDetect(site, frames) exactly.
+// detection term scaled by strikeWeight (see Lookahead.PDetect), which
+// must lie in [0, 1]; PDetectWeighted(site, frames, 1) == PDetect(site,
+// frames) exactly.
 func (a *Analyzer) PDetectWeighted(site netlist.ID, frames int, strikeWeight float64) float64 {
-	if frames < 1 {
-		panic(fmt.Sprintf("seq: PDetectWeighted with frames = %d", frames))
-	}
-	checkStrikeWeight(strikeWeight)
-	strike := a.sweepFrom(site)
-	if frames == 1 {
-		return strikeWeight * strike.pPO
-	}
-	return a.compose(strike, a.rVector(frames-1), strikeWeight)
-}
-
-// checkStrikeWeight rejects out-of-range strike weights: a weight outside
-// [0, 1] is a programming error (latch.Model.FrameWeight clamps), not a
-// runtime condition.
-func checkStrikeWeight(w float64) {
-	if !(w >= 0 && w <= 1) { // also catches NaN
-		panic(fmt.Sprintf("seq: strike weight %v outside [0,1]", w))
-	}
-}
-
-// compose combines a strike-frame profile with the per-FF lookahead vector,
-// the strike term derated by w0 (1 = the unweighted composition).
-func (a *Analyzer) compose(strike *frameSweep, r []float64, w0 float64) float64 {
-	miss := 1 - w0*strike.pPO
-	for j, c := range strike.cap {
-		if c > 0 {
-			miss *= 1 - c*r[j]
-		}
-	}
-	return 1 - miss
-}
-
-// PDetectBatchWeighted computes PDetectWeighted(sites[i], frames,
-// strikeWeight) into out[i]: one batched union-cone strike sweep serves each
-// batch-width chunk of sites, and the per-FF lookahead vector is memoized
-// across calls. Results are bit-identical under any batch composition (the
-// strike sweeps are packing-invariant and the composition, weighting
-// included, is per-site arithmetic), which is what lets the epp-batch
-// engine distribute batches over workers. len(out) must equal len(sites).
-func (a *Analyzer) PDetectBatchWeighted(sites []netlist.ID, frames int, strikeWeight float64, out []float64) {
-	if frames < 1 {
-		panic(fmt.Sprintf("seq: PDetectBatchWeighted with frames = %d", frames))
-	}
-	checkStrikeWeight(strikeWeight)
-	if len(sites) != len(out) {
-		panic(fmt.Sprintf("seq: PDetectBatchWeighted with %d sites and %d outputs", len(sites), len(out)))
-	}
-	var r []float64
-	if frames > 1 {
-		r = a.rVector(frames - 1)
-	}
-	eng := a.epp.Batch()
-	if cap(a.batchScratch) < eng.Width() {
-		a.batchScratch = make([]core.Result, eng.Width())
-	}
-	for lo := 0; lo < len(sites); lo += eng.Width() {
-		hi := lo + eng.Width()
-		if hi > len(sites) {
-			hi = len(sites)
-		}
-		results := a.batchScratch[:hi-lo]
-		eng.EPPBatch(sites[lo:hi], results)
-		for i := range results {
-			strike := a.profileFromResult(&results[i])
-			if frames == 1 {
-				out[lo+i] = strikeWeight * strike.pPO
-			} else {
-				out[lo+i] = a.compose(strike, r, strikeWeight)
-			}
-		}
-	}
+	a.la = a.la.deepen(frames)
+	res := a.epp.EPP(site)
+	return a.la.PDetect(&res, frames, strikeWeight)
 }
 
 // PDetectCurve returns PDetect(site, k) for k = 1..frames in one pass, useful
@@ -280,11 +233,12 @@ func (a *Analyzer) PDetectCurve(site netlist.ID, frames int) []float64 {
 	if frames < 1 {
 		panic(fmt.Sprintf("seq: PDetectCurve with frames = %d", frames))
 	}
+	a.la = a.la.deepen(frames)
+	res := a.epp.EPP(site)
+	p := a.la.profile(&res)
 	out := make([]float64, frames)
-	strike := a.sweepFrom(site)
-	out[0] = strike.pPO
-	for k := 2; k <= frames; k++ {
-		out[k-1] = a.compose(strike, a.rVector(k-1), 1)
+	for k := range out {
+		out[k] = a.la.fold(&p, k+1, 1)
 	}
 	return out
 }

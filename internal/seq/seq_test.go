@@ -1,10 +1,13 @@
 package seq
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/sigprob"
@@ -227,26 +230,47 @@ func TestWeightedCompositionIdentities(t *testing.T) {
 	}
 }
 
-// TestWeightedBatchMatchesScalar: the batched weighted sweep is the scalar
-// weighted composition, site for site, at every weight — the property the
-// parallel engine distribution relies on.
-func TestWeightedBatchMatchesScalar(t *testing.T) {
+// TestLookaheadShared: one Lookahead, built once, serves strike sweeps from
+// several goroutines at once (each with its own core analyzer) and returns
+// exactly the per-site Analyzer's curve at every frame budget it covers, as
+// does a shallower lookahead built at another batch width.
+func TestLookaheadShared(t *testing.T) {
 	c := gen.SmallRandomSequential(17)
+	sp := sigprob.Topological(c, sigprob.Config{})
+	const frames = 4
+	la := NewLookahead(core.MustNew(c, sp, core.Options{BatchWidth: 5}), frames)
+	shallow := NewLookahead(core.MustNew(c, sp, core.Options{}), 2)
+	if la.Frames() != frames || shallow.Frames() != 2 {
+		t.Fatalf("Frames() = %d and %d, want %d and 2", la.Frames(), shallow.Frames(), frames)
+	}
 	a := analyzer(t, c)
-	b := analyzer(t, c)
-	const frames = 3
-	for _, w := range []float64{0, 0.18, 1} {
-		sites := make([]netlist.ID, c.N())
-		for id := range sites {
-			sites[id] = netlist.ID(id)
-		}
-		out := make([]float64, c.N())
-		a.PDetectBatchWeighted(sites, frames, w, out)
-		for id := range sites {
-			if want := b.PDetectWeighted(netlist.ID(id), frames, w); out[id] != want {
-				t.Fatalf("weight %v site %d: batch %v != scalar %v", w, id, out[id], want)
+	curves := make([][]float64, c.N())
+	for id := range curves {
+		curves[id] = a.PDetectCurve(netlist.ID(id), frames)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			an := core.MustNew(c, sp, core.Options{})
+			for id := g; id < c.N(); id += 4 {
+				res := an.EPP(netlist.ID(id))
+				for k := 1; k <= frames; k++ {
+					got := la.PDetect(&res, k, 1)
+					if k <= shallow.Frames() && shallow.PDetect(&res, k, 1) != got || got != curves[id][k-1] {
+						errs <- fmt.Sprintf("site %d frames %d: shared lookahead %v, Analyzer %v", id, k, got, curves[id][k-1])
+						return
+					}
+				}
 			}
-		}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
