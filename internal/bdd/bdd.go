@@ -244,7 +244,8 @@ func (m *Manager) SatFraction(f Ref, prob1 []float64) float64 {
 		}
 		n := &m.nodes[r]
 		p := prob1[n.level]
-		v := (1-p)*rec(n.lo) + p*rec(n.hi)
+		// float64(...) rounds each product: no fused multiply-add.
+		v := float64((1-p)*rec(n.lo)) + float64(p*rec(n.hi))
 		memo[r] = v
 		return v
 	}

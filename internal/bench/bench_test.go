@@ -2,10 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/logic"
+	"repro/internal/netlist"
+	"repro/internal/sigprob"
 )
 
 const sampleSrc = `
@@ -190,18 +195,81 @@ d0 = XOR(a, q1)
 	}
 }
 
-func TestWriterRejectsTieCells(t *testing.T) {
-	// Build a circuit with a tie cell via the builder and confirm Write
-	// reports a clear error instead of emitting invalid .bench.
-	src := "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"
-	c, err := ParseString(src)
+// TestWriteTieCellsRoundTrip: a circuit whose tie cells mask gates (an AND
+// with a CONST0 fanin, the only path of input d; an OR with a CONST1 fanin, constants feeding XOR and
+// a flip-flop's cone) goes through Write and Parse and must come back with
+// the same node kinds and fanins and bitwise the same epp-batch
+// P_sensitized at every node.
+func TestWriteTieCellsRoundTrip(t *testing.T) {
+	b := netlist.NewBuilder("ties")
+	a, bb, c, d := b.Input("a"), b.Input("b"), b.Input("c"), b.Input("d")
+	zero, one := b.Const("zero", false), b.Const("one", true)
+	masked := b.And("masked", d, zero)
+	forced := b.Or("forced", bb, one)
+	n := b.Nand("n", a, bb)
+	x := b.Xor("x", n, one)
+	y1 := b.Or("y1", masked, n)
+	y2 := b.And("y2", forced, x, c)
+	q := b.DFF("q", y1)
+	y3 := b.Nor("y3", q, zero)
+	for _, id := range []netlist.ID{y1, y2, y3} {
+		b.MarkOutput(id)
+	}
+	orig, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, c); err != nil {
-		t.Fatalf("plain circuit should serialize: %v", err)
+	if err := Write(&buf, orig); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
+	for _, line := range []string{"zero = CONST0()", "one = CONST1()"} {
+		if !strings.Contains(buf.String(), line+"\n") {
+			t.Errorf("emitted netlist lacks %q:\n%s", line, buf.String())
+		}
+	}
+	back, err := Parse(&buf)
+	if err != nil {
+		t.Fatalf("emitted netlist does not parse: %v\n%s", err, buf.String())
+	}
+	if back.N() != orig.N() {
+		t.Fatalf("round trip has %d nodes, want %d", back.N(), orig.N())
+	}
+	want, got := eppBatch(t, orig), eppBatch(t, back)
+	for id := range orig.Nodes {
+		o := &orig.Nodes[id]
+		r := &back.Nodes[back.ByName(o.Name)]
+		if r.Kind != o.Kind || r.IsPO != o.IsPO || len(r.Fanin) != len(o.Fanin) {
+			t.Fatalf("node %s: kind %v po %v fanin %d, want %v %v %d", o.Name, r.Kind, r.IsPO, len(r.Fanin), o.Kind, o.IsPO, len(o.Fanin))
+		}
+		for j, f := range o.Fanin {
+			if back.NameOf(r.Fanin[j]) != orig.NameOf(f) {
+				t.Fatalf("node %s fanin %d is %s, want %s", o.Name, j, back.NameOf(r.Fanin[j]), orig.NameOf(f))
+			}
+		}
+		if g, w := got[r.ID], want[id]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("node %s: epp-batch P_sensitized %v after the round trip, %v before", o.Name, g, w)
+		}
+	}
+	if want[d] != 0 || want[a] == 0 {
+		t.Errorf("P_sensitized(d) = %v, P_sensitized(a) = %v: the CONST0 does not mask d alone", want[d], want[a])
+	}
+}
+
+// eppBatch returns the epp-batch P_sensitized of every node of c under
+// topological signal probabilities.
+func eppBatch(t *testing.T, c *netlist.Circuit) []float64 {
+	t.Helper()
+	eng, err := engine.Lookup("epp-batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, c.N())
+	req := &engine.Request{Circuit: c, SP: sigprob.Topological(c, sigprob.Config{}), Workers: 1}
+	if err := eng.PSensitizedAll(context.Background(), req, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestValidName(t *testing.T) {

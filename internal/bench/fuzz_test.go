@@ -21,6 +21,7 @@ func FuzzParse(f *testing.F) {
 		"y = AND(", "INPUT(", "OUTPUT()", "a = ", "= NOT(a)",
 		"INPUT(a)\ny=BUFF(a)\nOUTPUT(y)",
 		strings.Repeat("INPUT(x)\n", 3),
+		"INPUT(a)\nOUTPUT(y)\nz = CONST0()\ny = OR(a, z)\n",
 	}
 	// Real benchmark fixtures give the mutator a full valid netlist to start
 	// from, reaching much deeper parser and writer states than the synthetic
@@ -46,7 +47,7 @@ func FuzzParse(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		if werr := Write(&buf, c); werr != nil {
-			return // tie cells etc. may be unserializable
+			t.Fatalf("accepted netlist did not serialize: %v\ninput: %q", werr, src)
 		}
 		c2, rerr := Parse(&buf)
 		if rerr != nil {

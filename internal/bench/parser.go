@@ -137,6 +137,9 @@ func parseLine(line string, no int, fail func(int, string, ...any) error) (stmt,
 		if !ok || kind == logic.Input {
 			return stmt{}, fail(no, "unknown gate type %q", op)
 		}
+		if len(args) == 0 && kind.MinFanin() > 0 {
+			return stmt{}, fail(no, "empty argument list in %q", rhs)
+		}
 		if !kind.FaninOK(len(args)) {
 			return stmt{}, fail(no, "%s gate %q with %d inputs", kind, out, len(args))
 		}
@@ -158,7 +161,7 @@ func parseLine(line string, no int, fail func(int, string, ...any) error) (stmt,
 	return stmt{}, fail(no, "expected INPUT(...), OUTPUT(...) or assignment, got %q", line)
 }
 
-// parseCall parses "OP(a, b, c)".
+// parseCall parses "OP(a, b, c)"; "OP()", a tie cell's form, has no args.
 func parseCall(s string, no int, fail func(int, string, ...any) error) (op string, args []string, err error) {
 	open := strings.IndexByte(s, '(')
 	if open < 0 || !strings.HasSuffix(s, ")") {
@@ -170,7 +173,7 @@ func parseCall(s string, no int, fail func(int, string, ...any) error) (op strin
 	}
 	inner := s[open+1 : len(s)-1]
 	if strings.TrimSpace(inner) == "" {
-		return "", nil, fail(no, "empty argument list in %q", s)
+		return op, nil, nil
 	}
 	for _, part := range strings.Split(inner, ",") {
 		a := strings.TrimSpace(part)

@@ -14,8 +14,9 @@ import (
 )
 
 // Write emits the circuit in .bench format: a header comment, INPUT and
-// OUTPUT declarations, then one assignment per flip-flop and gate in node
-// order. The output round-trips through Parse to an isomorphic circuit.
+// OUTPUT declarations, then one assignment per flip-flop, gate and tie cell
+// in node order, a tie cell as "z = CONST0()" or "z = CONST1()". The output
+// round-trips through Parse to an isomorphic circuit.
 func Write(w io.Writer, c *netlist.Circuit) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# %s\n", c.Name)
@@ -31,23 +32,17 @@ func Write(w io.Writer, c *netlist.Circuit) error {
 	fmt.Fprintln(bw)
 	for i := range c.Nodes {
 		n := &c.Nodes[i]
-		switch n.Kind {
-		case logic.Input:
+		if n.Kind == logic.Input {
 			continue
-		case logic.Const0, logic.Const1:
-			// .bench has no tie-cell syntax; emit the conventional
-			// one-input workaround used by circulated benchmark variants.
-			return fmt.Errorf("bench: cannot serialize tie cell %q (kind %v)", n.Name, n.Kind)
-		default:
-			fmt.Fprintf(bw, "%s = %s(", n.Name, n.Kind)
-			for j, f := range n.Fanin {
-				if j > 0 {
-					bw.WriteString(", ")
-				}
-				bw.WriteString(c.NameOf(f))
-			}
-			bw.WriteString(")\n")
 		}
+		fmt.Fprintf(bw, "%s = %s(", n.Name, n.Kind)
+		for j, f := range n.Fanin {
+			if j > 0 {
+				bw.WriteString(", ")
+			}
+			bw.WriteString(c.NameOf(f))
+		}
+		bw.WriteString(")\n")
 	}
 	return bw.Flush()
 }

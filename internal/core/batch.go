@@ -26,9 +26,12 @@ const MaxBatchWidth = 64
 // trades cone-extraction amortization (wider is better: consecutive sites
 // have heavily overlapping cones, and the width sweep in the benchmark
 // suite is monotonically faster up to the mask limit on every ISCAS
-// profile) against lane-state memory — 32 bytes per node per lane, i.e.
-// N × width × 32 B of scratch per engine (12 MB for s9234's 5,844 nodes at
-// width 64), allocated once on its first pass.
+// profile) against lane-state memory — 32 bytes per lane of every live
+// lane slot. A slot lives from the moment the sweep reaches its node until
+// the node's last in-cone consumer has been swept (observed nodes keep
+// theirs to the end of the pass), so an engine's lane arrays hold the peak
+// number of live slots × width × 32 B: 2.1 MB on s9234 at width 64, where
+// at most 881 of its 5,844 nodes hold a slot at once.
 const DefaultBatchWidth = MaxBatchWidth
 
 // BatchAnalyzer is the batched implementation of the all-sites EPP kernel.
@@ -84,20 +87,26 @@ type BatchAnalyzer struct {
 	// the lanes a node is the error site of; mask (the static on-path lanes)
 	// and live (the on-path lanes whose state differs bitwise from
 	// FromSP(sp), always including the seed lanes) are valid for union
-	// members after the node has been swept; pos is the node's dense index
-	// into the lane arrays.
+	// members after the node has been swept; pos is the node's lane slot
+	// while the slot is live (see sweepUnion), and refs the number of its
+	// in-cone gate consumers still to be swept.
 	mask      []uint64
 	live      []uint64
 	seed      []uint64
 	pos       []int32
+	refs      []int32
 	seedStamp []uint32
 	fixed     []bool       // the Analyzer's offPathFixed flags
 	obs       []netlist.ID // observed union members, in sweep order
 
-	// Struct-of-arrays lane state, indexed pos*stride + lane, allocated at
-	// N × stride on the first pass so every union cone fits. Only live
-	// lanes' slots are meaningful.
+	// Struct-of-arrays lane state, indexed slot*stride + lane. A slot is
+	// handed out when the sweep reaches a member and goes back to free once
+	// the member's last in-cone consumer has been swept, so the arrays grow
+	// geometrically to the peak number of live slots, not to N × stride.
+	// Only live lanes' entries are meaningful.
 	pa, pab, p0, p1 []float64
+	free            []int32 // released slots, reused before new ones
+	peakSlots       int     // most slots live at once in any pass
 
 	miss []float64     // per-lane running ∏ (1 − PErr(output))
 	fin  []faninLanes  // the swept node's hoisted fanins
@@ -134,6 +143,7 @@ func NewBatch(a *Analyzer, width int) *BatchAnalyzer {
 		live:      make([]uint64, n),
 		seed:      make([]uint64, n),
 		pos:       make([]int32, n),
+		refs:      make([]int32, n),
 		seedStamp: make([]uint32, n),
 		fixed:     a.offPathFixed(),
 		miss:      make([]float64, width),
@@ -163,6 +173,12 @@ func (b *BatchAnalyzer) LaneCounters() (onPath, evaluated int64) {
 	return b.laneSims, b.laneEvals
 }
 
+// PeakSlots returns the largest number of lane slots — one per union-cone
+// member, Width lanes each — that were live at once in any pass since
+// construction. The lane arrays hold at least that many slots and less than
+// twice as many. ResetCounters leaves it alone.
+func (b *BatchAnalyzer) PeakSlots() int { return b.peakSlots }
+
 // ResetCounters zeroes the work and lane counters.
 func (b *BatchAnalyzer) ResetCounters() {
 	b.sweptNodes, b.sitesSwept = 0, 0
@@ -188,8 +204,9 @@ func (a *Analyzer) Batch() *BatchAnalyzer {
 
 // PSensitizedBatch computes P_sensitized for up to Width error sites in one
 // batched sweep, writing out[i] for sites[i]. len(out) must equal
-// len(sites); sites must be valid node IDs. Performs no heap allocation
-// after the first pass (which allocates the N × width lane arrays).
+// len(sites); sites must be valid node IDs. Allocates only while the lane
+// arrays and the slot free list still grow to the largest pass seen, so a
+// warmed-up engine sweeps allocation-free.
 func (b *BatchAnalyzer) PSensitizedBatch(sites []netlist.ID, out []float64) {
 	if len(sites) != len(out) {
 		panic(fmt.Sprintf("core: PSensitizedBatch: %d sites, %d outputs", len(sites), len(out)))
@@ -277,13 +294,6 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 	}
 
 	stride := b.stride
-	if b.pa == nil { // first pass: size the lane arrays for any union cone
-		b.pa = make([]float64, n*stride)
-		b.pab = make([]float64, n*stride)
-		b.p0 = make([]float64, n*stride)
-		b.p1 = make([]float64, n*stride)
-	}
-
 	for i := 0; i < len(sites); i++ {
 		b.miss[i] = 1
 	}
@@ -318,6 +328,14 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 // lane is evaluated only where it can differ from the off-path state: at a
 // node whose rule has the off-path fixed point (see offPathFixed), lanes
 // without a live fanin are skipped — they would compute FromSP(sp) exactly.
+//
+// A member's lane state is read only by its in-cone gate consumers, which
+// the level order sweeps after it, and, if it is observed, by the miss fold
+// and output gather after the sweep. So a member takes a lane slot when the
+// sweep reaches it, and an unobserved member releases the slot once its last
+// consumer has been swept (at once if it has none); released slots are
+// reused before new ones. The consumer counts come from one pass over the
+// in-cone fanin edges, a duplicated fanin counting once per edge.
 func (b *BatchAnalyzer) sweepUnion() {
 	a := b.a
 	c := a.c
@@ -327,9 +345,32 @@ func (b *BatchAnalyzer) sweepUnion() {
 	stride := b.stride
 	fast := a.opt.Rules == RulesClosedForm
 
-	for i, id := range b.members {
-		b.pos[id] = int32(i)
-		base := i * stride
+	for _, id := range b.members {
+		b.refs[id] = 0 // before any consumer counts it: fanins come first
+		if kinds[id].IsGate() {
+			for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
+				if b.stamp[f] == b.epoch {
+					b.refs[f]++
+				}
+			}
+		}
+	}
+
+	b.free = b.free[:0]
+	slots := 0 // slots handed out this pass: the peak live count
+	for _, id := range b.members {
+		var slot int32
+		if k := len(b.free) - 1; k >= 0 {
+			slot, b.free = b.free[k], b.free[:k]
+		} else {
+			slot = int32(slots)
+			slots++
+			if slots*stride > len(b.pa) {
+				b.growLanes(slots * stride)
+			}
+		}
+		b.pos[id] = slot
+		base := int(slot) * stride
 
 		var m uint64
 		if b.seedStamp[id] == b.epoch {
@@ -355,6 +396,12 @@ func (b *BatchAnalyzer) sweepUnion() {
 					in.live = b.live[f]
 					in.base = int(b.pos[f]) * stride
 					hot |= in.live
+					// This node is f's consumer: release f's slot after
+					// its last one. Nothing takes a slot before the next
+					// member, so f's lanes stay intact for the kernels below.
+					if b.refs[f]--; b.refs[f] == 0 && !c.IsObserved(f) {
+						b.free = append(b.free, b.pos[f])
+					}
 				}
 				fin = append(fin, in)
 			}
@@ -394,10 +441,27 @@ func (b *BatchAnalyzer) sweepUnion() {
 		}
 		b.live[id] = live
 
-		if c.IsObserved(id) && m != 0 {
-			b.obs = append(b.obs, id) // miss folding happens post-sweep, in ID order
+		if c.IsObserved(id) {
+			if m != 0 {
+				b.obs = append(b.obs, id) // miss folding happens post-sweep, in ID order
+			}
+		} else if b.refs[id] == 0 {
+			b.free = append(b.free, slot) // no consumer in the cone
 		}
 	}
+	b.peakSlots = max(b.peakSlots, slots)
+}
+
+// growLanes grows the lane arrays to hold at least n entries, doubling them
+// at least, and keeps the live slots' states.
+func (b *BatchAnalyzer) growLanes(n int) {
+	n = max(n, 2*len(b.pa))
+	grow := func(p []float64) []float64 {
+		g := make([]float64, n)
+		copy(g, p)
+		return g
+	}
+	b.pa, b.pab, b.p0, b.p1 = grow(b.pa), grow(b.pab), grow(b.p0), grow(b.p1)
 }
 
 // faninLanes is one fanin of the node being swept, hoisted out of the lane
@@ -491,9 +555,11 @@ func (b *BatchAnalyzer) andOr2Lanes(base int, compute uint64, x, y *faninLanes, 
 			ya, yab, yn = 0, 0, spy
 		}
 
-		prod := xn * yn
-		pa := (xn+xa)*(yn+ya) - prod
-		pab := (xn+xab)*(yn+yab) - prod
+		// float64(...) rounds each product, as the scalar andRule does:
+		// Go may otherwise fuse it into the subtractions below (arm64).
+		prod := float64(xn * yn)
+		pa := float64((xn+xa)*(yn+ya)) - prod
+		pab := float64((xn+xab)*(yn+yab)) - prod
 		if pa < 0 {
 			pa = 0
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -544,5 +545,86 @@ func TestBatchLaneEvalShare(t *testing.T) {
 	eng.ResetCounters()
 	if p, e := eng.LaneCounters(); p != 0 || e != 0 {
 		t.Errorf("ResetCounters left lane counters (%d, %d)", p, e)
+	}
+}
+
+// TestBatchLaneSlots pins the lane-slot peak of an all-sites s9234 sweep at
+// width 64 with topological SP: a slot lives only until the last in-cone
+// consumer of its node has been swept, so at most 881 of the 5,844 nodes
+// hold one at once (the largest union cone has 5,579 members). The lane
+// arrays must stay within a quarter of the N × 64 lanes a slot per node
+// would take.
+func TestBatchLaneSlots(t *testing.T) {
+	c, err := gen.ByName("s9234")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := MustNew(c, sigprob.Topological(c, sigprob.Config{}), Options{})
+	eng := a.Batch()
+	if eng.Width() != 64 {
+		t.Fatalf("default width %d, want 64", eng.Width())
+	}
+	sweepAll(eng, a.Schedule().Order)
+	slots := len(eng.pa) / eng.Width()
+	t.Logf("s9234: peak %d live slots, lane arrays hold %d slots, N = %d", eng.PeakSlots(), slots, c.N())
+	if eng.PeakSlots() != 881 {
+		t.Errorf("PeakSlots = %d, want 881", eng.PeakSlots())
+	}
+	if slots > c.N()/4 {
+		t.Errorf("lane arrays hold %d slots, want at most N/4 = %d", slots, c.N()/4)
+	}
+	if slots < eng.PeakSlots() || slots >= 2*eng.PeakSlots() {
+		t.Errorf("lane arrays hold %d slots for a peak of %d, want [peak, 2·peak)", slots, eng.PeakSlots())
+	}
+	for _, p := range [][]float64{eng.pab, eng.p0, eng.p1} {
+		if len(p) != len(eng.pa) {
+			t.Fatalf("lane arrays of lengths %d and %d", len(p), len(eng.pa))
+		}
+	}
+}
+
+// TestBatchLanesGrowMidSweep: every batch must stay bitwise equal to the
+// scalar sweep when the lane arrays grow while a pass is under way, live
+// slots holding states that the growth has to carry over. Sites go in
+// ascending cone size, so later batches need more slots than any before
+// them and the arrays of a warmed-up engine grow mid-sweep too.
+func TestBatchLanesGrowMidSweep(t *testing.T) {
+	for _, name := range []string{"s953", "s1196"} {
+		c, err := gen.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := sigprob.Topological(c, sigprob.Config{})
+		for _, rs := range []RuleSet{RulesClosedForm, RulesPairwise} {
+			scalar := MustNew(c, sp, Options{Rules: rs})
+			want := make([]Result, c.N())
+			order := make([]netlist.ID, c.N())
+			for id := range want {
+				want[id] = scalar.EPP(netlist.ID(id))
+				order[id] = netlist.ID(id)
+			}
+			slices.SortStableFunc(order, func(x, y netlist.ID) int { return want[x].ConeSize - want[y].ConeSize })
+			for _, width := range []int{1, 7, 64} {
+				eng := NewBatch(MustNew(c, sp, Options{Rules: rs}), width)
+				out := make([]Result, width)
+				warmGrowths := 0
+				for lo := 0; lo < c.N(); lo += width {
+					sites := order[lo:min(lo+width, c.N())]
+					before := len(eng.pa)
+					eng.EPPBatch(sites, out[:len(sites)])
+					if before > 0 && len(eng.pa) > before {
+						warmGrowths++
+					}
+					for i, r := range out[:len(sites)] {
+						if d := diffResult(r, want[sites[i]]); d != "" {
+							t.Fatalf("%s rules %v width %d site %d: %s", c.Name, rs, width, sites[i], d)
+						}
+					}
+				}
+				if warmGrowths == 0 {
+					t.Errorf("%s rules %v width %d: the lane arrays never grew after the first pass", c.Name, rs, width)
+				}
+			}
+		}
 	}
 }

@@ -87,7 +87,7 @@ type Injector struct {
 // a seeded fraction in [0.15, 0.6] of the total fires the fault.
 func New(kind Kind, seed uint64) *Injector {
 	u := float64(splitmix64(seed)>>11) / float64(uint64(1)<<53)
-	return &Injector{kind: kind, frac: 0.15 + 0.45*u}
+	return &Injector{kind: kind, frac: 0.15 + float64(0.45*u)} // float64: no fused multiply-add
 }
 
 // SetCancel registers the context cancel function a Kind-Cancel injector

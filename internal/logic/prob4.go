@@ -207,7 +207,7 @@ func Combine2(k Kind, x, y Prob4) Prob4 {
 			if py == 0 {
 				continue
 			}
-			out[symEval(k, sx, sy)] += px * py
+			out[symEval(k, sx, sy)] += float64(px * py) // rounded: no fused multiply-add
 		}
 	}
 	return out

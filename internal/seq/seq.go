@@ -160,9 +160,10 @@ func (l *Lookahead) fold(p *profile, frames int, w float64) float64 {
 		return w * p.pPO
 	}
 	r := l.r[frames-2]
-	miss := 1 - w*p.pPO
+	// float64(...) rounds each product: no fused multiply-add.
+	miss := 1 - float64(w*p.pPO)
 	for _, c := range p.caps {
-		miss *= 1 - c.perr*r[c.ff]
+		miss *= 1 - float64(c.perr*r[c.ff])
 	}
 	return 1 - miss
 }

@@ -736,7 +736,7 @@ func (r *Report) Harden(k int, residual float64) HardeningResult {
 	res := HardeningResult{BeforeFIT: r.TotalFIT, AfterFIT: r.TotalFIT}
 	for _, n := range top {
 		res.Protected = append(res.Protected, n.ID)
-		res.AfterFIT -= n.SERFIT * (1 - residual)
+		res.AfterFIT -= float64(n.SERFIT * (1 - residual)) // rounded: no fused multiply-add
 	}
 	if res.BeforeFIT > 0 {
 		res.ReductionPct = 100 * (res.BeforeFIT - res.AfterFIT) / res.BeforeFIT

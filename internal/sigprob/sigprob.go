@@ -104,7 +104,7 @@ func gateSP(k logic.Kind, fanin []netlist.ID, sp []float64) float64 {
 		p := sp[fanin[0]]
 		for _, f := range fanin[1:] {
 			q := sp[f]
-			p = p + q - 2*p*q
+			p = p + q - float64(2*p*q) // rounded: no fused multiply-add
 		}
 		if k == logic.Xnor {
 			return 1 - p

@@ -90,7 +90,8 @@ func (r SeqResult) PDetectWeighted(strikeWeight float64) float64 {
 	}
 	later := float64(r.DetectedLater)
 	strikeOnly := float64(r.Detected - r.DetectedLater)
-	return (later + strikeWeight*strikeOnly) / float64(r.Trials)
+	// float64(...) rounds the product: no fused multiply-add.
+	return (later + float64(strikeWeight*strikeOnly)) / float64(r.Trials)
 }
 
 // Sequential estimates the probability that an SEU at a node is observed at
