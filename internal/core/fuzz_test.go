@@ -2,22 +2,19 @@ package core_test
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
-	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/sigprob"
 )
 
 // FuzzEPPBatch differentially fuzzes the batched EPP kernel against the
 // scalar specification. The circuit is a small random one (gen.FuzzParams),
-// optionally with one edge-case gadget grafted on; a fuzzed byte list picks
+// optionally with one edge-case gadget grafted on (gen.FuzzCircuit); a fuzzed byte list picks
 // the swept sites and their order (empty: every site, ascending), swept at
 // a fuzzed width (1–64) under a fuzzed rule set. Every EPPBatch Result
 // must equal the scalar Analyzer.EPP's bitwise — P_sensitized, cone size
@@ -40,7 +37,7 @@ func FuzzEPPBatch(f *testing.F) {
 	// be evaluated.
 	f.Add(uint64(13064056694810536063), uint8(0x8a), uint8(1), uint8(1), uint8(0x89), uint8(2), []byte{}, uint8(7), uint8(1), uint8(0x1a), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, size, fanin, ffs, mix, gadget uint8, pick []byte, width, rules, frames, workers uint8) {
-		c, err := fuzzCircuit(gen.FuzzParams(seed, size, fanin, ffs, mix), gadget, seed)
+		c, err := gen.FuzzCircuit(gen.FuzzParams(seed, size, fanin, ffs, mix), gadget, seed)
 		if err != nil {
 			t.Skip(err)
 		}
@@ -100,61 +97,4 @@ func FuzzEPPBatch(f *testing.F) {
 			}
 		}
 	})
-}
-
-// fuzzCircuit generates the random circuit of p and grafts edge-case
-// gadget gadget%7 onto it (0: none), wired to nodes picked by seed's bytes:
-//
-//	1: XOR(s, s), whose on-path state is constant 0 while topological SP
-//	   says 0.5, feeding a NAND and a flip-flop;
-//	2: constant masking — AND(s, 0) into an OR and a NAND without the
-//	   off-path fixed point, and NOR(s, 1) into a flip-flop;
-//	3–6: AND, NAND, OR and NOR at fanin 1, 2, 3 and 5, reconverging at an
-//	   XOR and through a flip-flop.
-func fuzzCircuit(p gen.Params, gadget uint8, seed uint64) (*netlist.Circuit, error) {
-	base, err := gen.Random(p)
-	g := int(gadget % 7)
-	if err != nil || g == 0 {
-		return base, err
-	}
-	nodes := make([]netlist.Node, base.N())
-	for i, nd := range base.Nodes {
-		nodes[i] = netlist.Node{ID: nd.ID, Name: nd.Name, Kind: nd.Kind, Fanin: nd.Fanin, IsPO: nd.IsPO}
-	}
-	pos, ffs := slices.Clone(base.POs), slices.Clone(base.FFs)
-	add := func(kind logic.Kind, fanin ...netlist.ID) netlist.ID {
-		id := netlist.ID(len(nodes))
-		nodes = append(nodes, netlist.Node{ID: id, Name: fmt.Sprintf("x%d", id), Kind: kind, Fanin: fanin})
-		if kind == logic.DFF {
-			ffs = append(ffs, id)
-		}
-		return id
-	}
-	out := func(id netlist.ID) {
-		nodes[id].IsPO = true
-		pos = append(pos, id)
-	}
-	var at [5]netlist.ID
-	for i := range at {
-		at[i] = netlist.ID(int(seed>>(8*i)&0xff) % base.N())
-	}
-	s, t, u := at[0], at[1], at[2]
-	switch g {
-	case 1:
-		x := add(logic.Xor, s, s)
-		out(add(logic.Nand, x, t))
-		out(add(logic.Or, add(logic.DFF, x), u))
-	case 2:
-		m := add(logic.And, s, add(logic.Const0))
-		out(add(logic.Or, add(logic.Nand, add(logic.Or, m, t), u), s))
-		out(add(logic.Xor, add(logic.DFF, add(logic.Nor, s, add(logic.Const1))), t))
-	default:
-		ins := at[:[]int{1, 2, 3, 5}[g-3]]
-		and, nor := add(logic.And, ins...), add(logic.Nor, ins...)
-		out(add(logic.Nand, ins...))
-		out(add(logic.Or, ins...))
-		out(add(logic.Xor, and, nor))
-		out(add(logic.Or, add(logic.DFF, and), nor))
-	}
-	return netlist.New(base.Name, nodes, base.PIs, pos, ffs)
 }

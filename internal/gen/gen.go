@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -314,4 +315,73 @@ func FuzzParams(seed uint64, size, fanin, ffs, mix uint8) Params {
 		p.XorFrac = 0.15
 	}
 	return p
+}
+
+// FuzzCircuit generates the random circuit of p and grafts edge-case gadget
+// gadget%8 onto it (0: none), wired to nodes picked by seed's bytes — the
+// circuit decoder of the kernels' differential fuzz targets:
+//
+//	1: XOR(s, s), whose value never differs from the good machine's (and
+//	   whose on-path state is constant 0 while topological SP says 0.5),
+//	   feeding a NAND and a flip-flop;
+//	2: constant masking — AND(s, 0) into an OR and a NAND without the
+//	   off-path fixed point, and NOR(s, 1) into a flip-flop;
+//	3–6: AND, NAND, OR and NOR at fanin 1, 2, 3 and 5, reconverging at an
+//	   XOR and through a flip-flop;
+//	7: a flip-flop that carries t's divergence structurally but always
+//	   latches its good value (t is masked by AND(s, NOT(s)) before its D
+//	   input), in a loop with a live side input u, observed directly and
+//	   through a second flip-flop.
+func FuzzCircuit(p Params, gadget uint8, seed uint64) (*netlist.Circuit, error) {
+	base, err := Random(p)
+	g := int(gadget % 8)
+	if err != nil || g == 0 {
+		return base, err
+	}
+	nodes := make([]netlist.Node, base.N())
+	for i, nd := range base.Nodes {
+		nodes[i] = netlist.Node{ID: nd.ID, Name: nd.Name, Kind: nd.Kind, Fanin: nd.Fanin, IsPO: nd.IsPO}
+	}
+	pos, ffs := slices.Clone(base.POs), slices.Clone(base.FFs)
+	add := func(kind logic.Kind, fanin ...netlist.ID) netlist.ID {
+		id := netlist.ID(len(nodes))
+		nodes = append(nodes, netlist.Node{ID: id, Name: fmt.Sprintf("x%d", id), Kind: kind, Fanin: fanin})
+		if kind == logic.DFF {
+			ffs = append(ffs, id)
+		}
+		return id
+	}
+	out := func(id netlist.ID) {
+		nodes[id].IsPO = true
+		pos = append(pos, id)
+	}
+	var at [5]netlist.ID
+	for i := range at {
+		at[i] = netlist.ID(int(seed>>(8*i)&0xff) % base.N())
+	}
+	s, t, u := at[0], at[1], at[2]
+	switch g {
+	case 1:
+		x := add(logic.Xor, s, s)
+		out(add(logic.Nand, x, t))
+		out(add(logic.Or, add(logic.DFF, x), u))
+	case 2:
+		m := add(logic.And, s, add(logic.Const0))
+		out(add(logic.Or, add(logic.Nand, add(logic.Or, m, t), u), s))
+		out(add(logic.Xor, add(logic.DFF, add(logic.Nor, s, add(logic.Const1))), t))
+	case 7:
+		q := add(logic.DFF, s) // D input patched below, closing the loop
+		zero := add(logic.And, s, add(logic.Not, s))
+		nodes[q].Fanin = []netlist.ID{add(logic.Or, add(logic.And, t, zero), add(logic.And, q, u))}
+		out(add(logic.Xor, q, u))
+		out(add(logic.Buf, add(logic.DFF, q)))
+	default:
+		ins := at[:[]int{1, 2, 3, 5}[g-3]]
+		and, nor := add(logic.And, ins...), add(logic.Nor, ins...)
+		out(add(logic.Nand, ins...))
+		out(add(logic.Or, ins...))
+		out(add(logic.Xor, and, nor))
+		out(add(logic.Or, add(logic.DFF, and), nor))
+	}
+	return netlist.New(base.Name, nodes, base.PIs, pos, ffs)
 }

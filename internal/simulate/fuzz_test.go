@@ -1,0 +1,137 @@
+package simulate
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/netlist"
+	"repro/internal/resume"
+)
+
+// FuzzMCBatch differentially fuzzes the batched Monte Carlo kernel against
+// the per-site shared-vector estimators. The circuit is a small random one
+// (gen.FuzzParams), optionally with one edge-case gadget grafted on
+// (gen.FuzzCircuit), swept for a fuzzed 1–4 words. In single-cycle mode
+// every site's MCBatch estimate must equal MonteCarlo's with SharedVectors
+// set, and at frame budgets 1–4 NewMCSeqBatch's must equal Sequential's,
+// field for field. Within each mode the counters — Detected, DetectedLater
+// and the per-frame detections — must be identical at 1 and 3 workers and
+// after a resume at a fuzzed word boundary; a frame's detections must not
+// depend on the budget that contains it.
+func FuzzMCBatch(f *testing.F) {
+	// One seed per gadget: XOR(s, s), constant masking, the AND/OR family
+	// at fanin 1, 2, 3 and 5, and a carried flip-flop that always latches
+	// its good value; then plain circuits with and without inverters and
+	// XORs.
+	for g := uint8(1); g < 8; g++ {
+		f.Add(uint64(g)*0x9e3779b97f4a7c15+1, 20+10*g, g, g, uint8(0x27+0x31*g), g, g, g)
+	}
+	f.Add(uint64(1), uint8(30), uint8(1), uint8(3), uint8(0x27), uint8(0), uint8(3), uint8(1))
+	f.Add(uint64(5), uint8(60), uint8(3), uint8(6), uint8(0xf3), uint8(0), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, size, fanin, ffs, mix, gadget, words, cut uint8) {
+		c, err := gen.FuzzCircuit(gen.FuzzParams(seed, size, fanin, ffs, mix), gadget, seed)
+		if err != nil {
+			t.Skip(err)
+		}
+		n := c.N()
+		opt := MCOptions{Vectors: 64 * (1 + int(words)%4), Seed: seed}
+		shared := opt
+		shared.SharedVectors = true
+
+		single := fuzzCounters(t, NewMCBatch(c, opt), int(cut))
+		ps := NewMonteCarlo(c, shared)
+		for id := range n {
+			want := ps.EPP(netlist.ID(id))
+			if got := single.Detected[id]; got != int64(want.Detected) {
+				t.Fatalf("single-cycle site %d: MCBatch detected %d, MonteCarlo %d", id, got, want.Detected)
+			}
+		}
+
+		var prev []int64 // per-frame detections at the previous budget, frame-major
+		for frames := 1; frames <= 4; frames++ {
+			got := fuzzCounters(t, NewMCSeqBatch(c, opt, frames), int(cut))
+			seq := NewSequential(c, SeqOptions{Frames: frames, Trials: opt.Vectors, Seed: opt.Seed, SharedVectors: true})
+			for id := range n {
+				want := seq.PDetect(netlist.ID(id))
+				later := int64(0)
+				if got.Later != nil {
+					later = got.Later[id]
+				}
+				if got.Detected[id] != int64(want.Detected) || later != int64(want.DetectedLater) {
+					t.Fatalf("frames %d site %d: MCBatch detected %d (later %d), Sequential %d (later %d)",
+						frames, id, got.Detected[id], later, want.Detected, want.DetectedLater)
+				}
+			}
+			// The frame-k draws are a prefix of the frame-(k+1) draws, so
+			// the frames both budgets sweep count the same detections.
+			per := got.Frames
+			if frames == 1 {
+				per = got.Detected
+			}
+			if !slices.Equal(per[:len(prev)], prev) {
+				t.Fatalf("frames %d: per-frame detections of the first %d frames differ from the %d-frame budget's",
+					frames, frames-1, frames-1)
+			}
+			prev = per
+		}
+	})
+}
+
+// fuzzCounters sweeps mb at 1 and 3 workers and, resumed at word cut%words,
+// at 3 workers, requires the three runs' counters to be identical and
+// returns them.
+func fuzzCounters(t *testing.T, mb *MCBatch, cut int) resume.Counters {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := mb.PDetectAll(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	cnt := mb.Counters()
+	base := *cnt.Clone()
+	if _, err := mb.PDetectAll(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if d := countersDiff(base, mb.Counters()); d != "" {
+		t.Fatalf("1 vs 3 workers: %s", d)
+	}
+
+	words := mb.opt.Words()
+	cut %= words
+	var snap resume.Counters
+	mb.opt.MaxNewWords = cut
+	mb.opt.OnCommit = func(int, func() resume.Counters) error { return nil }
+	mb.opt.OnAbort = func(s resume.Counters) { snap = s }
+	defer func() { mb.opt.MaxNewWords, mb.opt.OnCommit, mb.opt.OnAbort = 0, nil, nil }()
+	if cut > 0 {
+		if err := mb.sweep(ctx, 3); !errors.Is(err, resume.ErrBudget) {
+			t.Fatalf("sweep cut after %d of %d words: err = %v, want the budget stop", cut, words, err)
+		}
+		mb.opt.MaxNewWords = 0
+		mb.opt.Resume = &Resume{Done: []resume.Range{{Lo: 0, Hi: cut}}, Counters: &snap}
+	}
+	if err := mb.sweep(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	mb.opt.Resume = nil
+	if d := countersDiff(base, mb.Counters()); d != "" {
+		t.Fatalf("resumed after %d of %d words: %s", cut, words, d)
+	}
+	return base
+}
+
+// countersDiff describes the first difference between two counter sets, or
+// returns "" when they are identical.
+func countersDiff(a, b resume.Counters) string {
+	switch {
+	case !slices.Equal(a.Detected, b.Detected):
+		return "Detected differs"
+	case !slices.Equal(a.Later, b.Later):
+		return "Later differs"
+	case !slices.Equal(a.Frames, b.Frames):
+		return "per-frame detections differ"
+	}
+	return ""
+}
