@@ -444,7 +444,8 @@ func BenchmarkMCAllNodes(b *testing.B) {
 
 // BenchmarkNewMCBatch: single-cycle Monte Carlo construction on its own —
 // the cone-locality schedule, every 64-site group's union cone
-// (graph.GroupCones) and the per-group lane masks. BenchmarkMCAllNodes
+// (graph.GroupCones, one 64-group pass at a time) and the per-group
+// injections and static counts taken from it. BenchmarkMCAllNodes
 // builds its MCBatch before the timer starts, so this is the only timing of
 // the set-up an end-to-end monte-carlo run pays.
 func BenchmarkNewMCBatch(b *testing.B) {

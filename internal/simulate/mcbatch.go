@@ -114,11 +114,11 @@ type MCBatch struct {
 	frames int          // frame budget, 1 in single-cycle mode
 	obs    []bool       // per node: a lane difference here is a detection
 	draw   []netlist.ID // frame-0 source draw order; later frames draw c.PIs
+	rank   []int32      // per node: its position in c.Topo(), the sweeps' visiting order
 
-	groups     []mcGroup
-	maxMembers int // largest frame cone over groups, sizes the lane scratch
-	maxFFs     int // largest carried flip-flop set, sizes the carry scratch
-	skipped    int // sites excluded as unobservable
+	groups  []mcGroup
+	maxFFs  int // largest carried flip-flop set, sizes the carry scratch
+	skipped int // sites excluded as unobservable
 
 	fin      resume.Counters // final counters of the most recent successful sweep
 	finEvals int64           // lanes evaluated by the most recent successful sweep
@@ -130,11 +130,11 @@ type MCBatch struct {
 type mcGroup struct {
 	sites []netlist.ID
 
-	// frames[0] is the strike cone: the union of the sites' combinational
-	// forward cones. frames[k] is the combinational cone of the flip-flops
-	// a lane can reach within k clock edges. Lane masks only grow with k,
-	// so later entries may alias earlier ones once the carried set reaches
-	// its fixpoint.
+	// frames[0] sweeps the strike cone: the union of the sites'
+	// combinational forward cones. frames[k] sweeps the combinational cone
+	// of the flip-flops a lane can reach within k clock edges. The cones
+	// only grow with k, so later entries may repeat earlier ones once the
+	// carried set reaches its fixpoint.
 	frames []mcFrame
 
 	ffIDs  []netlist.ID // flip-flops reachable by the group's divergence
@@ -142,41 +142,32 @@ type mcGroup struct {
 	ffD    []netlist.ID // D input (fanin[0]) of each carried flip-flop
 }
 
-// mcFrame is one frame's faulty sweep: members in combinational topological
-// order, per-member static lane masks, and the injections that seed it,
-// sorted by member. An on-path lane of a member is injected if an injection
-// names it, computed from its fanins otherwise.
+// mcFrame is one frame's faulty sweep: the injections that seed it, sorted
+// by topological rank, and the sweep's static counts. The sweep needs no
+// member list: it starts at the injected nodes and follows divergence into
+// gate fanouts, and every gate fanout of a cone member is itself a member.
 type mcFrame struct {
-	members  []netlist.ID
-	mask     []uint64 // lanes on path
 	inj      []mcInject
-	laneSims int64 // on-path lanes summed over members: the static LaneSims per sweep
+	laneSims int64 // on-path lanes summed over the cone: the static LaneSims per sweep
+	members  int64 // cone size: the static SweptMembers per sweep
 }
 
-// staticLanes returns the on-path lane count of a frame's member masks.
-func staticLanes(mask []uint64) int64 {
-	var n int64
-	for _, mk := range mask {
-		n += int64(bits.OnesCount64(mk))
-	}
-	return n
-}
-
-// mcInject sets lanes of member (an index into the frame's members): to the
-// complement of the member's good value when slot < 0 (a strike flip),
-// otherwise to the carried state of flip-flop ffIDs[slot]. A member has at
-// most one injection.
+// mcInject sets lanes of node: to the complement of the node's good value
+// when slot < 0 (a strike flip), otherwise to the carried state of
+// flip-flop ffIDs[slot]. A node has at most one injection per frame.
 type mcInject struct {
-	member int32
-	slot   int32
-	lanes  uint64
+	node  netlist.ID
+	slot  int32
+	lanes uint64
 }
 
 // NewMCBatch builds the estimator in single-cycle mode for circuit c:
-// schedules all observable sites by cone locality and extracts every 64-site
-// group's union cone in one graph.GroupCones call (64 groups per topological
-// pass). The precomputed structures are shared read-only by all sweep
-// workers.
+// schedules all observable sites by cone locality and takes every 64-site
+// group's injections and static counts from its union cone, extracted by
+// graph.GroupCones one 64-group topological pass at a time. Only the sites,
+// injections and counts are kept, so the built estimator is O(N) however
+// large the cones are. The precomputed structures are shared read-only by
+// all sweep workers.
 func NewMCBatch(c *netlist.Circuit, opt MCOptions) *MCBatch {
 	m := newMCBatch(c, opt, 1)
 	for id := range m.obs {
@@ -192,18 +183,23 @@ func NewMCBatch(c *netlist.Circuit, opt MCOptions) *MCBatch {
 // budget and the strike-frame site groups.
 func newMCBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 	opt.setDefaults()
-	m := &MCBatch{c: c, opt: opt, frames: frames, obs: make([]bool, c.N())}
-	m.groups, m.maxMembers, m.skipped = buildMCGroups(c)
+	m := &MCBatch{c: c, opt: opt, frames: frames, obs: make([]bool, c.N()), rank: make([]int32, c.N())}
+	for r, id := range c.Topo() {
+		m.rank[id] = int32(r)
+	}
+	m.groups, m.skipped = buildMCGroups(c)
 	return m
 }
 
-// buildMCGroups schedules all observable sites by cone locality and takes
-// every 64-site group's strike-frame union cone from one graph.GroupCones
-// call: members in c.Topo() order, stopping at flip-flop boundaries. Each
-// group's sites, members, lane masks and injections are slices of shared
-// backing arrays. skipped counts the sites excluded because no observation
-// point is reachable.
-func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped int) {
+// buildMCGroups schedules all observable sites by cone locality and builds
+// every 64-site group's strike frame from its union cone (members in
+// c.Topo() order, stopping at flip-flop boundaries): the strike injections
+// and the static counts. The cones come from one graph.GroupCones call per
+// 64 groups, each dropped before the next, so at most one pass of cones is
+// alive. Each group's sites and injections are slices of shared backing
+// arrays. skipped counts the sites excluded because no observation point is
+// reachable.
+func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, skipped int) {
 	// Observable sites only, in cone-locality order: a site whose signature
 	// is zero reaches no observation point, so no vector can ever detect it.
 	sig := c.ObsSignatures()
@@ -216,47 +212,47 @@ func buildMCGroups(c *netlist.Circuit) (groups []mcGroup, maxMembers, skipped in
 	}
 	skipped = c.N() - len(sites)
 
-	cones, idx := graph.GroupCones(c, sites, mcLanes)
-	masks := make([]uint64, len(cones))
 	injs := make([]mcInject, len(sites))
 	lanes := make([]uint64, c.N()) // on-path lanes of the group being built, by node
 	fiIdx, fiArr := c.FaninCSR()
 	kinds := c.Kinds()
 
-	groups = make([]mcGroup, len(idx)-1)
-	for gi := range groups {
-		lo, hi := gi*mcLanes, min((gi+1)*mcLanes, len(sites))
-		a, b := idx[gi], idx[gi+1]
-		fr := mcFrame{members: cones[a:b:b], mask: masks[a:b:b], inj: injs[lo:lo:hi]}
-		gsites := sites[lo:hi:hi]
-		for lane, site := range gsites {
-			lanes[site] = 1 << uint(lane)
-		}
-		// Lane masks by forward propagation in topological order: a node is
-		// on-path for lane l iff it is lane l's site or has an on-path fanin.
-		// Non-members hold no lanes, so fanins need no membership test, and
-		// the strike injections come out sorted by member.
-		for i, id := range fr.members {
-			mk := lanes[id]
-			if mk != 0 {
-				fr.inj = append(fr.inj, mcInject{member: int32(i), slot: -1, lanes: mk})
+	groups = make([]mcGroup, (len(sites)+mcLanes-1)/mcLanes)
+	for g0 := 0; g0 < len(groups); g0 += 64 {
+		cones, idx := graph.GroupCones(c, sites[g0*mcLanes:min((g0+64)*mcLanes, len(sites))], mcLanes)
+		for k := range len(idx) - 1 {
+			gi := g0 + k
+			lo, hi := gi*mcLanes, min((gi+1)*mcLanes, len(sites))
+			members := cones[idx[k]:idx[k+1]]
+			fr := mcFrame{inj: injs[lo:lo:hi], members: int64(len(members))}
+			gsites := sites[lo:hi:hi]
+			for lane, site := range gsites {
+				lanes[site] = 1 << uint(lane)
 			}
-			if kinds[id].IsGate() {
-				for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-					mk |= lanes[f]
+			// Lane masks by forward propagation in topological order: a node
+			// is on-path for lane l iff it is lane l's site or has an on-path
+			// fanin. Non-members hold no lanes, so fanins need no membership
+			// test, and the strike injections come out in topological order.
+			for _, id := range members {
+				mk := lanes[id]
+				if mk != 0 {
+					fr.inj = append(fr.inj, mcInject{node: id, slot: -1, lanes: mk})
 				}
+				if kinds[id].IsGate() {
+					for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
+						mk |= lanes[f]
+					}
+				}
+				lanes[id] = mk
+				fr.laneSims += int64(bits.OnesCount64(mk))
 			}
-			lanes[id] = mk
-			fr.mask[i] = mk
-			fr.laneSims += int64(bits.OnesCount64(mk))
+			for _, id := range members {
+				lanes[id] = 0
+			}
+			groups[gi] = mcGroup{sites: gsites, frames: []mcFrame{fr}}
 		}
-		for _, id := range fr.members {
-			lanes[id] = 0
-		}
-		maxMembers = max(maxMembers, len(fr.members))
-		groups[gi] = mcGroup{sites: gsites, frames: []mcFrame{fr}}
 	}
-	return groups, maxMembers, skipped
+	return groups, skipped
 }
 
 // Counters returns the final integer counters of the most recent successful
@@ -419,31 +415,36 @@ func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, err
 }
 
 // mcWorker is the per-goroutine state of one sweep: a bit-parallel engine
-// for the shared good trajectory, the lane-value and divergence scratch for
+// for the shared good trajectory, the node-indexed divergence state of the
 // faulty re-simulation, the per-lane carried flip-flop state, and the
 // counters of the word it last ran, folded into the sweep totals when the
 // driver reports that word.
+//
+// The divergence state is keyed on the node, not on a cone member, so
+// nothing in it is sized by a cone. A node takes a lane slot only when it
+// diverges, and the lane array grows to the most nodes that diverged in
+// any one sweep. Each sweep clears only the nodes the previous sweep
+// marked (held).
 type mcWorker struct {
 	resume.Counters
 	laneEvals int64 // lanes evaluated since the last fold
 
-	m        *MCBatch
-	eng      *Engine
-	good     [][]uint64 // per frame good values; the last frame aliases eng.values
-	lanes    []uint64   // faulty lane values, member-major: lanes[i*64+lane], valid where dm[i] is set
-	dm       []uint64   // per member: lanes whose faulty word differs from the good word
-	active   []uint64   // bitset of member indices still to visit in the current sweep
-	fan      []mcFanin  // the current member's fanins, gathered once per member
-	ins      []uint64   // per-lane fanin words for logic.EvalWord (kinds other than AND/NAND/OR/NOR)
-	carry    []uint64   // carried faulty flip-flop state: carry[slot*64+lane]
-	pos      []int32    // member index of node, valid where stamp == stampVal
-	stamp    []int64    // int64: one epoch per (word, group, frame), never wraps in practice
-	stampVal int64
+	m      *MCBatch
+	eng    *Engine
+	good   [][]uint64   // per frame good values; the last frame aliases eng.values
+	dm     []uint64     // per node: lanes whose faulty word differs from the good word
+	slot   []int32      // per node: its lane slot, valid where dm is nonzero
+	held   []netlist.ID // nodes with a nonzero dm in the current sweep, by slot
+	lanes  []uint64     // faulty lane values, slot-major: lanes[slot*64+lane], valid where the holder's dm is set
+	active []uint64     // bitset of topological ranks still to visit in the current sweep
+	fan    []mcFanin    // the current node's fanins, gathered once per node
+	ins    []uint64     // per-lane fanin words for logic.EvalWord (kinds other than AND/NAND/OR/NOR)
+	carry  []uint64     // carried faulty flip-flop state: carry[slot*64+lane]
 }
 
-// mcFanin is one fanin of the member being evaluated: its good word, its
-// divergence mask (0 when it is not a member of the sweep) and the base of
-// its lanes.
+// mcFanin is one fanin of the node being evaluated: its good word, its
+// divergence mask (0 when it has not diverged in this sweep) and the base
+// of its lanes.
 type mcFanin struct {
 	good, dm uint64
 	base     int
@@ -456,12 +457,10 @@ func (m *MCBatch) newWorker() *mcWorker {
 		m:        m,
 		eng:      NewEngine(m.c),
 		good:     make([][]uint64, m.frames),
-		lanes:    make([]uint64, m.maxMembers*mcLanes),
-		dm:       make([]uint64, m.maxMembers),
-		active:   make([]uint64, (m.maxMembers+63)/64),
+		dm:       make([]uint64, n),
+		slot:     make([]int32, n),
+		active:   make([]uint64, (n+63)/64),
 		carry:    make([]uint64, m.maxFFs*mcLanes),
-		pos:      make([]int32, n),
-		stamp:    make([]int64, n),
 	}
 	// Only frames before the last need their own copy: the last frame's
 	// good values stay in the engine until the next word.
@@ -546,41 +545,53 @@ func (wk *mcWorker) runWord(w int64) {
 	}
 }
 
-// sweep is the lane sweep of one frame against that frame's good values. It
-// visits, in topological order, only the members that can hold divergence:
-// those with an injection and the gate fanouts of members with a nonzero
-// divergence mask. At each, it writes the injected lanes, evaluates the
-// gate lanes in which some fanin has diverged, records the lanes that now
-// differ from the good word in dm, and ORs those differences at observation
-// points into det. LaneSims and SweptMembers still advance by the frame's
-// static on-path counts.
+// sweep is the lane sweep of one frame against that frame's good values.
+// It first clears the divergence the previous sweep left (capture has read
+// it by now), then visits, in topological order, only the nodes that can
+// hold divergence: those with an injection and the gate fanouts of nodes
+// with a nonzero divergence mask — all inside the frame's cone. At each, it
+// writes the injected lanes, evaluates the gate lanes in which some fanin
+// has diverged, records the lanes that now differ from the good word in dm
+// (giving the node a lane slot if any do), and ORs those differences at
+// observation points into det. LaneSims and SweptMembers still advance by
+// the frame's static counts.
 func (wk *mcWorker) sweep(fr *mcFrame, good []uint64, det *[mcLanes]uint64) {
 	fiIdx, fiArr := wk.eng.fiIdx, wk.eng.fiArr
 	foIdx, foArr := wk.m.c.FanoutCSR()
 	kinds := wk.eng.kinds
 	obs := wk.m.obs
-	wk.stampVal++
-	for i, id := range fr.members {
-		wk.stamp[id] = wk.stampVal
-		wk.pos[id] = int32(i)
-		wk.dm[i] = 0
+	rank, topo := wk.m.rank, wk.m.c.Topo()
+	for _, id := range wk.held {
+		wk.dm[id] = 0
+	}
+	wk.held = wk.held[:0]
+	wk.LaneSims += fr.laneSims
+	wk.SweptMembers += fr.members
+	inj := fr.inj
+	if len(inj) == 0 {
+		return
 	}
 	act := wk.active
-	for _, in := range fr.inj {
-		act[in.member>>6] |= 1 << uint(in.member&63)
+	for _, in := range inj {
+		r := rank[in.node]
+		act[r>>6] |= 1 << uint(r&63)
 	}
-	inj := fr.inj
-	// Fanouts always sit at higher member indices, so the bitset is drained
-	// in ascending order while it is being filled.
-	for aw := range act[:(len(fr.members)+63)/64] {
+	// Fanouts always sit at higher ranks, so the bitset is drained in
+	// ascending order while it is being filled; hi tracks its last word.
+	hi := int(rank[inj[len(inj)-1].node] >> 6)
+	for aw := int(rank[inj[0].node] >> 6); aw <= hi; aw++ {
 		for act[aw] != 0 {
-			i := aw*64 + bits.TrailingZeros64(act[aw])
+			id := topo[aw*64+bits.TrailingZeros64(act[aw])]
 			act[aw] &= act[aw] - 1
-			id := fr.members[i]
-			base := i * mcLanes
+			// The node's lanes go to the next free slot, which it keeps only
+			// if it diverges.
+			base := len(wk.held) * mcLanes
+			if base == len(wk.lanes) {
+				wk.growLanes()
+			}
 			gv := good[id]
 			var dm, injected uint64
-			if len(inj) > 0 && int(inj[0].member) == i {
+			if len(inj) > 0 && inj[0].node == id {
 				in := inj[0]
 				inj = inj[1:]
 				injected = in.lanes
@@ -606,10 +617,9 @@ func (wk *mcWorker) sweep(fr *mcFrame, good []uint64, det *[mcLanes]uint64) {
 				var eval uint64
 				wk.fan = wk.fan[:0]
 				for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-					fi := mcFanin{good: good[f]}
-					if wk.stamp[f] == wk.stampVal {
-						p := int(wk.pos[f])
-						fi.dm, fi.base = wk.dm[p], p*mcLanes
+					fi := mcFanin{good: good[f], dm: wk.dm[f]}
+					if fi.dm != 0 {
+						fi.base = int(wk.slot[f]) * mcLanes
 						eval |= fi.dm
 					}
 					wk.fan = append(wk.fan, fi)
@@ -668,10 +678,12 @@ func (wk *mcWorker) sweep(fr *mcFrame, good []uint64, det *[mcLanes]uint64) {
 				}
 				wk.laneEvals += int64(bits.OnesCount64(eval))
 			}
-			wk.dm[i] = dm
 			if dm == 0 {
 				continue
 			}
+			wk.dm[id] = dm
+			wk.slot[id] = int32(len(wk.held))
+			wk.held = append(wk.held, id)
 			if obs[id] {
 				for mm := dm; mm != 0; mm &= mm - 1 {
 					l := bits.TrailingZeros64(mm)
@@ -679,33 +691,34 @@ func (wk *mcWorker) sweep(fr *mcFrame, good []uint64, det *[mcLanes]uint64) {
 				}
 			}
 			for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
-				if wk.stamp[o] == wk.stampVal && kinds[o].IsGate() {
-					p := wk.pos[o]
-					act[p>>6] |= 1 << uint(p&63)
+				if kinds[o].IsGate() {
+					r := int(rank[o])
+					act[r>>6] |= 1 << uint(r&63)
+					hi = max(hi, r>>6)
 				}
 			}
 		}
 	}
-	wk.LaneSims += fr.laneSims
-	wk.SweptMembers += int64(len(fr.members))
+}
+
+// growLanes doubles the lane array (to 64 slots at first), keeping the
+// slots held so far.
+func (wk *mcWorker) growLanes() {
+	lanes := make([]uint64, max(2*len(wk.lanes), 64*mcLanes))
+	copy(lanes, wk.lanes)
+	wk.lanes = lanes
 }
 
 // capture latches the carried divergence at a clock edge: for every carried
 // flip-flop, the faulty D-input word per lane — the lane value where the D
-// input diverged in the frame just swept (per wk.dm), the good value
-// otherwise. Reads only lanes, dm and good, writes only carry, so the edge
+// input diverged in the frame just swept (per wk.dm, which the next sweep
+// clears), the good value otherwise. Reads only lanes, dm and good, writes only carry, so the edge
 // is atomic like Sequential's.
 func (wk *mcWorker) capture(g *mcGroup, good []uint64) {
 	for j, d := range g.ffD {
 		gv := good[d]
 		base := j * mcLanes
-		var dmask uint64
-		dbase := 0
-		if wk.stamp[d] == wk.stampVal {
-			p := int(wk.pos[d])
-			dmask = wk.dm[p]
-			dbase = p * mcLanes
-		}
+		dmask, dbase := wk.dm[d], int(wk.slot[d])*mcLanes
 		for mm := g.ffMask[j]; mm != 0; mm &= mm - 1 {
 			l := bits.TrailingZeros64(mm)
 			v := gv

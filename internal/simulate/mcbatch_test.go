@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,6 +218,69 @@ func TestMCBatchLaneEvals(t *testing.T) {
 	}
 }
 
+// TestMCBatchWorkPins pins the work counters of the divergence-driven
+// sweep — the static LaneSims and SweptMembers the checkpoint file records
+// and the LaneEvals it actually evaluated — on s953 and s9234 in both
+// modes. A change to how the sweep is stored or scheduled must not change
+// what it counts.
+func TestMCBatchWorkPins(t *testing.T) {
+	for _, tc := range []struct {
+		circuit                    string
+		frames                     int
+		laneSims, swept, laneEvals int64
+	}{
+		{"s953", 1, 117594, 3472, 27842},
+		{"s953", 3, 836002, 15236, 66535},
+		{"s9234", 1, 24173864, 516710, 540222},
+		{"s9234", 3, 157982302, 2644046, 721281},
+	} {
+		c, err := gen.ByName(tc.circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := MCOptions{Vectors: 128, Seed: 1}
+		mb := NewMCBatch(c, opt)
+		if tc.frames > 1 {
+			mb = NewMCSeqBatch(c, opt, tc.frames)
+		}
+		if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
+			t.Fatal(err)
+		}
+		if st := mb.Stats(); st.LaneSims != tc.laneSims || st.SweptMembers != tc.swept || st.LaneEvals != tc.laneEvals {
+			t.Errorf("%s frames %d: LaneSims %d, SweptMembers %d, LaneEvals %d; want %d, %d, %d", tc.circuit, tc.frames,
+				st.LaneSims, st.SweptMembers, st.LaneEvals, tc.laneSims, tc.swept, tc.laneEvals)
+		}
+	}
+}
+
+// TestNewMCBatchRetainedHeap bounds what a built estimator keeps: sites,
+// injections and counts, O(N) words. Keeping every 64-site group's union
+// cone and lane masks retained 39.7 MB on this 20k-gate circuit, whose
+// cones span most of it.
+func TestNewMCBatchRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 20k-gate circuit")
+	}
+	c := gen.MustRandom(gen.Params{Seed: 1, Gates: 20000, PIs: 400, POs: 400, FFs: 1333})
+	c.ObsSignatures() // computed once per circuit and cached on it: not the estimator's
+	before := heapAlloc()
+	mb := NewMCBatch(c, MCOptions{Vectors: 64, Seed: 1})
+	retained := heapAlloc() - before
+	runtime.KeepAlive(mb)
+	t.Logf("NewMCBatch retains %.2f MB on %d nodes", float64(retained)/1e6, c.N())
+	if retained >= 4<<20 {
+		t.Errorf("NewMCBatch retains %d bytes, want < 4 MiB", retained)
+	}
+}
+
+// heapAlloc returns the live heap after a full collection.
+func heapAlloc() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // checkMatchesPerSiteAllFrames holds the batched kernel to the per-site
 // shared-vector estimators bit-exactly on circuit c: single-cycle against
 // MonteCarlo, and frame budgets 1 to 4 against Sequential.
@@ -328,6 +393,24 @@ z = BUFF(q2)
 				t.Fatalf("frames=%d: a never detected after the edge", frames)
 			}
 		}
+	})
+	t.Run("flip-flop-site-carries-own-lane", func(t *testing.T) {
+		// q's strike reaches its own D input through n, and no other site
+		// of q's group reaches it: q must still carry its lane across the
+		// edge. 150 unrelated inverters push n and q into different groups.
+		var src strings.Builder
+		for i := range 150 {
+			fmt.Fprintf(&src, "INPUT(i%d)\nOUTPUT(o%d)\no%d = NOT(i%d)\n", i, i, i, i)
+		}
+		src.WriteString("OUTPUT(z)\nn = NOT(q)\nq = DFF(n)\nz = BUFF(q)\n")
+		c := mustParse(t, src.String())
+		q, n := c.ByName("q"), c.ByName("n")
+		for _, g := range NewMCSeqBatch(c, MCOptions{}, 2).groups {
+			if slices.Contains(g.sites, q) && slices.Contains(g.sites, n) {
+				t.Fatal("n and q share a group: q's D input would carry n's lane into q")
+			}
+		}
+		checkMatchesPerSiteAllFrames(t, c)
 	})
 }
 

@@ -5,6 +5,8 @@
 package simulate
 
 import (
+	"math/bits"
+
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -83,16 +85,18 @@ func NewMCSeqBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 			}
 			for i, ff := range c.FFs {
 				d := fiArr[fiIdx[ff]]
+				// A flip-flop is carried once any lane reaches its D input,
+				// even a lane its mask already holds: an FF that is itself
+				// an error site has its seeded lane before it ever captures
+				// anything, and may capture only that lane.
+				if dmask[i] != 0 && ffSeen[ff] != int32(gi) {
+					ffSeen[ff] = int32(gi)
+					ffLocal[ff] = int32(len(g.ffIDs))
+					g.ffIDs = append(g.ffIDs, ff)
+					g.ffD = append(g.ffD, d)
+					changed = true
+				}
 				if add := dmask[i] &^ mask[ff]; add != 0 {
-					// Membership needs its own stamp: an FF that is itself an
-					// error site has a nonzero seeded mask before it ever
-					// captures anything.
-					if ffSeen[ff] != int32(gi) {
-						ffSeen[ff] = int32(gi)
-						ffLocal[ff] = int32(len(g.ffIDs))
-						g.ffIDs = append(g.ffIDs, ff)
-						g.ffD = append(g.ffD, d)
-					}
 					mask[ff] |= add
 					changed = true
 				}
@@ -116,20 +120,16 @@ func NewMCSeqBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 					}
 					smask[id] = mk
 				}
-				if smask[id] != 0 {
+				if mk := smask[id]; mk != 0 {
 					if kinds[id] == logic.DFF {
 						// Carried state enters the frame as an injection.
-						fr.inj = append(fr.inj, mcInject{member: int32(len(fr.members)), slot: ffLocal[id], lanes: smask[id]})
+						fr.inj = append(fr.inj, mcInject{node: id, slot: ffLocal[id], lanes: mk})
 					}
-					fr.members = append(fr.members, id)
-					fr.mask = append(fr.mask, smask[id])
+					fr.members++
+					fr.laneSims += int64(bits.OnesCount64(mk))
 				}
 			}
-			fr.laneSims = staticLanes(fr.mask)
 			g.frames = append(g.frames, fr)
-			if len(fr.members) > m.maxMembers {
-				m.maxMembers = len(fr.members)
-			}
 			if !changed {
 				// Carried-lane fixpoint: every remaining frame sweeps the
 				// same cone with the same masks.

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -379,7 +379,10 @@ func TestMCSeqBatchFrameCountersWorkerInvariance(t *testing.T) {
 // TestMCSeqBatchPerFrameExactMasks: on a flip-flop pipeline, frame k's
 // faulty sweep covers exactly the stages the divergence can have reached
 // within k clock edges — not the frame-budget superset. White-box check of
-// the per-(group, frame) structures on a 3-stage shift register.
+// the per-(group, frame) structures on a 3-stage shift register: the
+// flip-flops carrying d0's lane into each frame, and every frame's static
+// counts against a brute-force reach count, there and on random sequential
+// circuits.
 func TestMCSeqBatchPerFrameExactMasks(t *testing.T) {
 	c := mustParse(t, `
 INPUT(a)
@@ -393,9 +396,9 @@ z  = BUFF(q2)
 	const frames = 4
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: 128, Seed: 1}, frames)
 	want := [][]string{
-		{"q0"},                  // frame 1: one edge crossed
-		{"q0", "q1"},            // frame 2
-		{"q0", "q1", "q2", "z"}, // frame 3: the PO cone opens up
+		{"q0"},             // frame 1: one edge crossed
+		{"q0", "q1"},       // frame 2
+		{"q0", "q1", "q2"}, // frame 3: q2 opens up the PO cone
 	}
 	// All sites land in one group on a circuit this small.
 	if len(mb.groups) != 1 {
@@ -405,33 +408,26 @@ z  = BUFF(q2)
 	if len(g.frames) != frames {
 		t.Fatalf("%d frame sweeps, want %d (strike frame plus one per edge)", len(g.frames), frames)
 	}
-	lane := -1
-	for l, s := range g.sites {
-		if s == c.ByName("d0") {
-			lane = l
-		}
-	}
+	lane := slices.Index(g.sites, c.ByName("d0"))
 	if lane < 0 {
 		t.Fatal("site d0 not in the group")
 	}
 	for k, names := range want {
-		fr := &g.frames[k+1]
-		members := map[string]bool{}
-		for i, id := range fr.members {
-			if fr.mask[i]>>uint(lane)&1 == 1 {
-				members[c.NameOf(id)] = true
+		var got []string
+		for _, in := range g.frames[k+1].inj {
+			if in.lanes>>uint(lane)&1 == 1 {
+				got = append(got, c.NameOf(in.node))
 			}
 		}
-		for _, n := range names {
-			if !members[n] {
-				t.Errorf("frame %d: %s missing from d0's sweep (got %v)", k+1, n, members)
-			}
-			delete(members, n)
-		}
-		for n := range members {
-			t.Errorf("frame %d: %s swept but unreachable within %d edges", k+1, n, k+1)
+		if !slices.Equal(got, names) {
+			t.Errorf("frame %d: d0's lane is carried into %v, want %v", k+1, got, names)
 		}
 	}
+	checkFrameCounts(t, mb)
+	for seed := uint64(0); seed < 3; seed++ {
+		checkFrameCounts(t, NewMCSeqBatch(gen.SmallRandomSequential(seed+50), MCOptions{}, frames))
+	}
+
 	// And the exactness is visible in the lane-work counter: the old
 	// budget-superset design swept every later frame at the final cone
 	// size, so its per-word lane cost is a strict upper bound.
@@ -440,19 +436,94 @@ z  = BUFF(q2)
 	}
 	exactLanes := mb.Stats().LaneSims
 	words := int64((128 + 63) / 64)
-	strike, fin := &g.frames[0], &g.frames[frames-1]
-	var perWordSuperset int64
-	for i := range strike.members {
-		perWordSuperset += int64(bits.OnesCount64(strike.mask[i]))
-	}
-	for f := 1; f < frames; f++ {
-		for i := range fin.members {
-			perWordSuperset += int64(bits.OnesCount64(fin.mask[i]))
-		}
-	}
+	perWordSuperset := g.frames[0].laneSims + (frames-1)*g.frames[frames-1].laneSims
 	if exactLanes >= perWordSuperset*words {
 		t.Errorf("LaneSims = %d, want < superset bound %d (per-frame masks should cut work)",
 			exactLanes, perWordSuperset*words)
+	}
+}
+
+// checkFrameCounts recounts every (group, frame) sweep of mb by brute force,
+// one lane at a time: frame 0's cone is the site's combinational forward
+// cone, frame k's the forward cone of the flip-flops carrying the lane
+// after k edges, and a flip-flop joins the carried set at an edge once its
+// D input lies in the forward cone of the site and the flip-flops carried
+// so far. A flip-flop site also keeps its own lane in every frame after
+// the group first carries state into it: the static masks are a superset
+// there, which the divergence-driven sweep never evaluates. A sweep's
+// member count is the size of its lanes' union cone and its LaneSims the
+// sum of their cone sizes.
+func checkFrameCounts(t *testing.T, mb *MCBatch) {
+	t.Helper()
+	c := mb.c
+	cone := func(seeds []netlist.ID) []bool {
+		in := make([]bool, c.N())
+		stack := slices.Clone(seeds)
+		for _, s := range seeds {
+			in[s] = true
+		}
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, o := range c.FanoutOf(id) {
+				if !in[o] && c.KindOf(o).IsGate() {
+					in[o] = true
+					stack = append(stack, o)
+				}
+			}
+		}
+		return in
+	}
+	for gi := range mb.groups {
+		g := &mb.groups[gi]
+		union := make([][]bool, mb.frames)
+		lanes := make([]int64, mb.frames)
+		for f := range union {
+			union[f] = make([]bool, c.N())
+		}
+		// carried[l]: the flip-flops lane l is carried into within f edges;
+		// anyFF: those of any lane.
+		carried := make([][]netlist.ID, len(g.sites))
+		anyFF := make([]bool, c.N())
+		for f := range mb.frames {
+			for l, site := range g.sites {
+				if f > 0 {
+					reach := cone(append([]netlist.ID{site}, carried[l]...))
+					for _, ff := range c.FFs {
+						if reach[c.FaninOf(ff)[0]] && !slices.Contains(carried[l], ff) {
+							carried[l] = append(carried[l], ff)
+						}
+					}
+				}
+				for _, ff := range carried[l] {
+					anyFF[ff] = true
+				}
+			}
+			for l, site := range g.sites {
+				seeds := slices.Clone(carried[l])
+				if f == 0 || anyFF[site] && !slices.Contains(seeds, site) {
+					seeds = append(seeds, site)
+				}
+				for id, in := range cone(seeds) {
+					if in {
+						union[f][id] = true
+						lanes[f]++
+					}
+				}
+			}
+		}
+		for f, fr := range g.frames {
+			members := int64(0)
+			for _, in := range union[f] {
+				if in {
+					members++
+				}
+			}
+			if fr.members != members || fr.laneSims != lanes[f] {
+				t.Errorf("group %d frame %d: %d members and %d on-path lanes, brute force %d and %d",
+					gi, f, fr.members, fr.laneSims, members, lanes[f])
+			}
+		}
 	}
 }
 
