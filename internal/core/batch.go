@@ -97,6 +97,7 @@ type BatchAnalyzer struct {
 	refs      []int32
 	seedStamp []uint32
 	fixed     []bool       // the Analyzer's offPathFixed flags
+	uses      []int32      // the Analyzer's gateUses counts
 	obs       []netlist.ID // observed union members, in sweep order
 
 	// Struct-of-arrays lane state, indexed slot*stride + lane. A slot is
@@ -146,6 +147,7 @@ func NewBatch(a *Analyzer, width int) *BatchAnalyzer {
 		refs:      make([]int32, n),
 		seedStamp: make([]uint32, n),
 		fixed:     a.offPathFixed(),
+		uses:      a.gateUses(),
 		miss:      make([]float64, width),
 		fin:       make([]faninLanes, 0, 8),
 		ins:       make([]logic.Prob4, 0, 8),
@@ -334,8 +336,8 @@ func (b *BatchAnalyzer) run(sites []netlist.ID) {
 // and output gather after the sweep. So a member takes a lane slot when the
 // sweep reaches it, and an unobserved member releases the slot once its last
 // consumer has been swept (at once if it has none); released slots are
-// reused before new ones. The consumer counts come from one pass over the
-// in-cone fanin edges, a duplicated fanin counting once per edge.
+// reused before new ones. A member's consumer count is its static number of
+// gate uses (gateUses), a duplicated fanin counting once per edge.
 func (b *BatchAnalyzer) sweepUnion() {
 	a := b.a
 	c := a.c
@@ -344,17 +346,6 @@ func (b *BatchAnalyzer) sweepUnion() {
 	sp := a.sp
 	stride := b.stride
 	fast := a.opt.Rules == RulesClosedForm
-
-	for _, id := range b.members {
-		b.refs[id] = 0 // before any consumer counts it: fanins come first
-		if kinds[id].IsGate() {
-			for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-				if b.stamp[f] == b.epoch {
-					b.refs[f]++
-				}
-			}
-		}
-	}
 
 	b.free = b.free[:0]
 	slots := 0 // slots handed out this pass: the peak live count
@@ -370,6 +361,7 @@ func (b *BatchAnalyzer) sweepUnion() {
 			}
 		}
 		b.pos[id] = slot
+		b.refs[id] = b.uses[id] // before any consumer: fanins come first
 		base := int(slot) * stride
 
 		var m uint64
@@ -666,6 +658,28 @@ func (b *BatchAnalyzer) genericLanes(base int, compute uint64, kind logic.Kind, 
 		}
 	}
 	return live
+}
+
+// gateUses returns, per node, its number of fanout edges into gates. That
+// is a union-cone member's in-cone consumer count: the union cone holds every
+// gate fanout of a member (graph.Walker.UnionCone stops only at flip-flops),
+// and the fanout CSR lists one entry per use. Computed once per Analyzer and
+// shared with its Clones.
+func (a *Analyzer) gateUses() []int32 {
+	if a.uses != nil {
+		return a.uses
+	}
+	foIdx, foArr := a.c.FanoutCSR()
+	uses := make([]int32, a.c.N())
+	for id := range uses {
+		for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
+			if a.kinds[o].IsGate() {
+				uses[id]++
+			}
+		}
+	}
+	a.uses = uses
+	return uses
 }
 
 // offPathFixed returns, per node, whether the configured rule applied to

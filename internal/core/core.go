@@ -138,6 +138,7 @@ type Analyzer struct {
 	batch *BatchAnalyzer  // lazily created batched engine (Batch)
 	order *sched.Schedule // lazily computed cone-locality site schedule
 	fixed []bool          // lazily computed off-path fixed points (offPathFixed)
+	uses  []int32         // lazily computed gate fanout counts (gateUses)
 }
 
 // New returns an Analyzer for circuit c using the given signal probabilities
@@ -178,8 +179,8 @@ func MustNew(c *netlist.Circuit, sp []float64, opt Options) *Analyzer {
 
 // Clone returns an independent Analyzer sharing the circuit and signal
 // probabilities, for concurrent use from another goroutine. The clone also
-// shares the (immutable) site schedule and off-path fixed-point flags, so
-// worker fleets do not recompute them.
+// shares the (immutable) site schedule, off-path fixed-point flags and gate
+// fanout counts, so worker fleets do not recompute them.
 func (a *Analyzer) Clone() *Analyzer {
 	cp, err := New(a.c, a.sp, a.opt)
 	if err != nil {
@@ -187,6 +188,7 @@ func (a *Analyzer) Clone() *Analyzer {
 	}
 	cp.order = a.order
 	cp.fixed = a.fixed
+	cp.uses = a.uses
 	return cp
 }
 
