@@ -7,9 +7,13 @@
 //     learn each site set only as they go: the scalar analyses take the
 //     one-root case (ForwardCone), and the batched EPP kernel takes each
 //     batch's pending sites at sweep time.
-//   - GroupCones extracts the cones of a whole fixed partition of sites into
-//     groups at once, 64 groups per topological pass, for callers that know
-//     every group up front: the Monte Carlo kernel's 64-site lane groups.
+//   - GroupCones extracts the cones of a fixed partition of sites into
+//     groups, 64 groups per topological pass, for callers that know the
+//     groups up front: the Monte Carlo kernel's construction, which takes
+//     each 64-site lane group's strike injections and static counts from its
+//     cone and calls it once per 64 groups, so only one pass of cones is
+//     alive at a time. Its sweep keeps no cone: it follows divergence from
+//     the injected nodes into gate fanouts.
 //
 // The traversal treats D flip-flops as time-frame boundaries: propagation
 // stops at a flip-flop's D input (which is an observation point) and never

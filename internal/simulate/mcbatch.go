@@ -63,19 +63,22 @@ type MCStats struct {
 // observation point are excluded from the groups entirely (their estimate is
 // identically 0).
 //
-// Every frame of a group runs the same lane sweep over that frame's cone in
-// topological order, propagating only divergence from the good machine (as
-// concurrent fault simulation does): a member's injected lanes are written
-// in — at frame 0 the strike flips (the complement of each site's good value
-// in all 64 patterns), at frame k >= 1 the flip-flop state carried across
-// the clock edge — and a gate lane is evaluated against the frame's good
-// values only if one of its fanins has diverged in that lane. Each member
-// keeps a divergence mask of the lanes whose faulty word differs from its
-// good word, and lane differences at observation points are the frame's
-// detections. Every lane outside a divergence mask — including every value
-// outside the swept cone — equals the good machine's by construction, so
-// per-site detection counts, and therefore every result, are independent
-// of the grouping and identical at any worker count.
+// Every frame of a group runs the same lane sweep in topological order,
+// propagating only divergence from the good machine (as concurrent fault
+// simulation does): a node's injected lanes are written in — at frame 0 the
+// strike flips (the complement of each site's good value in all 64
+// patterns), at frame k >= 1 the flip-flop state carried across the clock
+// edge — and a gate lane is evaluated against the frame's good values only
+// if one of its fanins has diverged in that lane. The sweep visits the
+// injected nodes and the gate fanouts of diverged nodes, which never leaves
+// the frame's cone, so no cone is stored: a frame keeps its injections and
+// its static counts, and the worker keeps a divergence mask per node (the
+// lanes whose faulty word differs from its good word) with lane values only
+// for the nodes that diverged. Lane differences at observation points are
+// the frame's detections. Every lane outside a divergence mask — including
+// every value outside the frame's cone — equals the good machine's by
+// construction, so per-site detection counts, and therefore every result,
+// are independent of the grouping and identical at any worker count.
 //
 // The two modes differ only in what NewMCBatch and NewMCSeqBatch precompute:
 //
@@ -91,10 +94,10 @@ type MCStats struct {
 //     inputs (the multi-cycle seeding contract in the package doc), and
 //     carries corrupted flip-flop state across clock edges: at each edge
 //     the faulty D-input word of every flip-flop the group's error can
-//     reach is latched per lane, and frame k sweeps the exact cone the
-//     divergence can have reached within k edges, precomputed per (group,
-//     frame). It is bit-exact against a per-site Sequential with
-//     SharedVectors set.
+//     reach is latched per lane, and frame k sweeps within the exact cone
+//     the divergence can have reached within k edges, whose carried
+//     injections and static counts are precomputed per (group, frame). It
+//     is bit-exact against a per-site Sequential with SharedVectors set.
 //
 // Detection is counted per site as integers: trials detected in any frame,
 // and with more than one frame also trials detected in a frame >= 1 and

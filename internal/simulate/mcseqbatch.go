@@ -1,6 +1,6 @@
 // Multi-cycle mode of the batched Monte Carlo kernel: the sequential lane
-// closure that precomputes each group's carried flip-flops and per-frame
-// exact sweeps.
+// closure that precomputes each group's carried flip-flops and, per frame,
+// the carried injections and static counts of its exact sweep.
 
 package simulate
 
@@ -103,8 +103,9 @@ func NewMCSeqBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 			}
 
 			// Frame `edge` sweep: the combinational cone of the currently
-			// carried flip-flops. Filtering the circuit topological order
-			// keeps it a valid evaluation order.
+			// carried flip-flops, of which the frame keeps the injections
+			// (in topological order, as the sweep visits them) and the
+			// static counts.
 			var fr mcFrame
 			for i := range smask {
 				smask[i] = 0
