@@ -13,8 +13,9 @@ import (
 )
 
 // FuzzEPPBatch differentially fuzzes the batched EPP kernel against the
-// scalar specification. The circuit is a small random one (gen.FuzzParams),
-// optionally with one edge-case gadget grafted on (gen.FuzzCircuit); a fuzzed byte list picks
+// scalar specification. The circuit is a small (5–80 gates) or large
+// (200–600 gates) random one (gen.FuzzParams), optionally with one
+// edge-case gadget grafted on (gen.FuzzCircuit); a fuzzed byte list picks
 // the swept sites and their order (empty: every site, ascending), swept at
 // a fuzzed width (1–64) under a fuzzed rule set. Every EPPBatch Result
 // must equal the scalar Analyzer.EPP's bitwise — P_sensitized, cone size
@@ -36,6 +37,11 @@ func FuzzEPPBatch(f *testing.F) {
 	// off-path fixed point whose lane is quiet in every fanin must still
 	// be evaluated.
 	f.Add(uint64(13064056694810536063), uint8(0x8a), uint8(1), uint8(1), uint8(0x89), uint8(2), []byte{}, uint8(7), uint8(1), uint8(0x1a), uint8(0))
+	// Large circuits: every site across several batches, then a picked
+	// site list, then the flip-flop whose D input only it reaches.
+	f.Add(uint64(7), uint8(0xc0), uint8(1), uint8(4), uint8(0x2d), uint8(0), []byte{}, uint8(63), uint8(0), uint8(1), uint8(1))
+	f.Add(uint64(11), uint8(0xff), uint8(2), uint8(2), uint8(0x3e), uint8(3), []byte{200, 7, 91, 7, 255, 130}, uint8(40), uint8(1), uint8(0), uint8(0))
+	f.Add(uint64(0x9e3779b97f4a7c20), uint8(0xdc), uint8(0), uint8(3), uint8(0x38), uint8(8), []byte{}, uint8(31), uint8(0), uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, size, fanin, ffs, mix, gadget uint8, pick []byte, width, rules, frames, workers uint8) {
 		c, err := gen.FuzzCircuit(gen.FuzzParams(seed, size, fanin, ffs, mix), gadget, seed)
 		if err != nil {

@@ -133,7 +133,7 @@ func TestMemoSweepPacksScatteredHits(t *testing.T) {
 	}
 }
 
-// FuzzMemoRestore: on a small random circuit (gen.FuzzParams) with the
+// FuzzMemoRestore: on a small or large random circuit (gen.FuzzParams) with the
 // sites a fuzzed bitmask selects restored from the memo — bit i of mask
 // marks site N−1−i, so a one-byte mask reaches the last sites of any
 // circuit — an epp-batch sweep at a fuzzed batch width (1–64), frame count
@@ -148,6 +148,7 @@ func FuzzMemoRestore(f *testing.F) {
 	f.Add(uint64(2), uint8(40), uint8(2), uint8(0), uint8(0x4b), []byte{}, uint8(7), uint8(1), uint8(1))
 	f.Add(uint64(3), uint8(75), uint8(3), uint8(5), uint8(0xf1), alternating, uint8(15), uint8(2), uint8(1))
 	f.Add(uint64(4), uint8(60), uint8(0), uint8(3), uint8(0x9e), []byte{0x01}, uint8(0), uint8(2), uint8(0))
+	f.Add(uint64(5), uint8(0xc4), uint8(1), uint8(4), uint8(0x2d), alternating, uint8(63), uint8(1), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, size, fanin, ffs, mix uint8, mask []byte, width, frames, workers uint8) {
 		c, err := gen.Random(gen.FuzzParams(seed, size, fanin, ffs, mix))
 		if err != nil {

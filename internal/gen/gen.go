@@ -293,11 +293,18 @@ func MustRandom(p Params) *netlist.Circuit {
 	return c
 }
 
-// FuzzParams maps raw fuzz-input fields onto valid small Params, so a
+// FuzzParams maps raw fuzz-input fields onto valid Params, so a
 // differential fuzz target explores circuit shape without rejecting
-// inputs: 5–80 gates (size), MaxFanin 2–5 (fanin), 0–7 flip-flops (ffs),
-// and from mix: NOT/BUF gates of fanin 1 (bit 0), XOR/XNOR gates (bit 1),
-// 1–8 primary inputs (bits 2–4) and 1–8 primary outputs (bits 5–7).
+// inputs: MaxFanin 2–5 (fanin), 0–7 flip-flops (ffs), and from mix: NOT/BUF
+// gates of fanin 1 (bit 0), XOR/XNOR gates (bit 1) and 1–8 primary outputs
+// (bits 5–7). size picks one of two sizes:
+//
+//   - below 0xc0, a small circuit of 5–80 gates and 1–8 primary inputs
+//     (mix bits 2–4), whose sites fit in one or two 64-site batches;
+//   - from 0xc0, a large one of 200–600 gates (the low six bits) and 16–128
+//     primary inputs (mix bits 2–4), whose sites span several batches and
+//     whose level-0 sources alone can fill one, so a flip-flop and the
+//     gates of its D-input cone can land in different batches.
 func FuzzParams(seed uint64, size, fanin, ffs, mix uint8) Params {
 	p := Params{
 		Name:     "fuzz",
@@ -307,6 +314,10 @@ func FuzzParams(seed uint64, size, fanin, ffs, mix uint8) Params {
 		FFs:      int(ffs) % 8,
 		PIs:      1 + int(mix>>2)%8,
 		POs:      1 + int(mix>>5),
+	}
+	if size >= 0xc0 {
+		p.Gates = 200 + int(size&0x3f)*400/63
+		p.PIs *= 16
 	}
 	if mix&1 != 0 {
 		p.InverterFrac = 0.2
@@ -318,7 +329,7 @@ func FuzzParams(seed uint64, size, fanin, ffs, mix uint8) Params {
 }
 
 // FuzzCircuit generates the random circuit of p and grafts edge-case gadget
-// gadget%8 onto it (0: none), wired to nodes picked by seed's bytes — the
+// gadget%9 onto it (0: none), wired to nodes picked by seed's bytes — the
 // circuit decoder of the kernels' differential fuzz targets:
 //
 //	1: XOR(s, s), whose value never differs from the good machine's (and
@@ -331,10 +342,15 @@ func FuzzParams(seed uint64, size, fanin, ffs, mix uint8) Params {
 //	7: a flip-flop that carries t's divergence structurally but always
 //	   latches its good value (t is masked by AND(s, NOT(s)) before its D
 //	   input), in a loop with a live side input u, observed directly and
-//	   through a second flip-flop.
+//	   through a second flip-flop;
+//	8: a flip-flop whose D input only its own output reaches, through a
+//	   chain of 1–4 inverters and buffers, observed directly and through
+//	   an XOR with a live side input s: a strike on the flip-flop must be
+//	   carried across the clock edge although no other site reaches the D
+//	   input.
 func FuzzCircuit(p Params, gadget uint8, seed uint64) (*netlist.Circuit, error) {
 	base, err := Random(p)
-	g := int(gadget % 8)
+	g := int(gadget % 9)
 	if err != nil || g == 0 {
 		return base, err
 	}
@@ -375,6 +391,15 @@ func FuzzCircuit(p Params, gadget uint8, seed uint64) (*netlist.Circuit, error) 
 		nodes[q].Fanin = []netlist.ID{add(logic.Or, add(logic.And, t, zero), add(logic.And, q, u))}
 		out(add(logic.Xor, q, u))
 		out(add(logic.Buf, add(logic.DFF, q)))
+	case 8:
+		q := add(logic.DFF, s) // D input patched below, closing the loop
+		d := q
+		for i := range 1 + int(seed>>40)%4 {
+			d = add([]logic.Kind{logic.Not, logic.Buf}[seed>>(44+i)&1], d)
+		}
+		nodes[q].Fanin = []netlist.ID{d}
+		out(add(logic.Buf, q))
+		out(add(logic.Xor, q, s))
 	default:
 		ins := at[:[]int{1, 2, 3, 5}[g-3]]
 		and, nor := add(logic.And, ins...), add(logic.Nor, ins...)

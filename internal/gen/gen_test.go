@@ -212,3 +212,35 @@ func TestMaxFaninBound(t *testing.T) {
 		}
 	}
 }
+
+// TestFuzzParamsSizes: every size byte maps to a valid circuit in its
+// size's gate and input range, and gadget 8's flip-flop takes its D input
+// from a chain of 1–4 inverters and buffers that starts at the flip-flop
+// itself, so no other node reaches that D input.
+func TestFuzzParamsSizes(t *testing.T) {
+	for size := 0; size < 256; size += 7 {
+		p := FuzzParams(uint64(size), uint8(size), 3, 5, uint8(size*37))
+		lo, hi, pis := 5, 80, [2]int{1, 8}
+		if size >= 0xc0 {
+			lo, hi, pis = 200, 600, [2]int{16, 128}
+		}
+		if p.Gates < lo || p.Gates > hi || p.PIs < pis[0] || p.PIs > pis[1] {
+			t.Fatalf("size %#x: %d gates and %d inputs, want %d–%d and %d–%d", size, p.Gates, p.PIs, lo, hi, pis[0], pis[1])
+		}
+		c, err := FuzzCircuit(p, 8, uint64(size)*0x9e3779b97f4a7c15)
+		if err != nil {
+			t.Fatalf("size %#x: %v", size, err)
+		}
+		q := c.FFs[len(c.FFs)-1]
+		var loop []netlist.ID
+		for id := c.FaninOf(q)[0]; id != q; id = c.FaninOf(id)[0] {
+			if k := c.KindOf(id); k != logic.Not && k != logic.Buf {
+				t.Fatalf("size %#x: %s on q's D-input chain is a %v", size, c.NameOf(id), k)
+			}
+			loop = append(loop, id)
+		}
+		if len(loop) < 1 || len(loop) > 4 {
+			t.Fatalf("size %#x: D-input chain of %d gates, want 1–4", size, len(loop))
+		}
+	}
+}

@@ -12,9 +12,10 @@ import (
 )
 
 // FuzzMCBatch differentially fuzzes the batched Monte Carlo kernel against
-// the per-site shared-vector estimators. The circuit is a small random one
-// (gen.FuzzParams), optionally with one edge-case gadget grafted on
-// (gen.FuzzCircuit), swept for a fuzzed 1–4 words. In single-cycle mode
+// the per-site shared-vector estimators. The circuit is a small (5–80
+// gates) or large (200–600 gates) random one (gen.FuzzParams), optionally
+// with one edge-case gadget grafted on (gen.FuzzCircuit), swept for a
+// fuzzed 1–8 words. In single-cycle mode
 // every site's MCBatch estimate must equal MonteCarlo's with SharedVectors
 // set, and at frame budgets 1–4 NewMCSeqBatch's must equal Sequential's,
 // field for field. Within each mode the counters — Detected, DetectedLater
@@ -23,21 +24,27 @@ import (
 // depend on the budget that contains it.
 func FuzzMCBatch(f *testing.F) {
 	// One seed per gadget: XOR(s, s), constant masking, the AND/OR family
-	// at fanin 1, 2, 3 and 5, and a carried flip-flop that always latches
-	// its good value; then plain circuits with and without inverters and
-	// XORs.
-	for g := uint8(1); g < 8; g++ {
+	// at fanin 1, 2, 3 and 5, a carried flip-flop that always latches its
+	// good value, and a flip-flop whose D input only it reaches; then plain
+	// circuits with and without inverters and XORs; then large circuits,
+	// plain and with the last two gadgets.
+	for g := uint8(1); g < 9; g++ {
 		f.Add(uint64(g)*0x9e3779b97f4a7c15+1, 20+10*g, g, g, uint8(0x27+0x31*g), g, g, g)
 	}
 	f.Add(uint64(1), uint8(30), uint8(1), uint8(3), uint8(0x27), uint8(0), uint8(3), uint8(1))
 	f.Add(uint64(5), uint8(60), uint8(3), uint8(6), uint8(0xf3), uint8(0), uint8(2), uint8(2))
+	f.Add(uint64(7), uint8(0xc0), uint8(1), uint8(4), uint8(0x2d), uint8(0), uint8(4), uint8(3))
+	for i := uint64(0); i < 3; i++ {
+		f.Add(i*0x9e3779b97f4a7c15+11, uint8(0xc8+20*i), uint8(i), uint8(2+i), uint8(0x3c-4*i), uint8(8), uint8(5+i), uint8(2+3*i))
+	}
+	f.Add(uint64(0x5eed), uint8(0xd0), uint8(2), uint8(5), uint8(0x1f), uint8(7), uint8(2), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, size, fanin, ffs, mix, gadget, words, cut uint8) {
 		c, err := gen.FuzzCircuit(gen.FuzzParams(seed, size, fanin, ffs, mix), gadget, seed)
 		if err != nil {
 			t.Skip(err)
 		}
 		n := c.N()
-		opt := MCOptions{Vectors: 64 * (1 + int(words)%4), Seed: seed}
+		opt := MCOptions{Vectors: 64 * (1 + int(words)%8), Seed: seed}
 		shared := opt
 		shared.SharedVectors = true
 
