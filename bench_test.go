@@ -408,7 +408,9 @@ func BenchmarkSequentialSim(b *testing.B) {
 // s38417. The batched kernel performs exactly one good simulation per
 // 64-vector word regardless of site count (the goodsims/word metric;
 // the per-site estimator pays one per site per word — the sites× metric),
-// which is where the wall-clock win comes from.
+// which is where the wall-clock win comes from. At 128 vectors the batched
+// sweep is one block of two words, run on one worker; the visits/site
+// metric is the gates its event-driven per-site sweeps evaluated.
 func BenchmarkMCAllNodes(b *testing.B) {
 	const vectors = 128 // 2 words
 	words := (vectors + 63) / 64
@@ -438,16 +440,17 @@ func BenchmarkMCAllNodes(b *testing.B) {
 				b.Fatalf("good sims = %d over %d words, want exactly one per word", st.GoodSims, st.Words)
 			}
 			b.ReportMetric(float64(st.GoodSims)/float64(st.Words), "goodsims/word")
+			b.ReportMetric(float64(st.Visits)/float64(st.Sites), "visits/site")
 		})
 	}
 }
 
 // BenchmarkNewMCBatch: single-cycle Monte Carlo construction on its own —
-// the cone-locality schedule, every 64-site group's union cone
-// (graph.GroupCones, one 64-group pass at a time) and the per-group
-// injections and static counts taken from it. BenchmarkMCAllNodes
-// builds its MCBatch before the timer starts, so this is the only timing of
-// the set-up an end-to-end monte-carlo run pays.
+// topological ranks, the observation mask, the draw order and the
+// observable sites, all linear in the circuit (the sweep workers allocate
+// their block state when a sweep starts). BenchmarkMCAllNodes builds its
+// MCBatch before the timer starts, so this is the only timing of the
+// set-up an end-to-end monte-carlo run pays.
 func BenchmarkNewMCBatch(b *testing.B) {
 	for _, name := range []string{"s9234", "s38417"} {
 		c := circuitFor(b, name)
@@ -462,11 +465,11 @@ func BenchmarkNewMCBatch(b *testing.B) {
 
 // BenchmarkMCSeqAllNodes: the all-nodes multi-cycle Monte Carlo sweep
 // (simulate.MCBatch in multi-cycle mode) on s9234 at frame budgets 1/2/4,
-// 128 vectors. Cost grows roughly linearly with frames — each 64-vector word
-// pays exactly one good simulation per frame (the goodsims/word metric
-// equals the frame count) plus the per-group faulty re-simulation of the
-// carried flip-flop cones; the per-site Sequential baseline would pay
-// sites × frames good sims per word. frames=1 isolates the multi-cycle
+// 128 vectors. Cost grows with frames — each 64-vector word pays exactly
+// one good simulation per frame (the goodsims/word metric equals the frame
+// count), and each site's sweep runs on through a later frame only while
+// some flip-flop carries its divergence; the per-site Sequential baseline
+// would pay sites × frames good sims per word. frames=1 isolates the multi-cycle
 // mode's overhead against BenchmarkMCAllNodes' batched row (PO-only
 // detection, so the numbers are close but not identical workloads).
 func BenchmarkMCSeqAllNodes(b *testing.B) {

@@ -251,10 +251,10 @@ func parseLatch(spec string) (*latch.Model, error) {
 // efficiency (union-cone nodes swept per site; a full-cone per-site sweep
 // would pay the mean cone size); good_sims_per_word is the sampling
 // engine's good-simulation sharing (exactly 1 for the shared-good-sim
-// kernel; the per-site estimator pays one per site); lane_eval_frac is the
-// share of the sampling engine's static on-path lanes that its
-// divergence-driven sweep actually evaluated. Zero-valued counters (an
-// engine that does not record them) are omitted.
+// kernel; the per-site estimator pays one per site). For the sampling
+// engine swept_nodes_per_site is the gates its event-driven sweeps
+// evaluated per site. Zero-valued counters (an engine that does not record
+// them) are omitted.
 type benchRow struct {
 	Circuit           string  `json:"circuit"`
 	Engine            string  `json:"engine"`
@@ -266,7 +266,6 @@ type benchRow struct {
 	BytesPerOp        int64   `json:"bytes_per_op"`
 	SweptNodesPerSite float64 `json:"swept_nodes_per_site,omitempty"`
 	GoodSimsPerWord   float64 `json:"good_sims_per_word,omitempty"`
-	LaneEvalFrac      float64 `json:"lane_eval_frac,omitempty"`
 }
 
 // marshalBenchRows renders the bench measurements exactly as -json writes
@@ -330,7 +329,6 @@ func benchCircuit(ctx context.Context, eng engine.Engine, c *netlist.Circuit, fr
 		BytesPerOp:        res.AllocedBytesPerOp(),
 		SweptNodesPerSite: stats.SweptNodesPerSite(),
 		GoodSimsPerWord:   stats.GoodSimsPerWord(),
-		LaneEvalFrac:      stats.LaneEvalFrac(),
 	}
 	if frames > 1 {
 		row.Frames = frames

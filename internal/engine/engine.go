@@ -250,10 +250,10 @@ type Stats struct {
 	// multi-cycle analytic request it includes the one batched sweep of the
 	// flip-flop lookahead (the only batched sweep epp-scalar runs), made
 	// only when some site is left to sweep; the count is the same at every
-	// worker count. For the monte-carlo engine it counts the static
-	// frame-cone members, summed over groups, frames and words; its
-	// divergence-driven sweep visits only the members a fault effect
-	// reaches (see LaneEvals).
+	// worker count. For the monte-carlo engine it counts the gates its
+	// event-driven sweeps evaluated (simulate.MCStats.Visits), summed over
+	// sites, frames and blocks of four 64-vector words; it covers the words
+	// simulated by this call, not those restored from a checkpoint.
 	SweptNodes atomic.Int64
 	// Sites counts error sites analyzed.
 	Sites atomic.Int64
@@ -266,13 +266,6 @@ type Stats struct {
 	// MemoHits + Sites covers the whole sweep on a memo-assisted run —
 	// the ratio is the incremental re-estimation saving.
 	MemoHits atomic.Int64
-	// LaneSims counts the monte-carlo engine's static on-path lanes (one per
-	// site and frame-cone member it can reach), summed over words and
-	// frames: what a sweep evaluating every on-path lane would cost.
-	LaneSims atomic.Int64
-	// LaneEvals counts the faulty lanes the monte-carlo engine actually
-	// evaluated: those with a fanin diverged from the good machine.
-	LaneEvals atomic.Int64
 }
 
 // SweptNodesPerSite reports batching efficiency: union-cone nodes swept per
@@ -280,16 +273,6 @@ type Stats struct {
 func (s *Stats) SweptNodesPerSite() float64 {
 	if n := s.Sites.Load(); n > 0 {
 		return float64(s.SweptNodes.Load()) / float64(n)
-	}
-	return 0
-}
-
-// LaneEvalFrac reports divergence pruning: the share of static on-path
-// lanes the monte-carlo sweep actually evaluated (lower is better; 0 if no
-// lanes were recorded).
-func (s *Stats) LaneEvalFrac() float64 {
-	if n := s.LaneSims.Load(); n > 0 {
-		return float64(s.LaneEvals.Load()) / float64(n)
 	}
 	return 0
 }

@@ -567,7 +567,7 @@ func TestBatchEngineOrderInvariance(t *testing.T) {
 
 // TestStatsCounters: the work counters quantify the kernel wins — the
 // batched EPP engine's swept-nodes-per-site, the monte-carlo engine's
-// one-good-sim-per-word invariant and its divergence-pruned lane count.
+// one-good-sim-per-word invariant and its event-driven gate visits.
 func TestStatsCounters(t *testing.T) {
 	c, err := gen.ByName("s953")
 	if err != nil {
@@ -614,11 +614,9 @@ func TestStatsCounters(t *testing.T) {
 	if got := mc.GoodSimsPerWord(); got != 1 {
 		t.Errorf("GoodSimsPerWord = %v, want exactly 1", got)
 	}
-	if f := mc.LaneEvalFrac(); f <= 0 || f >= 1 {
-		t.Errorf("monte-carlo LaneEvalFrac = %v (%d/%d), want in (0, 1)", f, mc.LaneEvals.Load(), mc.LaneSims.Load())
-	}
-	if epp.LaneEvals.Load() != 0 || epp.LaneSims.Load() != 0 {
-		t.Errorf("epp-batch recorded lane counters %d/%d, want none", epp.LaneEvals.Load(), epp.LaneSims.Load())
+	// 8 words are two blocks; the sweep evaluates 33,280 gates on them.
+	if got := mc.SweptNodes.Load(); got != 33280 {
+		t.Errorf("monte-carlo SweptNodes = %d, want the kernel's 33280 gate visits", got)
 	}
 }
 

@@ -174,9 +174,10 @@ func (l *lookahead) get(req *Request, an *core.Analyzer) *seq.Lookahead {
 
 // mcEngine is the random-vector fault-injection baseline, built on the
 // shared-good-sim batched kernel simulate.MCBatch: the outer loop claims
-// 64-vector words through resume.SweepSpans, each word costs exactly one
-// full-circuit good simulation per frame shared by every error site, and
-// faulty re-simulation runs over cone-locality site groups. A single-frame
+// blocks of up to four 64-vector words through resume.SweepSpans, each word
+// costs exactly one full-circuit good simulation per frame shared by every
+// error site, and faulty re-simulation propagates one site at a time
+// against the whole block. A single-frame
 // request runs the kernel in single-cycle mode (P_sensitized: flip-flop
 // captures count as detections); Frames > 1 runs it in multi-cycle mode
 // (detection probability: corrupted flip-flop state carries across clock
@@ -187,14 +188,14 @@ func (l *lookahead) get(req *Request, an *core.Analyzer) *seq.Lookahead {
 // for the reproducibility contracts. Because the sweep is word-major,
 // per-site results all finalize together: OnBatch calls arrive after the
 // last word, tiling [0, N) in order, while OnProgress ticks per completed
-// word and cancellation stays word-granular.
+// block and cancellation is checked between blocks.
 //
-// Resilience follows the word-major shape: a checkpoint commits completed
-// words with the kernel's integer counters (folded per word, in the same
-// step as the commit) and flushes the kernel's final counters on
-// completion, the MaxSweepNodes budget maps to a word budget, and kernel or
-// callback panics surface as *SweepPanicError with Unit "word" and the
-// failing word.
+// Resilience follows the word-major shape: a checkpoint commits each
+// completed block's words with the kernel's integer counters (folded per
+// block, in the same step as the commit) and flushes the kernel's final
+// counters on completion, the MaxSweepNodes budget maps to an exact word
+// budget, and kernel or callback panics surface as *SweepPanicError with
+// Unit "words" and the failing block's word range.
 type mcEngine struct{}
 
 func (mcEngine) Name() string { return "monte-carlo" }
@@ -279,7 +280,7 @@ func mcSweep(ctx context.Context, req *Request, out []float64) error {
 			return err
 		}
 		opt.Resume = &simulate.Resume{Done: rs.DoneRanges(), Counters: rs.Counters()}
-		opt.OnCommit = rs.CommitWord
+		opt.OnCommit = rs.CommitWords
 		opt.OnAbort = func(snap resume.Counters) {
 			// The interval cadence may not have written the last commits;
 			// persist the final consistent partial state so the abort error's
@@ -325,10 +326,8 @@ func mcSweep(ctx context.Context, req *Request, out []float64) error {
 		st := mb.Stats()
 		req.Stats.GoodSims.Add(st.GoodSims)
 		req.Stats.Words.Add(st.Words)
-		req.Stats.SweptNodes.Add(st.SweptMembers)
+		req.Stats.SweptNodes.Add(st.Visits)
 		req.Stats.Sites.Add(st.Sites)
-		req.Stats.LaneSims.Add(st.LaneSims)
-		req.Stats.LaneEvals.Add(st.LaneEvals)
 	}
 	return nil
 }

@@ -5,9 +5,12 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -32,8 +35,8 @@ func TestMCCheckpointPins(t *testing.T) {
 		frames int
 		want   string // hex SHA-256 of the completed checkpoint file
 	}{
-		{1, "91cf68149c74dd03de0f56909874b75529c92295065cfd586df27044fe6f977b"},
-		{3, "af3da0a0e04f37ff1c2f331ddbe86aa023e784cce0063200ee3ac3e152abbab6"},
+		{1, "305ef4c3b180cc0e36d66fcde706ac391eddc83c770337327fefa3cbfae922bc"},
+		{3, "8f1dafbb2b1ad54846cffb52bd15b15481dc4aa4b491fc526f6937630daa51db"},
 	}
 	for _, tc := range files {
 		path := filepath.Join(t.TempDir(), "mc.ckpt")
@@ -64,15 +67,78 @@ func TestMCCheckpointPins(t *testing.T) {
 	stats := []struct {
 		name string
 		got  simulate.MCStats
-		want [4]int64 // Words, GoodSims, LaneSims, SweptMembers
+		want [3]int64 // Words, GoodSims, Visits
 	}{
-		{"single-cycle", single.Stats(), [4]int64{10, 10, 587970, 17360}},
-		{"multi-cycle", multi.Stats(), [4]int64{10, 30, 4180010, 76180}},
+		{"single-cycle", single.Stats(), [3]int64{10, 10, 50066}},
+		{"multi-cycle", multi.Stats(), [3]int64{10, 30, 128552}},
 	}
 	for _, s := range stats {
-		got := [4]int64{s.got.Words, s.got.GoodSims, s.got.LaneSims, s.got.SweptMembers}
+		got := [3]int64{s.got.Words, s.got.GoodSims, s.got.Visits}
 		if got != s.want {
-			t.Errorf("%s: MCStats {Words, GoodSims, LaneSims, SweptMembers} = %v, want %v", s.name, got, s.want)
+			t.Errorf("%s: MCStats {Words, GoodSims, Visits} = %v, want %v", s.name, got, s.want)
+		}
+	}
+}
+
+// TestMCResumeVersion2Checkpoint resumes the partial checkpoints a
+// word-at-a-time kernel wrote in format version 2 (s953, 640 vectors, seed
+// 5, frames 1 and 3, words [0, 3) done, counters still carrying the
+// retired lane_sims and swept_members): the sweep must finish with every
+// site's bits equal to an uninterrupted run's, the file must not be
+// quarantined, and the rewritten checkpoint must equal an uninterrupted
+// checkpointed run's byte for byte.
+func TestMCResumeVersion2Checkpoint(t *testing.T) {
+	c, err := gen.ByName("s953")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := Lookup("monte-carlo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frames := range []int{1, 3} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("mc-v2-s953-f%d.ckpt", frames)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		run := func(path string) []float64 {
+			t.Helper()
+			req := &Request{Circuit: c, Frames: frames, Vectors: 640, Seed: 5, Workers: 2}
+			if path != "" {
+				req.Resume = resume.New(path, time.Hour)
+			}
+			out := make([]float64, c.N())
+			if err := mc.PSensitizedAll(context.Background(), req, out); err != nil {
+				t.Fatalf("frames %d: %v", frames, err)
+			}
+			return out
+		}
+		resumed := filepath.Join(dir, "old.ckpt")
+		if err := os.WriteFile(resumed, fixture, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		got, want := run(resumed), run("")
+		for id := range want {
+			if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
+				t.Fatalf("frames %d site %d: resumed %v, uninterrupted %v", frames, id, got[id], want[id])
+			}
+		}
+		if _, err := os.Stat(resumed + ".corrupt"); !os.IsNotExist(err) {
+			t.Fatalf("frames %d: the version-2 checkpoint was quarantined", frames)
+		}
+		fresh := filepath.Join(dir, "fresh.ckpt")
+		run(fresh)
+		a, err := os.ReadFile(resumed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("frames %d: checkpoint after resuming the version-2 file differs from an uninterrupted run's", frames)
 		}
 	}
 }

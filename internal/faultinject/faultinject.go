@@ -5,10 +5,10 @@
 //
 // An Injector piggybacks on the engines' progress callback (WithProgress /
 // Request.OnProgress), which every engine invokes at each completed unit
-// boundary — site batches for the analytic and exact engines, 64-vector
-// words for the monte-carlo engine. The injector picks one boundary from a
-// seed (deterministic per seed, randomized across seeds) and fires exactly
-// once when progress crosses it:
+// boundary — site batches for the analytic and exact engines, blocks of up
+// to four 64-vector words for the monte-carlo engine. The injector picks
+// one boundary from a seed (deterministic per seed, randomized across
+// seeds) and fires exactly once when progress crosses it:
 //
 //   - Panic panics inside the callback, exercising the sweep driver's panic
 //     isolation (the run must return a *engine.SweepPanicError, not crash).

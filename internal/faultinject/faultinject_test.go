@@ -72,7 +72,10 @@ func (tc fiCase) opts() []sersim.Option {
 		opts = append(opts, sersim.WithFrames(tc.frames))
 	}
 	if tc.engine == "monte-carlo" {
-		opts = append(opts, sersim.WithVectors(512))
+		// 2048 vectors are 32 words in 8 blocks of 4: progress ticks at
+		// every 4th word, so the injector's trigger, at most 60% of the
+		// sweep, always lands before the last block.
+		opts = append(opts, sersim.WithVectors(2048))
 	}
 	return opts
 }

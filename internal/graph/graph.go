@@ -1,19 +1,10 @@
 // Package graph implements the structural traversal the EPP method is built
 // on (paper §2, steps 1 and 2): forward cone extraction from error sites to
 // all reachable observation points via depth-first search, in topological
-// order. Two primitives serve every engine:
-//
-//   - Walker.UnionCone walks one union of cones at a time, for callers that
-//     learn each site set only as they go: the scalar analyses take the
-//     one-root case (ForwardCone), and the batched EPP kernel takes each
-//     batch's pending sites at sweep time.
-//   - GroupCones extracts the cones of a fixed partition of sites into
-//     groups, 64 groups per topological pass, for callers that know the
-//     groups up front: the Monte Carlo kernel's construction, which takes
-//     each 64-site lane group's strike injections and static counts from its
-//     cone and calls it once per 64 groups, so only one pass of cones is
-//     alive at a time. Its sweep keeps no cone: it follows divergence from
-//     the injected nodes into gate fanouts.
+// order. Walker.UnionCone walks one union of cones at a time: the scalar
+// analyses take the one-root case (ForwardCone), and the batched EPP kernel
+// takes each batch's pending sites at sweep time. The Monte Carlo kernel
+// keeps no cone: its sweep follows divergence into gate fanouts.
 //
 // The traversal treats D flip-flops as time-frame boundaries: propagation
 // stops at a flip-flop's D input (which is an observation point) and never
@@ -21,9 +12,6 @@
 package graph
 
 import (
-	"math/bits"
-	"slices"
-
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -160,69 +148,6 @@ func (w *Walker) UnionCone(roots []netlist.ID) []netlist.ID {
 // uint32 epoch wrapped and every stamp was cleared — so a caller keeping
 // its own stamps under this epoch must clear them when it sees 1.
 func (w *Walker) Stamps() (stamp []uint32, epoch uint32) { return w.stamp, w.epoch }
-
-// GroupCones returns the union cones of consecutive groups of size sites
-// each: group g is sites[g*size : min((g+1)*size, len(sites))], and its cone
-// is cones[idx[g]:idx[g+1]], the member set UnionCone returns for that
-// group, listed in c.Topo() order — also a valid topological order, but not
-// UnionCone's level order. idx has one entry per group plus one.
-//
-// Every node carries one uint64 of group bits, so one pass over c.Topo()
-// covers 64 groups: seed each site's bit, let each gate OR in its fanins'
-// bits, and leave flip-flops with their seed bits only (UnionCone's
-// time-frame rule). A counting round of passes sizes every group's bucket in
-// one backing array, and a second round places the members. Scratch is O(N)
-// words whatever the group count. size must be positive.
-func GroupCones(c *netlist.Circuit, sites []netlist.ID, size int) (cones []netlist.ID, idx []int32) {
-	groups := (len(sites) + size - 1) / size
-	idx = make([]int32, groups+1)
-	topo := c.Topo()
-	kinds := c.Kinds()
-	fiIdx, fiArr := c.FaninCSR()
-	gbits := make([]uint64, c.N())
-	// pass propagates the group bits of groups g0 to g0+63 through gbits.
-	pass := func(g0 int) {
-		clear(gbits)
-		for i, s := range sites[g0*size : min((g0+64)*size, len(sites))] {
-			gbits[s] |= 1 << uint(i/size)
-		}
-		for _, id := range topo {
-			if kinds[id].IsGate() {
-				b := gbits[id]
-				for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-					b |= gbits[f]
-				}
-				gbits[id] = b
-			}
-		}
-	}
-	// Counting round: idx[g+1] holds group g's size, then the prefix sums
-	// make it the end of g's bucket.
-	for g0 := 0; g0 < groups; g0 += 64 {
-		pass(g0)
-		for _, b := range gbits {
-			for ; b != 0; b &= b - 1 {
-				idx[g0+bits.TrailingZeros64(b)+1]++
-			}
-		}
-	}
-	for g := 1; g <= groups; g++ {
-		idx[g] += idx[g-1]
-	}
-	cones = make([]netlist.ID, idx[groups])
-	next := slices.Clone(idx[:groups])
-	for g0 := 0; g0 < groups; g0 += 64 {
-		pass(g0)
-		for _, id := range topo {
-			for b := gbits[id]; b != 0; b &= b - 1 {
-				g := g0 + bits.TrailingZeros64(b)
-				cones[next[g]] = id
-				next[g]++
-			}
-		}
-	}
-	return cones, idx
-}
 
 // ForwardCone extracts the on-path cone of root: UnionCone of the single
 // root (which therefore comes first), together with the reachable

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/netlist"
-	"repro/internal/sched"
 )
 
 // fig1 builds the circuit of the paper's Figure 1:
@@ -215,124 +213,6 @@ func TestUnionConeMatchesForwardCones(t *testing.T) {
 			}
 			if tc.wrap && w.epoch >= ^uint32(0)-3 {
 				t.Fatalf("epoch = %d, wraparound not exercised", w.epoch)
-			}
-		})
-	}
-}
-
-// TestGroupConesMatchUnionCone is GroupCones' differential test: for every
-// group, the cone must hold exactly Walker.UnionCone's members, each once,
-// with every gate member after its in-cone fanins.
-func TestGroupConesMatchUnionCone(t *testing.T) {
-	// scheduled returns c's observable sites in cone-locality order: the
-	// Monte Carlo kernel's site list.
-	scheduled := func(c *netlist.Circuit) []netlist.ID {
-		sig := c.ObsSignatures()
-		var sites []netlist.ID
-		for _, id := range sched.ConeLocality(c).Order {
-			if sig[id] != 0 {
-				sites = append(sites, id)
-			}
-		}
-		return sites
-	}
-	shuffled := func(c *netlist.Circuit, seed uint64) []netlist.ID {
-		sites := make([]netlist.ID, c.N())
-		for i := range sites {
-			sites[i] = netlist.ID(i)
-		}
-		rand.New(rand.NewPCG(seed, 2)).Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
-		return sites
-	}
-	dup, err := bench.ParseString(`
-INPUT(a)
-INPUT(b)
-OUTPUT(y)
-OUTPUT(z)
-s = NAND(a, b)
-x = XOR(s, s)
-y = OR(x, a)
-q = DFF(y)
-z = AND(q, s)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s9234, err := gen.ByName("s9234")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s953, err := gen.ByName("s953")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqc := gen.MustRandom(gen.Params{Name: "seq", Seed: 7, PIs: 6, POs: 3, FFs: 12, Gates: 200})
-	type tc struct {
-		name      string
-		c         *netlist.Circuit
-		sites     []netlist.ID
-		size      int
-		minGroups int // more than 64 groups means more than one pass
-	}
-	cases := []tc{
-		{"s953", s953, scheduled(s953), 64, 1},
-		{"s9234", s9234, scheduled(s9234), 64, 65},
-		{"seq/partial-last", seqc, shuffled(seqc, 1)[:101], 7, 14},
-		{"seq/sources", seqc, append(append([]netlist.ID(nil), seqc.PIs...), seqc.FFs...), 4, 2},
-		{"seq/size-1", seqc, shuffled(seqc, 2), 1, 65},
-		{"dup-fanin", dup, []netlist.ID{dup.ByName("s"), dup.ByName("s"), dup.ByName("q"), dup.ByName("a")}, 2, 2},
-	}
-	for seed := uint64(0); seed < 6; seed++ {
-		c := gen.SmallRandomSequential(seed)
-		cases = append(cases,
-			tc{fmt.Sprintf("small-seq-%d/64", seed), c, shuffled(c, seed), 64, 1},
-			tc{fmt.Sprintf("small-seq-%d/3", seed), c, shuffled(c, seed), 3, 1})
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := tc.c
-			kinds := c.Kinds()
-			fiIdx, fiArr := c.FaninCSR()
-			cones, idx := GroupCones(c, tc.sites, tc.size)
-			groups := (len(tc.sites) + tc.size - 1) / tc.size
-			if len(idx) != groups+1 || idx[0] != 0 || int(idx[groups]) != len(cones) {
-				t.Fatalf("idx has %d entries [%d..%d] for %d groups and %d members", len(idx), idx[0], idx[len(idx)-1], groups, len(cones))
-			}
-			if groups < tc.minGroups {
-				t.Fatalf("%d groups, want at least %d", groups, tc.minGroups)
-			}
-			w := NewWalker(c)
-			pos := make([]int, c.N())
-			for g := 0; g < groups; g++ {
-				group := tc.sites[g*tc.size : min((g+1)*tc.size, len(tc.sites))]
-				got := cones[idx[g]:idx[g+1]]
-				want := w.UnionCone(group)
-				stamp, epoch := w.Stamps()
-				if len(got) != len(want) {
-					t.Fatalf("group %d: %d members, UnionCone has %d", g, len(got), len(want))
-				}
-				for i := range pos {
-					pos[i] = -1
-				}
-				for i, id := range got {
-					if stamp[id] != epoch {
-						t.Fatalf("group %d: member %s is not in UnionCone", g, c.NameOf(id))
-					}
-					if pos[id] >= 0 {
-						t.Fatalf("group %d: member %s appears twice", g, c.NameOf(id))
-					}
-					pos[id] = i
-				}
-				for i, id := range got {
-					if !kinds[id].IsGate() {
-						continue
-					}
-					for _, f := range fiArr[fiIdx[id]:fiIdx[id+1]] {
-						if stamp[f] == epoch && pos[f] >= i {
-							t.Fatalf("group %d: fanin %s of member %s is not before it", g, c.NameOf(f), c.NameOf(id))
-						}
-					}
-				}
 			}
 		})
 	}

@@ -20,8 +20,8 @@
 // list at a unit budget (ErrBudget) and reports each finished span —
 // commit, then progress — in one serialized section. The site-major
 // engines pass it site spans; the word-major Monte Carlo kernel passes it
-// one span per 64-vector word. How a sweep claims work, stops and commits
-// is therefore decided here, once.
+// blocks of up to four 64-vector words. How a sweep claims work, stops and
+// commits is therefore decided here, once.
 //
 // # File format
 //
@@ -30,7 +30,7 @@
 // existing checkpoint. Fields:
 //
 //	{
-//	  "version":     2,            // format version; see Version
+//	  "version":     3,            // format version; see Version
 //	  "engine":      "epp-batch",  // registry name of the engine that wrote it
 //	  "fingerprint": "ab12…",      // request fingerprint (hex SHA-256)
 //	  "kind":        "sites",      // unit semantics: "sites" or "words"
@@ -47,8 +47,10 @@
 // Version is bumped on any incompatible change to this layout; a loader
 // finding an unknown version rejects the file rather than guessing. Version
 // 1 files (written before the checksum existed) still load — they simply
-// carry no integrity check. Version 2 files must carry a checksum that
-// verifies: the writer serializes the document with an empty checksum
+// carry no integrity check. Version 2 files still load too: their
+// word-major counters carry two retired static lane counters (lane_sims,
+// swept_members), which the checksum covers and the loader then drops.
+// Files from version 2 on must carry a checksum that verifies: the writer serializes the document with an empty checksum
 // field, hashes those bytes with SHA-256, and stores the hex digest; the
 // reader re-serializes the parsed document the same way and compares. A
 // torn write, bit rot, or hand-editing therefore surfaces as a structured
@@ -92,13 +94,18 @@ import (
 )
 
 // Version is the checkpoint file format version this package writes.
-// Readers accept Version and the checksum-less legacy version 1, and
-// reject anything else.
-const Version = 2
+// Readers accept Version, version 2 (whose word-major counters carry two
+// retired fields) and the checksum-less legacy version 1, and reject
+// anything else.
+const Version = 3
 
 // legacyVersion is the last format without a content checksum; files at
 // this version still load (no integrity check is possible for them).
 const legacyVersion = 1
+
+// laneCountersVersion is the last format whose word-major counters carry
+// the retired lane_sims and swept_members fields.
+const laneCountersVersion = 2
 
 // Unit semantics of a checkpoint: completed site-ID ranges (site-major
 // engines) or completed 64-vector word indices (the word-major monte-carlo
@@ -115,19 +122,17 @@ type Range struct {
 }
 
 // Counters is the integer counter state of a word-major sweep — the
-// per-site (and per-frame) detection tallies plus the work counters, all of
-// which are plain sums over completed words and therefore resume by
-// addition. The same type is a sweep worker's tally, the sweep totals, a
+// per-site (and per-frame) detection tallies plus the word and good
+// simulation counts, all of which are plain sums over completed words and
+// therefore resume by addition. The same type is a sweep worker's tally, the sweep totals, a
 // commit snapshot and the checkpointed state.
 type Counters struct {
 	Detected []int64 `json:"detected"`         // per site: trials detected in any frame
 	Later    []int64 `json:"later,omitempty"`  // per site: trials detected in frame >= 1 (multi-cycle)
 	Frames   []int64 `json:"frames,omitempty"` // frame-major frames×n per-frame detections (multi-cycle)
 
-	Words        int64 `json:"words"`
-	GoodSims     int64 `json:"good_sims"`
-	LaneSims     int64 `json:"lane_sims"`
-	SweptMembers int64 `json:"swept_members"`
+	Words    int64 `json:"words"`
+	GoodSims int64 `json:"good_sims"`
 }
 
 // Clone deep-copies the counters so the caller may keep mutating its own.
@@ -157,8 +162,6 @@ func (c *Counters) Add(o *Counters) {
 	}
 	c.Words += o.Words
 	c.GoodSims += o.GoodSims
-	c.LaneSims += o.LaneSims
-	c.SweptMembers += o.SweptMembers
 }
 
 // Reset zeroes every counter in place, keeping the slices.
@@ -166,7 +169,7 @@ func (c *Counters) Reset() {
 	clear(c.Detected)
 	clear(c.Later)
 	clear(c.Frames)
-	c.Words, c.GoodSims, c.LaneSims, c.SweptMembers = 0, 0, 0, 0
+	c.Words, c.GoodSims = 0, 0
 }
 
 // File is the on-disk checkpoint layout; see the package documentation for
@@ -191,9 +194,35 @@ type File struct {
 func (f *File) checksum() string {
 	cp := *f
 	cp.Checksum = ""
-	data, err := json.Marshal(&cp)
+	return digest(&cp)
+}
+
+// laneCountersChecksum is checksum for a version-2 word-major file, whose
+// counters still held the retired lane_sims and swept_members fields: the
+// digest was taken over them, so it is recomputed over that layout. The
+// embedded Counters keeps its field order, and the outer counters field
+// replaces File's at the same position.
+func laneCountersChecksum(data []byte) string {
+	var f struct {
+		File
+		Counters *struct {
+			Counters
+			LaneSims     int64 `json:"lane_sims"`
+			SweptMembers int64 `json:"swept_members"`
+		} `json:"counters,omitempty"`
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return ""
+	}
+	f.Checksum = ""
+	return digest(&f)
+}
+
+// digest is the hex SHA-256 of v's JSON encoding.
+func digest(v any) string {
+	data, err := json.Marshal(v)
 	if err != nil {
-		// The struct contains only marshalable fields; this cannot happen.
+		// The file layouts hold only marshalable fields; this cannot happen.
 		return ""
 	}
 	sum := sha256.Sum256(data)
@@ -234,14 +263,18 @@ func Load(path string) (*File, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("not valid JSON: %v", err)}
 	}
-	if f.Version != Version && f.Version != legacyVersion {
-		return nil, fmt.Errorf("resume: checkpoint %s has format version %d; this build reads versions %d and %d", path, f.Version, legacyVersion, Version)
+	if f.Version < legacyVersion || f.Version > Version {
+		return nil, fmt.Errorf("resume: checkpoint %s has format version %d; this build reads versions %d to %d", path, f.Version, legacyVersion, Version)
 	}
-	if f.Version >= 2 {
+	if f.Version > legacyVersion {
 		if f.Checksum == "" {
-			return nil, &CorruptError{Path: path, Reason: "version 2 file has no checksum"}
+			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("version %d file has no checksum", f.Version)}
 		}
-		if want := f.checksum(); f.Checksum != want {
+		want := f.checksum()
+		if f.Version == laneCountersVersion && f.Kind == KindWords {
+			want = laneCountersChecksum(data)
+		}
+		if f.Checksum != want {
 			return nil, &CorruptError{Path: path, Reason: fmt.Sprintf("checksum mismatch: file says %.12s…, content hashes to %.12s…", f.Checksum, want)}
 		}
 	}
@@ -447,16 +480,21 @@ func (s *State) CommitSites(lo, hi int, vals []float64) error {
 	return nil
 }
 
-// CommitWord records word w as completed. snap must return a counter
-// snapshot consistent with every committed word including w; it is invoked
-// only when the cadence makes this commit write the file, so the caller can
-// afford a full copy per write rather than per word.
-func (s *State) CommitWord(w int, snap func() Counters) error {
+// CommitWords records words [lo, hi) as completed, as one unit: a write
+// marks all of them done together with a snapshot that holds exactly them,
+// so the file never shows counters ahead of its done set. snap must return
+// a counter snapshot consistent with every committed word including
+// [lo, hi); it is invoked only when the cadence makes this commit write the
+// file, so the caller can afford a full copy per write rather than per
+// commit.
+func (s *State) CommitWords(lo, hi int, snap func() Counters) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.doneBits[w/64]>>uint(w%64)&1 == 0 {
-		s.doneBits[w/64] |= 1 << uint(w%64)
-		s.doneCount++
+	for w := lo; w < hi; w++ {
+		if s.doneBits[w/64]>>uint(w%64)&1 == 0 {
+			s.doneBits[w/64] |= 1 << uint(w%64)
+			s.doneCount++
+		}
 	}
 	s.dirty = true
 	if s.dueLocked() {

@@ -1,6 +1,9 @@
 package resume
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -70,9 +73,9 @@ func TestWordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := Counters{Detected: []int64{3, 0, 7}, Words: 2, GoodSims: 2, LaneSims: 11, SweptMembers: 5}
-	for _, w := range []int{1, 5} {
-		if err := st.CommitWord(w, func() Counters { return snap }); err != nil {
+	snap := Counters{Detected: []int64{3, 0, 7}, Words: 3, GoodSims: 3}
+	for _, r := range []Range{{1, 3}, {5, 6}} {
+		if err := st.CommitWords(r.Lo, r.Hi, func() Counters { return snap }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -80,11 +83,14 @@ func TestWordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := st2.DoneRanges(), []Range{{1, 2}, {5, 6}}; !reflect.DeepEqual(got, want) {
+	if got, want := st2.DoneRanges(), []Range{{1, 3}, {5, 6}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored done ranges %v, want %v", got, want)
 	}
+	if got := st2.DoneUnits(); got != 3 {
+		t.Fatalf("restored %d done units, want 3", got)
+	}
 	c := st2.Counters()
-	if c == nil || c.Words != 2 || len(c.Detected) != 3 || c.Detected[2] != 7 {
+	if c == nil || c.Words != 3 || len(c.Detected) != 3 || c.Detected[2] != 7 {
 		t.Fatalf("restored counters %+v, want %+v", c, snap)
 	}
 }
@@ -352,7 +358,7 @@ func TestWordFlushRefusesInconsistentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Commit without a due write: done bits advance, counters do not.
-	if err := st.CommitWord(0, func() Counters { t.Fatal("snap called though no write was due"); return Counters{} }); err != nil {
+	if err := st.CommitWords(0, 1, func() Counters { t.Fatal("snap called though no write was due"); return Counters{} }); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Flush(); err != nil {
@@ -393,5 +399,63 @@ func TestPendingOffsetRange(t *testing.T) {
 				t.Fatalf("case %d: got %v, want %v", i, got, tc.want)
 			}
 		}
+	}
+}
+
+// TestVersion2WordsLoads: a version-2 word-major file, whose counters carry
+// the retired lane_sims and swept_members fields under its checksum, loads
+// with those fields dropped, and a tampered retired field still fails the
+// checksum.
+func TestVersion2WordsLoads(t *testing.T) {
+	type v2Counters struct {
+		Detected     []int64 `json:"detected"`
+		Words        int64   `json:"words"`
+		GoodSims     int64   `json:"good_sims"`
+		LaneSims     int64   `json:"lane_sims"`
+		SweptMembers int64   `json:"swept_members"`
+	}
+	type v2File struct {
+		Version     int         `json:"version"`
+		Engine      string      `json:"engine"`
+		Fingerprint string      `json:"fingerprint"`
+		Kind        string      `json:"kind"`
+		Units       int         `json:"units"`
+		Done        []Range     `json:"done"`
+		Counters    *v2Counters `json:"counters,omitempty"`
+		Checksum    string      `json:"checksum,omitempty"`
+	}
+	f := v2File{Version: 2, Engine: "monte-carlo", Fingerprint: "fp", Kind: KindWords, Units: 8,
+		Done:     []Range{{0, 3}},
+		Counters: &v2Counters{Detected: []int64{4, 0, 9}, Words: 3, GoodSims: 3, LaneSims: 17, SweptMembers: 6}}
+	data, err := json.Marshal(&f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	f.Checksum = hex.EncodeToString(sum[:])
+	if data, err = json.Marshal(&f); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	st, err := New(path, 0).Arm("monte-carlo", "fp", KindWords, 8)
+	if err != nil {
+		t.Fatalf("Arm against a version-2 word file: %v", err)
+	}
+	c := st.Counters()
+	if got, want := st.DoneRanges(), []Range{{0, 3}}; !reflect.DeepEqual(got, want) || c == nil ||
+		!reflect.DeepEqual(c.Detected, []int64{4, 0, 9}) || c.Words != 3 || c.GoodSims != 3 {
+		t.Fatalf("restored %v and %+v", got, c)
+	}
+
+	tampered := bytes.Replace(data, []byte(`"lane_sims":17`), []byte(`"lane_sims":18`), 1)
+	if err := os.WriteFile(path, tampered, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, err := Load(path); !errors.As(err, &ce) {
+		t.Fatalf("tampered version-2 file: err = %v, want *CorruptError", err)
 	}
 }

@@ -49,8 +49,8 @@ var ErrBudget = errors.New("engine: sweep node budget exhausted")
 // crashing the process.
 type SweepPanicError struct {
 	Engine string // registry name of the engine whose sweep panicked
-	Unit   string // failing unit kind: "batch", "word", "setup" or "sweep"
-	Lo, Hi int    // failing unit range: [Lo, Hi) sites, or word index Lo; -1 if unknown
+	Unit   string // failing unit kind: "batch", "words", "setup" or "sweep"
+	Lo, Hi int    // failing unit range: [Lo, Hi) sites or words; -1 if unknown
 	Value  any    // the recovered panic value
 	Stack  []byte // stack of the panicking goroutine at recovery
 }
@@ -58,17 +58,14 @@ type SweepPanicError struct {
 // Error summarizes the panic; the full stack is in Stack.
 func (e *SweepPanicError) Error() string {
 	where := ""
-	switch {
-	case e.Unit == "word" && e.Lo >= 0:
-		where = fmt.Sprintf(" at word %d", e.Lo)
-	case e.Lo >= 0:
+	if e.Lo >= 0 {
 		where = fmt.Sprintf(" at %s [%d,%d)", e.Unit, e.Lo, e.Hi)
 	}
 	return fmt.Sprintf("engine: panic in %s sweep%s: %v", e.Engine, where, e.Value)
 }
 
 // SweepSpans is the parallel driver of every all-sites sweep, site-major
-// (spans of sites) and word-major (one span per 64-vector word) alike:
+// (spans of sites) and word-major (spans of 64-vector words) alike:
 // spans are claimed from a lock-free atomic cursor by workers goroutines
 // (<= 0 means GOMAXPROCS), each running its own do closure from newWorker.
 // Because every sweep built on it writes per-unit results exactly once or

@@ -1,33 +1,29 @@
-// Package sched implements the site scheduler shared by the batched
-// analysis kernels: it orders error sites by cone locality so that sites
-// packed into one batch (one lane word, at most 64 sites) share most of
-// their union cone.
+// Package sched implements the site scheduler of the batched EPP kernel: it
+// orders error sites by cone locality so that sites packed into one batch
+// (one lane word, at most 64 sites) share most of their union cone.
 //
-// Both batched kernels sweep the union of their sites' forward cones once
-// per batch — the EPP engine (core.BatchAnalyzer) propagates four-valued
-// probability states through it, the Monte Carlo kernel (simulate.MCBatch)
-// re-simulates faulty values through it — so the work per batch is
-// proportional to |union cone|, not to the sum of the individual cone
-// sizes. Packing sites whose cones overlap therefore reduces swept nodes
-// per site directly. The heuristic is cheap and global: every node gets a
-// 64-bit reachable-observation signature from one reverse CSR sweep
-// (netlist.Circuit.ObsSignatures), and sites are sorted by
-// (combinational level, signature, ID). Level-major order keeps a batch's
-// union-cone members dense in the per-node scratch arrays, and the
+// The batched EPP kernel (core.BatchAnalyzer) sweeps the union of its sites'
+// forward cones once per batch, propagating four-valued probability states
+// through it, so the work per batch is proportional to |union cone|, not to
+// the sum of the individual cone sizes. Packing sites whose cones overlap
+// therefore reduces swept nodes per site directly. The heuristic is cheap
+// and global: every node gets a 64-bit reachable-observation signature from
+// one reverse CSR sweep (netlist.Circuit.ObsSignatures), and sites are
+// sorted by (combinational level, signature, ID). Level-major order keeps a
+// batch's union-cone members dense in the per-node scratch arrays, and the
 // signature tie-break clusters sites feeding the same outputs, whose cones
 // converge; on netlists whose node IDs do not already follow level order
-// (anything parsed from a real .bench file) this also restores the
-// locality that consecutive-ID packing only gets by accident.
+// (anything parsed from a real .bench file) this also restores the locality
+// that consecutive-ID packing only gets by accident.
 //
 // A Schedule is a pure reordering: it never changes which sites are
 // analyzed or how, only which sites share a batch and in what sequence
 // batches are claimed. The batched EPP kernel is packing-invariant by
 // construction (per-lane arithmetic never reads companion lanes, and the
 // per-output miss product is folded in canonical output-ID order), so
-// routing a sweep through a Schedule changes no result bits; the Monte
-// Carlo kernel's per-site detection counts are likewise independent of
-// grouping. Schedules are immutable after construction and safe for
-// concurrent use by any number of workers.
+// routing a sweep through a Schedule changes no result bits. Schedules
+// are immutable after construction and safe for concurrent use by any
+// number of workers.
 package sched
 
 import (

@@ -15,11 +15,11 @@
 // across clock cycles). MCBatch is the production all-sites form of both:
 // vectors are shared across sites (MCOptions.SharedVectors), so each
 // 64-vector word costs exactly one good simulation per frame for the whole
-// circuit, and faulty re-simulation runs over cone-locality site groups
-// (internal/sched), every frame through one lane sweep with the strike flips
-// and the carried flip-flop state as injections; the sweep evaluates only
-// the lanes whose fault effect is still alive, i.e. that have a fanin
-// differing from the good machine. Its single-cycle mode
+// circuit, and faulty re-simulation propagates one site at a time against
+// a block of four words (parallel-pattern single-fault propagation), every
+// frame through one event-driven sweep with the strike flip and the carried
+// flip-flop state as injections; the sweep evaluates only the gates with a
+// fanin differing from the good machine. Its single-cycle mode
 // (NewMCBatch) reproduces shared-vector MonteCarlo bit-exactly and its
 // multi-cycle mode (NewMCSeqBatch) shared-vector Sequential.
 //
@@ -45,7 +45,7 @@
 // observation points. Because the draws depend only on (Seed, word) and the
 // frame-k draw sequence is a prefix of the frame-(k+1) sequence, per-site
 // results are bit-identical between multi-cycle MCBatch and shared-vector
-// Sequential at any grouping or worker count, and every site's estimate is
+// Sequential at any block partitioning or worker count, and every site's estimate is
 // exactly monotone in the frame budget for a fixed Seed and vector count.
 package simulate
 

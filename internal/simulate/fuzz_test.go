@@ -109,7 +109,7 @@ func fuzzCounters(t *testing.T, mb *MCBatch, cut int) resume.Counters {
 	cut %= words
 	var snap resume.Counters
 	mb.opt.MaxNewWords = cut
-	mb.opt.OnCommit = func(int, func() resume.Counters) error { return nil }
+	mb.opt.OnCommit = func(int, int, func() resume.Counters) error { return nil }
 	mb.opt.OnAbort = func(s resume.Counters) { snap = s }
 	defer func() { mb.opt.MaxNewWords, mb.opt.OnCommit, mb.opt.OnAbort = 0, nil, nil }()
 	if cut > 0 {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
@@ -94,7 +93,7 @@ func TestMCBatchGoodSimInvariant(t *testing.T) {
 	if perSite := words * int64(c.N()); perSite < 5*st.GoodSims {
 		t.Fatalf("good-sim saving %d/%d < 5x", perSite, st.GoodSims)
 	}
-	if st.LaneSims <= 0 || st.SweptMembers <= 0 {
+	if st.Visits <= 0 {
 		t.Fatalf("work counters not recorded: %+v", st)
 	}
 }
@@ -173,72 +172,70 @@ func TestMonteCarloSeedGolden(t *testing.T) {
 	}
 }
 
-// TestMCBatchLaneEvals is the work gate of the divergence-driven sweep: the
-// lanes actually evaluated are a deterministic count, bounded by the static
-// on-path lanes, identical at any worker count, and on s9234 a small
-// fraction of them — masked upsets stop costing work. A return to sweeping
-// every on-path lane fails the bounds.
-func TestMCBatchLaneEvals(t *testing.T) {
+// TestMCBatchVisits is the work gate of the event-driven sweep: the gates
+// it evaluates are a deterministic count, identical at any worker count,
+// and on s9234 a small share of the gates — a site's sweep visits only the
+// fanouts of nodes that diverged, so masked upsets stop costing work. A
+// return to sweeping whole cones fails the bound.
+func TestMCBatchVisits(t *testing.T) {
 	c, err := gen.ByName("s9234")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := MCOptions{Vectors: 128, Seed: 1}
+	opt := MCOptions{Vectors: 512, Seed: 1}
 	for _, tc := range []struct {
 		frames  int
-		maxFrac float64
-	}{{1, 0.05}, {4, 0.01}} {
+		maxFrac float64 // bound on visits per (site, block, frame) over the gate count
+	}{{1, 0.03}, {4, 0.01}} {
 		var mb *MCBatch
 		if tc.frames == 1 {
 			mb = NewMCBatch(c, opt)
 		} else {
 			mb = NewMCSeqBatch(c, opt, tc.frames)
 		}
-		var evals [2]int64
-		for i, workers := range []int{1, 3} {
+		var visits [3]int64
+		for i, workers := range []int{1, 2, 4} {
 			if _, err := mb.PDetectAll(context.Background(), workers); err != nil {
 				t.Fatal(err)
 			}
-			st := mb.Stats()
-			if st.LaneEvals <= 0 || st.LaneEvals > st.LaneSims {
-				t.Fatalf("frames=%d workers=%d: LaneEvals = %d, want in (0, LaneSims=%d]",
-					tc.frames, workers, st.LaneEvals, st.LaneSims)
-			}
-			evals[i] = st.LaneEvals
+			visits[i] = mb.Stats().Visits
 		}
-		if evals[0] != evals[1] {
-			t.Fatalf("frames=%d: LaneEvals %d at 1 worker, %d at 3", tc.frames, evals[0], evals[1])
+		if visits[0] <= 0 || visits[1] != visits[0] || visits[2] != visits[0] {
+			t.Fatalf("frames=%d: Visits %v at 1, 2 and 4 workers, want one positive count", tc.frames, visits)
 		}
-		st := mb.Stats()
-		frac := float64(st.LaneEvals) / float64(st.LaneSims)
-		t.Logf("frames=%d: LaneEvals/LaneSims = %d/%d = %.4f", tc.frames, st.LaneEvals, st.LaneSims, frac)
+		gates := int64(c.Stats().Gates)
+		sites := int64(len(mb.sites))
+		blocks := int64((opt.Words() + mcBlock - 1) / mcBlock)
+		frac := float64(visits[0]) / float64(sites*blocks*int64(tc.frames)*gates)
+		t.Logf("frames=%d: %d visits, %.4f of the gates per (site, block, frame)", tc.frames, visits[0], frac)
 		if frac > tc.maxFrac {
-			t.Errorf("frames=%d: LaneEvals/LaneSims = %.4f, want <= %v", tc.frames, frac, tc.maxFrac)
+			t.Errorf("frames=%d: %.4f of the gates visited per (site, block, frame), want <= %v", tc.frames, frac, tc.maxFrac)
 		}
 	}
 }
 
-// TestMCBatchWorkPins pins the work counters of the divergence-driven
-// sweep — the static LaneSims and SweptMembers the checkpoint file records
-// and the LaneEvals it actually evaluated — on s953 and s9234 in both
-// modes. A change to how the sweep is stored or scheduled must not change
-// what it counts.
+// TestMCBatchWorkPins pins the gates the sweep evaluates on s953 and s9234
+// in both modes at 128 and 320 vectors (one block, and two full blocks and
+// a partial one). A change to how the sweep is stored or scheduled must
+// not change what it counts.
 func TestMCBatchWorkPins(t *testing.T) {
 	for _, tc := range []struct {
-		circuit                    string
-		frames                     int
-		laneSims, swept, laneEvals int64
+		circuit         string
+		frames, vectors int
+		visits          int64
 	}{
-		{"s953", 1, 117594, 3472, 27842},
-		{"s953", 3, 836002, 15236, 66535},
-		{"s9234", 1, 24173864, 516710, 540222},
-		{"s9234", 3, 157982302, 2644046, 721281},
+		{"s953", 1, 128, 15647},
+		{"s953", 3, 128, 41447},
+		{"s953", 3, 320, 80099},
+		{"s9234", 1, 128, 322828},
+		{"s9234", 3, 128, 432295},
+		{"s9234", 1, 320, 639195},
 	} {
 		c, err := gen.ByName(tc.circuit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := MCOptions{Vectors: 128, Seed: 1}
+		opt := MCOptions{Vectors: tc.vectors, Seed: 1}
 		mb := NewMCBatch(c, opt)
 		if tc.frames > 1 {
 			mb = NewMCSeqBatch(c, opt, tc.frames)
@@ -246,9 +243,8 @@ func TestMCBatchWorkPins(t *testing.T) {
 		if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
 			t.Fatal(err)
 		}
-		if st := mb.Stats(); st.LaneSims != tc.laneSims || st.SweptMembers != tc.swept || st.LaneEvals != tc.laneEvals {
-			t.Errorf("%s frames %d: LaneSims %d, SweptMembers %d, LaneEvals %d; want %d, %d, %d", tc.circuit, tc.frames,
-				st.LaneSims, st.SweptMembers, st.LaneEvals, tc.laneSims, tc.swept, tc.laneEvals)
+		if got := mb.Stats().Visits; got != tc.visits {
+			t.Errorf("%s frames %d vectors %d: Visits %d, want %d", tc.circuit, tc.frames, tc.vectors, got, tc.visits)
 		}
 	}
 }
@@ -396,20 +392,14 @@ z = BUFF(q2)
 	})
 	t.Run("flip-flop-site-carries-own-lane", func(t *testing.T) {
 		// q's strike reaches its own D input through n, and no other site
-		// of q's group reaches it: q must still carry its lane across the
-		// edge. 150 unrelated inverters push n and q into different groups.
+		// reaches it: q must still carry its divergence across the edge.
+		// 150 unrelated inverters put n and q far apart in any site order.
 		var src strings.Builder
 		for i := range 150 {
 			fmt.Fprintf(&src, "INPUT(i%d)\nOUTPUT(o%d)\no%d = NOT(i%d)\n", i, i, i, i)
 		}
 		src.WriteString("OUTPUT(z)\nn = NOT(q)\nq = DFF(n)\nz = BUFF(q)\n")
 		c := mustParse(t, src.String())
-		q, n := c.ByName("q"), c.ByName("n")
-		for _, g := range NewMCSeqBatch(c, MCOptions{}, 2).groups {
-			if slices.Contains(g.sites, q) && slices.Contains(g.sites, n) {
-				t.Fatal("n and q share a group: q's D input would carry n's lane into q")
-			}
-		}
 		checkMatchesPerSiteAllFrames(t, c)
 	})
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/netlist"
 )
 
@@ -187,7 +188,7 @@ func TestMCSeqBatchGoodSimInvariant(t *testing.T) {
 	if perSite := words * int64(frames) * int64(c.N()); perSite < 5*st.GoodSims {
 		t.Fatalf("good-sim saving %d/%d < 5x", perSite, st.GoodSims)
 	}
-	if st.LaneSims <= 0 || st.SweptMembers <= 0 {
+	if st.Visits <= 0 {
 		t.Fatalf("work counters not recorded: %+v", st)
 	}
 }
@@ -233,13 +234,14 @@ func TestMCSeqBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestMCSeqBatchOnWord: the word-granular progress hook fires once per
-// completed word with strictly increasing done counts ending at the total —
-// what the engine layer's streaming progress builds on. MCBatch shares the
-// hook and contract.
+// TestMCSeqBatchOnWord: the progress hook fires once per completed block
+// of up to four words, with strictly increasing done counts ending at the
+// total — what the engine layer's streaming progress builds on. 520
+// vectors are 9 words: two full blocks and a one-word block, which three
+// workers may finish in any order. MCBatch shares the hook and contract.
 func TestMCSeqBatchOnWord(t *testing.T) {
 	c := gen.SmallRandomSequential(21)
-	wantWords := (520 + 63) / 64
+	const words = (520 + 63) / 64
 	for _, kernel := range []string{"seq", "single"} {
 		// The hook runs on sweep worker goroutines under the driver's mutex,
 		// so record the (done, total) pairs and assert only after the sweep
@@ -257,13 +259,18 @@ func TestMCSeqBatchOnWord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(seen) != wantWords {
-			t.Fatalf("%s: OnWord fired %d times, want %d", kernel, len(seen), wantWords)
-		}
-		for i, s := range seen {
-			if s[0] != i+1 || s[1] != wantWords {
-				t.Fatalf("%s: call %d was OnWord(%d, %d), want (%d, %d)", kernel, i, s[0], s[1], i+1, wantWords)
+		var steps []int
+		prev := 0
+		for _, sn := range seen {
+			if sn[1] != words {
+				t.Fatalf("%s: OnWord calls %v, want total %d in each", kernel, seen, words)
 			}
+			steps = append(steps, sn[0]-prev)
+			prev = sn[0]
+		}
+		slices.Sort(steps)
+		if prev != words || !slices.Equal(steps, []int{1, 4, 4}) {
+			t.Fatalf("%s: OnWord calls %v, want done counts rising by one block each (4, 4 and 1 words) to %d", kernel, seen, words)
 		}
 	}
 }
@@ -376,13 +383,12 @@ func TestMCSeqBatchFrameCountersWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestMCSeqBatchPerFrameExactMasks: on a flip-flop pipeline, frame k's
-// faulty sweep covers exactly the stages the divergence can have reached
-// within k clock edges — not the frame-budget superset. White-box check of
-// the per-(group, frame) structures on a 3-stage shift register: the
-// flip-flops carrying d0's lane into each frame, and every frame's static
-// counts against a brute-force reach count, there and on random sequential
-// circuits.
+// TestMCSeqBatchPerFrameExactMasks: at each clock edge the sweep carries
+// exactly the flip-flops whose D input diverged in the frame just swept. On
+// a 3-stage shift register d0's strike is carried into q0, then q1, then
+// q2 — one stage per edge, never back into a stage it has left — and on
+// random sequential circuits every site's carried set at every edge equals
+// that of a two-machine simulation of the whole circuit.
 func TestMCSeqBatchPerFrameExactMasks(t *testing.T) {
 	c := mustParse(t, `
 INPUT(a)
@@ -395,136 +401,103 @@ z  = BUFF(q2)
 `)
 	const frames = 4
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: 128, Seed: 1}, frames)
-	want := [][]string{
-		{"q0"},             // frame 1: one edge crossed
-		{"q0", "q1"},       // frame 2
-		{"q0", "q1", "q2"}, // frame 3: q2 opens up the PO cone
-	}
-	// All sites land in one group on a circuit this small.
-	if len(mb.groups) != 1 {
-		t.Fatalf("%d groups, want 1", len(mb.groups))
-	}
-	g := &mb.groups[0]
-	if len(g.frames) != frames {
-		t.Fatalf("%d frame sweeps, want %d (strike frame plus one per edge)", len(g.frames), frames)
-	}
-	lane := slices.Index(g.sites, c.ByName("d0"))
-	if lane < 0 {
-		t.Fatal("site d0 not in the group")
-	}
+	wk := mb.newWorker()
+	wk.goodSim(0, 2)
+	got := carriedSets(wk, c.ByName("d0"), 2)
+	want := [][]string{{"q0"}, {"q1"}, {"q2"}}
 	for k, names := range want {
-		var got []string
-		for _, in := range g.frames[k+1].inj {
-			if in.lanes>>uint(lane)&1 == 1 {
-				got = append(got, c.NameOf(in.node))
-			}
+		var ids []string
+		for _, id := range got[k] {
+			ids = append(ids, c.NameOf(id))
 		}
-		if !slices.Equal(got, names) {
-			t.Errorf("frame %d: d0's lane is carried into %v, want %v", k+1, got, names)
+		if !slices.Equal(ids, names) {
+			t.Errorf("edge %d: d0's strike is carried into %v, want %v", k+1, ids, names)
 		}
-	}
-	checkFrameCounts(t, mb)
-	for seed := uint64(0); seed < 3; seed++ {
-		checkFrameCounts(t, NewMCSeqBatch(gen.SmallRandomSequential(seed+50), MCOptions{}, frames))
 	}
 
-	// And the exactness is visible in the lane-work counter: the old
-	// budget-superset design swept every later frame at the final cone
-	// size, so its per-word lane cost is a strict upper bound.
-	if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	exactLanes := mb.Stats().LaneSims
-	words := int64((128 + 63) / 64)
-	perWordSuperset := g.frames[0].laneSims + (frames-1)*g.frames[frames-1].laneSims
-	if exactLanes >= perWordSuperset*words {
-		t.Errorf("LaneSims = %d, want < superset bound %d (per-frame masks should cut work)",
-			exactLanes, perWordSuperset*words)
+	for seed := uint64(0); seed < 4; seed++ {
+		c := gen.SmallRandomSequential(seed + 50)
+		mb := NewMCSeqBatch(c, MCOptions{Vectors: 192, Seed: seed}, frames)
+		wk := mb.newWorker()
+		wk.goodSim(0, 3)
+		for _, site := range mb.sites {
+			got, want := carriedSets(wk, site, 3), bruteCarried(wk, site, 3)
+			for k := range want {
+				if !slices.Equal(got[k], want[k]) {
+					t.Fatalf("seed %d site %s edge %d: carried %v, two-machine simulation %v",
+						seed, c.NameOf(site), k+1, got[k], want[k])
+				}
+			}
+		}
 	}
 }
 
-// checkFrameCounts recounts every (group, frame) sweep of mb by brute force,
-// one lane at a time: frame 0's cone is the site's combinational forward
-// cone, frame k's the forward cone of the flip-flops carrying the lane
-// after k edges, and a flip-flop joins the carried set at an edge once its
-// D input lies in the forward cone of the site and the flip-flops carried
-// so far. A flip-flop site also keeps its own lane in every frame after
-// the group first carries state into it: the static masks are a superset
-// there, which the divergence-driven sweep never evaluates. A sweep's
-// member count is the size of its lanes' union cone and its LaneSims the
-// sum of their cone sizes.
-func checkFrameCounts(t *testing.T, mb *MCBatch) {
-	t.Helper()
-	c := mb.c
-	cone := func(seeds []netlist.ID) []bool {
-		in := make([]bool, c.N())
-		stack := slices.Clone(seeds)
-		for _, s := range seeds {
-			in[s] = true
-		}
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, o := range c.FanoutOf(id) {
-				if !in[o] && c.KindOf(o).IsGate() {
-					in[o] = true
-					stack = append(stack, o)
-				}
-			}
-		}
-		return in
+// carriedSets runs site's frames on wk's block of nw words and returns, per
+// clock edge, the flip-flops the sweep carries across it, in ascending ID.
+func carriedSets(wk *mcWorker, site netlist.ID, nw int) [][]netlist.ID {
+	strike := wk.good[0][site]
+	for i := range nw {
+		strike[i] = ^strike[i]
 	}
-	for gi := range mb.groups {
-		g := &mb.groups[gi]
-		union := make([][]bool, mb.frames)
-		lanes := make([]int64, mb.frames)
-		for f := range union {
-			union[f] = make([]bool, c.N())
+	wk.inj = append(wk.inj[:0], mcInject{node: site, v: strike})
+	var sets [][]netlist.ID
+	for f := 0; f+1 < wk.m.frames; f++ {
+		wk.frame(f)
+		var ids []netlist.ID
+		for _, in := range wk.inj {
+			ids = append(ids, in.node)
 		}
-		// carried[l]: the flip-flops lane l is carried into within f edges;
-		// anyFF: those of any lane.
-		carried := make([][]netlist.ID, len(g.sites))
-		anyFF := make([]bool, c.N())
-		for f := range mb.frames {
-			for l, site := range g.sites {
-				if f > 0 {
-					reach := cone(append([]netlist.ID{site}, carried[l]...))
-					for _, ff := range c.FFs {
-						if reach[c.FaninOf(ff)[0]] && !slices.Contains(carried[l], ff) {
-							carried[l] = append(carried[l], ff)
-						}
+		slices.Sort(ids)
+		sets = append(sets, ids)
+	}
+	return sets
+}
+
+// bruteCarried is carriedSets by a two-machine simulation: the faulty
+// machine is re-simulated over the whole circuit every frame from wk's good
+// sources, with the site complemented in frame 0 and the faulty D inputs
+// latched at each edge, one word at a time through logic.EvalWord; a
+// flip-flop is carried where its faulty D input differs from the good one.
+func bruteCarried(wk *mcWorker, site netlist.ID, nw int) [][]netlist.ID {
+	c := wk.m.c
+	faulty := make([]block, c.N())
+	var sets [][]netlist.ID
+	for f := range wk.m.frames {
+		good := wk.good[f]
+		prev := slices.Clone(faulty)
+		for _, id := range c.Topo() {
+			switch k := c.KindOf(id); {
+			case f == 0 && id == site:
+				faulty[id] = good[id]
+				for i := range nw {
+					faulty[id][i] = ^faulty[id][i]
+				}
+			case k == logic.DFF && f > 0:
+				faulty[id] = prev[c.FaninOf(id)[0]]
+			case k.IsGate():
+				for i := range mcBlock {
+					var ins []uint64
+					for _, fi := range c.FaninOf(id) {
+						ins = append(ins, faulty[fi][i])
 					}
+					faulty[id][i] = logic.EvalWord(k, ins)
 				}
-				for _, ff := range carried[l] {
-					anyFF[ff] = true
-				}
-			}
-			for l, site := range g.sites {
-				seeds := slices.Clone(carried[l])
-				if f == 0 || anyFF[site] && !slices.Contains(seeds, site) {
-					seeds = append(seeds, site)
-				}
-				for id, in := range cone(seeds) {
-					if in {
-						union[f][id] = true
-						lanes[f]++
-					}
-				}
+			default:
+				faulty[id] = good[id]
 			}
 		}
-		for f, fr := range g.frames {
-			members := int64(0)
-			for _, in := range union[f] {
-				if in {
-					members++
+		if f+1 < wk.m.frames {
+			var ids []netlist.ID
+			for _, ff := range c.FFs {
+				if d := c.FaninOf(ff)[0]; faulty[d] != good[d] {
+					ids = append(ids, ff)
 				}
 			}
-			if fr.members != members || fr.laneSims != lanes[f] {
-				t.Errorf("group %d frame %d: %d members and %d on-path lanes, brute force %d and %d",
-					gi, f, fr.members, fr.laneSims, members, lanes[f])
-			}
+			slices.Sort(ids)
+			sets = append(sets, ids)
 		}
 	}
+	return sets
 }
 
 // TestSeqResultPDetectWeighted pins the weighted-composition algebra on the

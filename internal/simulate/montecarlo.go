@@ -40,15 +40,16 @@ type MCOptions struct {
 	// reproducible (both regimes are pinned by TestMonteCarloSeedGolden).
 	SharedVectors bool
 	// OnWord, when non-nil, is invoked by the batched kernel (MCBatch)
-	// after each completed 64-vector word with the number of words finished
-	// so far and the total. It is the sweep driver's progress callback
+	// once per completed block — up to four 64-vector words, cut from the
+	// start of each pending gap — with the number of words finished so far
+	// and the total. It is the sweep driver's progress callback
 	// (resume.SweepSpans), serialized in its report section, so done is
-	// strictly increasing and calls never overlap — the word-granular
-	// progress signal the word-major sweep can honestly report (per-site
-	// results all finalize together at the last word). The per-site
-	// estimators ignore it. A panic in the callback aborts the sweep with a
-	// *resume.SweepPanicError (Unit "word") instead of crashing the worker
-	// goroutine.
+	// strictly increasing and calls never overlap — the block-granular
+	// progress signal the sweep can honestly report (per-site results all
+	// finalize together at the last block). The per-site estimators ignore
+	// it. A panic in the callback aborts the sweep with a
+	// *resume.SweepPanicError (Unit "words", the block's word range)
+	// instead of crashing the worker goroutine.
 	OnWord func(done, total int)
 	// Resume, when non-nil, seeds a batched sweep from a prior partial run:
 	// the words in its Done ranges are not re-run and the saved Counters are
@@ -58,17 +59,18 @@ type MCOptions struct {
 	// per-site estimators ignore it.
 	Resume *Resume
 	// OnCommit, when non-nil, is invoked by the batched kernel in the sweep
-	// driver's serialized report section right after the word's counters
-	// are folded into the sweep totals, before OnWord — the durability hook
-	// checkpointing rides on. snap returns a copy of the totals consistent
-	// with every committed word including this one; call it only if the
-	// commit will be persisted. A non-nil error aborts the sweep and is
-	// returned verbatim.
-	OnCommit func(word int, snap func() resume.Counters) error
+	// driver's serialized report section right after a block's counters
+	// are folded into the sweep totals, before OnWord, with the block's
+	// words [lo, hi) — the durability hook checkpointing rides on
+	// (resume.State.CommitWords). snap returns a copy of the totals
+	// consistent with every committed word including this block; call it
+	// only if the commit will be persisted. A non-nil error aborts the
+	// sweep and is returned verbatim.
+	OnCommit func(lo, hi int, snap func() resume.Counters) error
 	// OnAbort, when non-nil alongside OnCommit, is invoked once after the
 	// sweep's workers have stopped on any failed or truncated run —
 	// cancellation, deadline, budget stop, recovered panic — with a counter
-	// snapshot consistent with every committed word (a word is folded into
+	// snapshot consistent with every committed word (a block is folded into
 	// the totals in the same step as its commit, so they never include an
 	// uncommitted word). The durability layer uses it to flush the final
 	// partial state that the interval-based commit cadence may not have
@@ -76,7 +78,8 @@ type MCOptions struct {
 	OnAbort func(snap resume.Counters)
 	// MaxNewWords, when > 0, bounds the number of words one sweep call may
 	// process (not counting words skipped via Resume). When it truncates
-	// the sweep, the kernel processes exactly that many words and returns
+	// the sweep, the kernel processes exactly that many words (the block
+	// the budget ends inside is cut short) and returns
 	// resume.ErrBudget — combined with OnCommit the completed words are
 	// durable, so repeated budgeted calls converge to completion.
 	MaxNewWords int
