@@ -391,7 +391,7 @@ func runBench(ctx context.Context, names []string, engNames []string, jsonPath s
 	}
 	t.AddNote("one op = P_sensitized for every node (default batch width %d)", core.DefaultBatchWidth)
 	t.AddNote("ops go through the stateless engine API and include per-call engine construction, as does BenchmarkEPPAllNodes, which times the same epp-batch PSensitizedAll call")
-	t.AddNote("swept/site = union-cone nodes per site (batched EPP); goodsims/word = good sims per 64-vector word (sampling; the shared kernels pin it at 1 per frame)")
+	t.AddNote("swept/site = union-cone nodes per site (batched EPP) or gates evaluated per site (monte-carlo); goodsims/word = good sims per 64-vector word (sampling; the shared kernels pin it at 1 per frame)")
 	if err := t.Render(os.Stdout); err != nil {
 		fatal(err)
 	}

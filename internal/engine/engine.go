@@ -143,16 +143,17 @@ type Request struct {
 	// The monte-carlo engine finalizes all sites together (its outer loop
 	// is over vector words, not sites), so its OnBatch calls all arrive
 	// once the sweep completes, tiling [0, N) in ascending node-ID order;
-	// cancellation is still honored per word and incremental progress is
-	// reported through OnProgress instead.
+	// cancellation is still honored between blocks of up to four words and
+	// incremental progress is reported through OnProgress instead.
 	OnBatch func(lo, hi int) error
 	// OnProgress, when non-nil, observes sweep progress: done out of total
 	// in node units, with done monotonically nondecreasing across calls
 	// (which never overlap) and reaching total exactly when the sweep
 	// completes.
 	// Unlike OnBatch it makes no claim that any result is final — the
-	// word-major monte-carlo engine reports each completed 64-vector word
-	// scaled to node units while every site finalizes together at the end;
+	// word-major monte-carlo engine reports each completed block of up to
+	// four 64-vector words scaled to node units while every site finalizes
+	// together at the end;
 	// the site-major engines report after each finalized batch. This is
 	// the channel the public WithProgress option rides on.
 	OnProgress func(done, total int)
@@ -202,10 +203,10 @@ type Request struct {
 	// the ranges a memo sweep reports); results are unchanged.
 	Memo *eco.Cache
 	// Resume, when non-nil, makes the sweep crash-safe: completed units
-	// (site batches or 64-vector words) and their integer counters are
-	// committed to the checkpoint file at its cadence, and a sweep armed
-	// against an existing checkpoint of the same request skips the
-	// completed work and folds the saved results in, producing output
+	// (site batches or blocks of 64-vector words) and their integer
+	// counters are committed to the checkpoint file at its cadence, and a
+	// sweep armed against an existing checkpoint of the same request skips
+	// the completed work and folds the saved results in, producing output
 	// bit-identical to an uninterrupted run. The checkpoint's fingerprint
 	// covers every result-affecting option (circuit content, engine,
 	// frames, vectors, seed, rules, bias, SP, latch parameters) but not the

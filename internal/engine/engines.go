@@ -176,19 +176,18 @@ func (l *lookahead) get(req *Request, an *core.Analyzer) *seq.Lookahead {
 // shared-good-sim batched kernel simulate.MCBatch: the outer loop claims
 // blocks of up to four 64-vector words through resume.SweepSpans, each word
 // costs exactly one full-circuit good simulation per frame shared by every
-// error site, and faulty re-simulation propagates one site at a time
-// against the whole block. A single-frame
-// request runs the kernel in single-cycle mode (P_sensitized: flip-flop
-// captures count as detections); Frames > 1 runs it in multi-cycle mode
-// (detection probability: corrupted flip-flop state carries across clock
-// edges and only primary-output differences count — the same quantity the
-// analytic engines compute through internal/seq). Vectors follow the
-// shared-stream regime (word-indexed seeding), so results are identical at
-// any worker count; see MCOptions.SharedVectors and SeqOptions.SharedVectors
-// for the reproducibility contracts. Because the sweep is word-major,
-// per-site results all finalize together: OnBatch calls arrive after the
-// last word, tiling [0, N) in order, while OnProgress ticks per completed
-// block and cancellation is checked between blocks.
+// error site, and faulty re-simulation propagates one site at a time against
+// the whole block. A single-frame request runs the kernel in single-cycle
+// mode (P_sensitized: flip-flop captures count as detections); Frames > 1
+// runs it in multi-cycle mode (detection probability: corrupted flip-flop
+// state carries across clock edges and only primary-output differences count
+// — the same quantity the analytic engines compute through internal/seq).
+// Vectors follow the shared-stream regime (word-indexed seeding), so results
+// are identical at any worker count; see MCOptions.SharedVectors and
+// SeqOptions.SharedVectors for the reproducibility contracts. Because the
+// sweep is word-major, per-site results all finalize together: OnBatch calls
+// arrive after the last word, tiling [0, N) in order, while OnProgress ticks
+// per completed block and cancellation is checked between blocks.
 //
 // Resilience follows the word-major shape: a checkpoint commits each
 // completed block's words with the kernel's integer counters (folded per

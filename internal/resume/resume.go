@@ -47,19 +47,20 @@
 // Version is bumped on any incompatible change to this layout; a loader
 // finding an unknown version rejects the file rather than guessing. Version
 // 1 files (written before the checksum existed) still load — they simply
-// carry no integrity check. Version 2 files still load too: their
-// word-major counters carry two retired static lane counters (lane_sims,
-// swept_members), which the checksum covers and the loader then drops.
-// Files from version 2 on must carry a checksum that verifies: the writer serializes the document with an empty checksum
-// field, hashes those bytes with SHA-256, and stores the hex digest; the
-// reader re-serializes the parsed document the same way and compares. A
-// torn write, bit rot, or hand-editing therefore surfaces as a structured
-// *CorruptError instead of silently folding garbage values into a resumed
-// sweep. Arm quarantines a corrupt file by renaming it to <path>.corrupt
-// (preserving the evidence) so an immediate re-Arm starts the sweep fresh.
-// Site values are stored as uint64 IEEE-754 bit patterns, not JSON numbers,
-// because resumed output must be bit-identical to an uninterrupted run and
-// JSON float round-tripping (or a NaN) must not be able to break that.
+// carry no integrity check. Version 2 files still load too: their word-major
+// counters carry two retired static lane counters (lane_sims,
+// swept_members), which the checksum covers and the loader then drops. Files
+// from version 2 on must carry a checksum that verifies: the writer
+// serializes the document with an empty checksum field, hashes those bytes
+// with SHA-256, and stores the hex digest; the reader re-serializes the
+// parsed document the same way and compares. A torn write, bit rot, or
+// hand-editing therefore surfaces as a structured *CorruptError instead of
+// silently folding garbage values into a resumed sweep. Arm quarantines a
+// corrupt file by renaming it to <path>.corrupt (preserving the evidence) so
+// an immediate re-Arm starts the sweep fresh. Site values are stored as
+// uint64 IEEE-754 bit patterns, not JSON numbers, because resumed output
+// must be bit-identical to an uninterrupted run and JSON float
+// round-tripping (or a NaN) must not be able to break that.
 //
 // The fingerprint hashes everything that determines the sweep's results —
 // circuit content, engine name, frames, vectors, seed, rules, bias, signal
@@ -121,10 +122,10 @@ type Range struct {
 	Hi int `json:"hi"`
 }
 
-// Counters is the integer counter state of a word-major sweep — the
-// per-site (and per-frame) detection tallies plus the word and good
-// simulation counts, all of which are plain sums over completed words and
-// therefore resume by addition. The same type is a sweep worker's tally, the sweep totals, a
+// Counters is the integer counter state of a word-major sweep — the per-site
+// (and per-frame) detection tallies plus the word and good simulation counts,
+// all of which are plain sums over completed words and therefore resume by
+// addition. The same type is a sweep worker's tally, the sweep totals, a
 // commit snapshot and the checkpointed state.
 type Counters struct {
 	Detected []int64 `json:"detected"`         // per site: trials detected in any frame

@@ -167,8 +167,9 @@ type Config struct {
 	// Progress, when non-nil, is called with the number of node units of
 	// work finished so far and the total. Site-major engines report after
 	// each completed batch; the word-major monte-carlo engine reports after
-	// each completed 64-vector word, scaled to node units (its per-site
-	// results all finalize together at the last word). done is
+	// each completed block of up to four 64-vector words, scaled to node
+	// units (its per-site results all finalize together at the last
+	// block). done is
 	// monotonically nondecreasing, reaches total exactly at completion, and
 	// calls never overlap. A resumed run starts reporting at the restored
 	// unit count. A panic in the callback aborts the sweep with a

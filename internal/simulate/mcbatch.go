@@ -20,7 +20,8 @@ import (
 )
 
 // mcBlock is the number of 64-vector words in a block: a site's faulty
-// sweep evaluates each gate on all of them at once.
+// sweep evaluates each gate on all of them at once. eval and the Const1
+// block spell out its four words.
 const mcBlock = 4
 
 // block holds one value per word of a block.
@@ -374,38 +375,32 @@ func (m *MCBatch) newWorker() *mcWorker {
 
 // runBlock applies the shared vectors of words [lo, hi), at most mcBlock of
 // them: the good trajectory, then every observable site's propagation.
-// Words past hi in a partial block are masked out of the strike, so they
-// never diverge and never count.
+// The strike flips only the block's first hi-lo words, so the words past
+// them in a partial block never diverge and never count.
 func (wk *mcWorker) runBlock(lo, hi int) {
 	m := wk.m
 	nw := hi - lo
 	wk.goodSim(lo, nw)
 	wk.Words += int64(nw)
 	wk.GoodSims += int64(nw * m.frames)
-	var valid block
-	for i := range nw {
-		valid[i] = ^uint64(0)
-	}
 	n := m.c.N()
 	for _, site := range m.sites {
 		var det, later block
 		strike := wk.good[0][site]
-		for i := range strike {
-			strike[i] ^= valid[i]
+		for i := range nw {
+			strike[i] = ^strike[i]
 		}
 		wk.inj = append(wk.inj[:0], mcInject{node: site, v: strike})
 		for f := 0; f < m.frames && len(wk.inj) > 0; f++ {
 			d := wk.frame(f)
-			var cnt int64
 			for i, w := range d {
 				det[i] |= w
 				if f > 0 {
 					later[i] |= w
 				}
-				cnt += int64(bits.OnesCount64(w))
 			}
 			if wk.Frames != nil {
-				wk.Frames[f*n+int(site)] += cnt
+				wk.Frames[f*n+int(site)] += popcount(&d)
 			}
 		}
 		wk.Detected[site] += popcount(&det)

@@ -16,9 +16,9 @@ import (
 // TestMCBatchMatchesPerSite is the kernel's conformance suite: for every
 // site of random sequential circuits, the batched estimate must equal a
 // per-site MonteCarlo run in the shared-vector regime BIT-EXACTLY — same
-// detection counts, same vectors, same standard error. Faulty lane
-// evaluation is FaultySim's arithmetic over the same cone against the same
-// good values, so any divergence is a grouping bug, not noise.
+// detection counts, same vectors, same standard error. Faulty evaluation is
+// FaultySim's arithmetic over the same cone against the same good values,
+// so any divergence is a propagation or blocking bug, not noise.
 func TestMCBatchMatchesPerSite(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		c := gen.SmallRandomSequential(seed + 50)
@@ -99,8 +99,7 @@ func TestMCBatchGoodSimInvariant(t *testing.T) {
 }
 
 // TestMCBatchUnobservableSites: sites with no reachable observation point
-// are excluded from the lane groups and report P = 0 with full vector
-// accounting.
+// are skipped by the sweep and report P = 0 with full vector accounting.
 func TestMCBatchUnobservableSites(t *testing.T) {
 	c := mustParse(t, `
 INPUT(a)
@@ -249,10 +248,10 @@ func TestMCBatchWorkPins(t *testing.T) {
 	}
 }
 
-// TestNewMCBatchRetainedHeap bounds what a built estimator keeps: sites,
-// injections and counts, O(N) words. Keeping every 64-site group's union
-// cone and lane masks retained 39.7 MB on this 20k-gate circuit, whose
-// cones span most of it.
+// TestNewMCBatchRetainedHeap bounds what a built estimator keeps: ranks,
+// the observation mask and the observable sites, O(N) words. Anything kept
+// per site cone would take tens of MB on this 20k-gate circuit, whose cones
+// span most of it.
 func TestNewMCBatchRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 20k-gate circuit")
@@ -317,7 +316,7 @@ func checkMatchesPerSiteAllFrames(t *testing.T, c *netlist.Circuit) []SeqResult 
 func TestMCBatchDivergenceEdgeCases(t *testing.T) {
 	t.Run("masked-at-first-gate", func(t *testing.T) {
 		// A strike on s dies at an AND with a constant-0 side input: no
-		// lane downstream of m is ever evaluated for it.
+		// gate downstream of m is ever evaluated for it.
 		b := netlist.NewBuilder("masked")
 		a, e := b.Input("a"), b.Input("e")
 		zero := b.Const("zero", false)
@@ -357,9 +356,9 @@ z = AND(x2, a)
 		}
 	})
 	t.Run("carried-equals-good", func(t *testing.T) {
-		// Every site reaches d, so q carries every lane across the edge;
-		// b's divergence is masked before d, so its carried word equals the
-		// good word, while a's and c's differ in some patterns.
+		// Every site reaches d structurally, but b's divergence is masked
+		// before d, so d never differs and nothing is carried for b, while
+		// a's and c's strikes reach q in some patterns.
 		c := mustParse(t, `
 INPUT(a)
 INPUT(b)
@@ -404,8 +403,8 @@ z = BUFF(q2)
 	})
 }
 
-// TestMCBatchGateArity holds the sweep's closed-form AND/NAND/OR/NOR lanes
-// and its logic.EvalWord lanes (XOR, XNOR, BUF, NOT) to the per-site
+// TestMCBatchGateArity holds the sweep's block evaluation of every gate
+// kind (AND, NAND, OR, NOR, XOR, XNOR, BUF, NOT) to the per-site
 // estimators bit-exactly, at fanin 1, 2, 3 and 5 of every AND/OR kind, with
 // sites whose divergence reaches a gate on one fanin and on several — a and
 // s feed several gates twice, nor2 reads s on both fanins — and flip-flops

@@ -17,9 +17,9 @@ import (
 // for every site of random sequential circuits and several frame budgets,
 // the batched multi-cycle estimate must equal a per-site Sequential run in
 // the shared-vector regime BIT-EXACTLY — same detection counts, same
-// trajectory, same standard error. Faulty lane evaluation is two-machine
+// trajectory, same standard error. Faulty evaluation is two-machine
 // simulation arithmetic over the same good trajectory, so any divergence is
-// a grouping or state-carry bug, not noise.
+// a propagation or state-carry bug, not noise.
 func TestMCSeqBatchMatchesSequentialShared(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
 		c := gen.SmallRandomSequential(seed + 50)
@@ -194,8 +194,8 @@ func TestMCSeqBatchGoodSimInvariant(t *testing.T) {
 }
 
 // TestMCSeqBatchUnobservableSites: sites with no reachable observation point
-// are excluded from the lane groups and report P = 0 with full trial
-// accounting in every frame budget.
+// are skipped by the sweep and report P = 0 with full trial accounting in
+// every frame budget.
 func TestMCSeqBatchUnobservableSites(t *testing.T) {
 	c := mustParse(t, `
 INPUT(a)

@@ -226,9 +226,9 @@ func WithLatchModel(m LatchModel) Option {
 // WithProgress registers a callback observing sweep progress: done node
 // units of work finished out of total. Site-major engines report after each
 // completed batch; the word-major monte-carlo engine reports after each
-// completed 64-vector word, scaled to node units, so long sampling sweeps
-// show incremental completion even though their per-site results all
-// finalize at the last word. done never decreases, reaches total exactly at
+// completed block of up to four 64-vector words, scaled to node units, so
+// long sampling sweeps show incremental completion even though their
+// per-site results all finalize at the last block. done never decreases, reaches total exactly at
 // completion, and calls never overlap.
 func WithProgress(fn func(done, total int)) Option {
 	return func(rc *runConfig) error {
