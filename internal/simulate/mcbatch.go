@@ -1,6 +1,6 @@
 // The batched Monte Carlo kernel: shared good simulations over blocks of up
-// to four 64-vector words (spans of the shared driver resume.SweepSpans),
-// and per-site event-driven faulty propagation against each block, in
+// to four 64-vector words (spans claimed through resume.SweepSpans), and
+// per-site event-driven faulty propagation against each block, in
 // single-cycle (P_sensitized) and multi-cycle (detection within a frame
 // budget) mode.
 
@@ -213,14 +213,14 @@ func (m *MCBatch) newCounters() resume.Counters {
 	return cnt
 }
 
-// sweep runs every pending word on the shared driver resume.SweepSpans, in
-// blocks of up to mcBlock words cut from each pending gap's start, across
-// workers goroutines (0 = GOMAXPROCS) and, on success, records the final
-// counters. A block's counters are folded into the totals in the driver's
-// serialized report section, in the same step as its OnCommit, so the
-// totals never include an uncommitted word. Cancellation of ctx is honored
-// between block claims; on any abort the partial counters go to OnAbort
-// (when checkpointing) and the error is returned.
+// sweep runs every pending word through resume.SweepSpans, in blocks of up
+// to mcBlock words cut from each pending gap's start, across workers
+// goroutines (0 = GOMAXPROCS) and, on success, records the final counters. A
+// block's counters are folded into the totals in SweepSpans' serialized
+// report section, in the same step as its OnCommit, so the totals never
+// include an uncommitted word. Cancellation of ctx is honored between block
+// claims; on any abort the partial counters go to OnAbort (when
+// checkpointing) and the error is returned.
 func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 	words := m.opt.Words()
 	tot := m.newCounters()
@@ -248,7 +248,7 @@ func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 	maxUnits := 0
 	if b := m.opt.MaxNewWords; b > 0 {
 		maxUnits = doneBase + b
-		// The driver stops after the span that reaches the budget, so the
+		// SweepSpans stops after the span that reaches the budget, so the
 		// span the budget ends inside is split there: exactly MaxNewWords
 		// new words run.
 		for i, s := range spans {
@@ -262,9 +262,9 @@ func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 			}
 		}
 	}
-	// ran[lo] is the worker that ran the block starting at word lo. The
-	// driver reports a block on the goroutine that ran it, so onBatch reads
-	// a worker whose tallies hold exactly that block.
+	// ran[lo] is the worker that ran the block starting at word lo.
+	// SweepSpans reports a block on the goroutine that ran it, so onBatch
+	// reads a worker whose tallies hold exactly that block.
 	ran := make([]*mcWorker, words)
 	var visits int64
 	snapshot := func() resume.Counters { return *tot.Clone() }
@@ -335,7 +335,7 @@ func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, err
 // mcWorker is the per-goroutine state of one sweep: the good trajectory of
 // the block it runs, its faulty mirror, the propagation state of the
 // current site, and the counters of the block it last ran, folded into the
-// sweep totals when the driver reports that block. Its arrays take
+// sweep totals when SweepSpans reports that block. Its arrays take
 // 2 × frames × N blocks of 32 bytes plus O(N) for the active set.
 type mcWorker struct {
 	resume.Counters

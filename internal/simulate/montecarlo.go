@@ -42,8 +42,8 @@ type MCOptions struct {
 	// OnWord, when non-nil, is invoked by the batched kernel (MCBatch)
 	// once per completed block — up to four 64-vector words, cut from the
 	// start of each pending gap — with the number of words finished so far
-	// and the total. It is the sweep driver's progress callback
-	// (resume.SweepSpans), serialized in its report section, so done is
+	// and the total. It is resume.SweepSpans' progress callback,
+	// serialized in its report section, so done is
 	// strictly increasing and calls never overlap — the block-granular
 	// progress signal the sweep can honestly report (per-site results all
 	// finalize together at the last block). The per-site estimators ignore
@@ -58,14 +58,14 @@ type MCOptions struct {
 	// the completed sweep is bit-identical to an uninterrupted one. The
 	// per-site estimators ignore it.
 	Resume *Resume
-	// OnCommit, when non-nil, is invoked by the batched kernel in the sweep
-	// driver's serialized report section right after a block's counters
-	// are folded into the sweep totals, before OnWord, with the block's
-	// words [lo, hi) — the durability hook checkpointing rides on
+	// OnCommit, when non-nil, is invoked by the batched kernel in
+	// resume.SweepSpans' serialized report section right after a block's
+	// counters are folded into the sweep totals, before OnWord, with the
+	// block's words [lo, hi) — the durability hook checkpointing rides on
 	// (resume.State.CommitWords). snap returns a copy of the totals
 	// consistent with every committed word including this block; call it
-	// only if the commit will be persisted. A non-nil error aborts the
-	// sweep and is returned verbatim.
+	// only if the commit will be persisted. A non-nil error aborts the sweep
+	// and is returned verbatim.
 	OnCommit func(lo, hi int, snap func() resume.Counters) error
 	// OnAbort, when non-nil alongside OnCommit, is invoked once after the
 	// sweep's workers have stopped on any failed or truncated run —
