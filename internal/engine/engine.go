@@ -30,7 +30,6 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/resume"
 	"repro/internal/sigprob"
-	"repro/internal/simulate"
 )
 
 // Class groups engines by the nature of their estimate, which determines
@@ -305,13 +304,6 @@ func (r *Request) strikeWeight() float64 {
 		return 1
 	}
 	return r.Latch.FrameWeight(0)
-}
-
-// mcOptions assembles the sampling engines' options from the request. The
-// monte-carlo engine runs the shared-vector regime (simulate.MCBatch), so
-// the flag is set for documentation symmetry even though MCBatch implies it.
-func (r *Request) mcOptions() simulate.MCOptions {
-	return simulate.MCOptions{Vectors: r.Vectors, Seed: r.Seed, SourceProb: r.Bias, SharedVectors: true}
 }
 
 // Engine computes P_sensitized for every node of a circuit.

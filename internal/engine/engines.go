@@ -189,12 +189,12 @@ func (l *lookahead) get(req *Request, an *core.Analyzer) *seq.Lookahead {
 // arrive after the last word, tiling [0, N) in order, while OnProgress ticks
 // per completed block and cancellation is checked between blocks.
 //
-// Resilience follows the word-major shape: a checkpoint commits each
-// completed block's words with the kernel's integer counters (folded per
-// block, in the same step as the commit) and flushes the kernel's final
-// counters on completion, the MaxSweepNodes budget maps to an exact word
-// budget, and kernel or callback panics surface as *SweepPanicError with
-// Unit "words" and the failing block's word range.
+// Resilience follows the word-major shape and lives in mcSweep, which owns
+// the sweep totals: a checkpoint commits each completed block's words with
+// the totals (folded per block, in the same step as the commit) and is
+// flushed on every exit path, the MaxSweepNodes budget maps to an exact
+// word budget, and kernel or callback panics surface as *SweepPanicError
+// with Unit "words" and the failing block's word range.
 type mcEngine struct{}
 
 func (mcEngine) Name() string { return "monte-carlo" }
@@ -251,52 +251,19 @@ func (mcEngine) PSensitizedAll(ctx context.Context, req *Request, out []float64)
 	return nil
 }
 
-// mcSweep runs the batched kernel over every word of the request, with
-// word-granular progress, checkpointing and budget, and writes the
-// per-site estimates into out.
+// mcSweep runs the batched kernel over every word of the request with the
+// word-major resilience layer — checkpoint restore and per-block commits,
+// the exact word budget, progress in node units and the final flush — and
+// writes the per-site estimates into out. The kernel only runs blocks; the
+// totals live here, and each block is folded into them in the same step as
+// its commit, so they never include an uncommitted word.
 func mcSweep(ctx context.Context, req *Request, out []float64) error {
 	c := req.Circuit
 	n := c.N()
-	opt := req.mcOptions()
+	// simulate.MCBatch always draws the shared-stream vectors, so
+	// SharedVectors stays unset.
+	opt := simulate.MCOptions{Vectors: req.Vectors, Seed: req.Seed, SourceProb: req.Bias}
 	words := opt.Words()
-	var wordsDone int // last OnWord done count, for partial-progress metadata
-	onProgress := req.OnProgress
-	opt.OnWord = func(done, total int) {
-		wordsDone = done
-		if onProgress != nil {
-			// Word-granular progress, scaled to node units: after word k of
-			// W the sweep has done k/W of its total work on every site.
-			onProgress(n*done/total, n)
-		}
-	}
-	var rs *resume.State
-	if req.Resume != nil {
-		// Corrupt checkpoints are quarantined and the sweep restarts fresh;
-		// see the site-major path for the rationale.
-		var err error
-		rs, _, err = req.Resume.ArmRecovering("monte-carlo", req.Fingerprint("monte-carlo", nil), resume.KindWords, words)
-		if err != nil {
-			return err
-		}
-		opt.Resume = &simulate.Resume{Done: rs.DoneRanges(), Counters: rs.Counters()}
-		opt.OnCommit = rs.CommitWords
-		opt.OnAbort = func(snap resume.Counters) {
-			// The interval cadence may not have written the last commits;
-			// persist the final consistent partial state so the abort error's
-			// "resume from the checkpoint" contract holds. The primary error
-			// is already on its way to the caller — a failed best-effort
-			// flush must not mask it.
-			_ = rs.FlushCounters(snap)
-		}
-		wordsDone = rs.DoneUnits()
-	}
-	if req.MaxSweepNodes > 0 {
-		// Map the node budget to completed words: one word advances every
-		// site by one 64-vector step, i.e. words/N of the sweep's node
-		// units each — stop at the first word boundary at or past the
-		// budget, like the site-major engines stop at a batch boundary.
-		opt.MaxNewWords = max((req.MaxSweepNodes*words+n-1)/n, 1)
-	}
 	// Latch-window weighting applies to the multi-cycle composition only; at
 	// weight 1 PDetectWeighted is the plain detection probability.
 	var mb *simulate.MCBatch
@@ -306,27 +273,94 @@ func mcSweep(ctx context.Context, req *Request, out []float64) error {
 	} else {
 		mb = simulate.NewMCBatch(c, opt)
 	}
-	res, err := mb.PDetectAll(ctx, req.Workers)
+	tot := mb.NewCounters()
+	var (
+		rs       *resume.State
+		restored []resume.Range
+		doneBase int
+	)
+	if req.Resume != nil {
+		// Corrupt checkpoints are quarantined and the sweep restarts fresh;
+		// see the site-major path for the rationale. Arm has validated the
+		// done ranges against the word count; the counters' shape is checked
+		// here, as the file is outside input.
+		var err error
+		rs, _, err = req.Resume.ArmRecovering("monte-carlo", req.Fingerprint("monte-carlo", nil), resume.KindWords, words)
+		if err != nil {
+			return err
+		}
+		if cnt := rs.Counters(); cnt != nil {
+			if len(cnt.Detected) != len(tot.Detected) || len(cnt.Later) != len(tot.Later) || len(cnt.Frames) != len(tot.Frames) {
+				return fmt.Errorf("engine: checkpoint counters have %d/%d/%d detected/later/frame entries, the sweep wants %d/%d/%d",
+					len(cnt.Detected), len(cnt.Later), len(cnt.Frames), len(tot.Detected), len(tot.Later), len(tot.Frames))
+			}
+			tot.Add(cnt)
+		}
+		restored, doneBase = rs.DoneRanges(), rs.DoneUnits()
+	}
+	spans := resume.Pending(0, words, simulate.MCBlock, restored)
+	budgetHit := false
+	if req.MaxSweepNodes > 0 {
+		// Map the node budget to new words: one word advances every site by
+		// one 64-vector step, i.e. n/words node units. Exactly b new words
+		// run: the span the budget ends inside is cut there, and the spans
+		// after it are dropped.
+		b := max((req.MaxSweepNodes*words+n-1)/n, 1)
+		for i, s := range spans {
+			if b <= s.Hi-s.Lo {
+				budgetHit = b < s.Hi-s.Lo || i+1 < len(spans)
+				spans[i].Hi = s.Lo + b
+				spans = spans[:i+1]
+				break
+			}
+			b -= s.Hi - s.Lo
+		}
+	}
+	wordsDone := doneBase // for partial-progress metadata
+	var visits int64
+	err := mb.Sweep(ctx, req.Workers, spans, doneBase,
+		func(lo, hi int, blk *resume.Counters, v int64) error {
+			tot.Add(blk)
+			visits += v
+			if rs == nil {
+				return nil
+			}
+			return rs.CommitWords(lo, hi, func() resume.Counters { return *tot.Clone() })
+		},
+		func(done, total int) {
+			wordsDone = done
+			if req.OnProgress != nil {
+				// Word-granular progress, scaled to node units: after word k
+				// of W the sweep has done k/W of its total work on every site.
+				req.OnProgress(n*done/total, n)
+			}
+		})
+	if err == nil && budgetHit {
+		err = ErrBudget
+	}
+	if rs != nil {
+		// Flush on every path: the interval cadence may not have written the
+		// last commits, and the totals cover exactly the committed words —
+		// on success every word, so a re-run restores the full result
+		// without any simulation. After an abort the primary error is
+		// already on its way to the caller; a failed best-effort flush must
+		// not mask it.
+		if ferr := rs.FlushCounters(tot); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 	if err != nil {
 		return wrapSweepErr("monte-carlo", n, n*wordsDone/words, err)
 	}
+	res := mb.Results(tot)
 	for id := range res {
 		out[id] = res[id].PDetectWeighted(w0)
 	}
-	if rs != nil {
-		// The sweep completed: persist the kernel's final counters, which
-		// cover every word (restored and new), so a re-run restores the
-		// full result without any simulation.
-		if err := rs.FlushCounters(mb.Counters()); err != nil {
-			return err
-		}
-	}
 	if req.Stats != nil {
-		st := mb.Stats()
-		req.Stats.GoodSims.Add(st.GoodSims)
-		req.Stats.Words.Add(st.Words)
-		req.Stats.SweptNodes.Add(st.Visits)
-		req.Stats.Sites.Add(st.Sites)
+		req.Stats.GoodSims.Add(tot.GoodSims)
+		req.Stats.Words.Add(tot.Words)
+		req.Stats.SweptNodes.Add(visits)
+		req.Stats.Sites.Add(int64(n))
 	}
 	return nil
 }

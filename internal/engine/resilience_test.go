@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -151,6 +152,73 @@ func TestBudgetAllEngines(t *testing.T) {
 				t.Errorf("checkpoint after the budgeted stop differs between 1 and 4 workers:\n%s\n%s", files[0], files[1])
 			}
 		})
+	}
+}
+
+// TestMCBudgetInsideBlock: a MaxSweepNodes budget on the monte-carlo
+// engine runs exactly the words it maps to, even when the budget ends
+// inside a block of four: at 1000 vectors (16 words) the budgets of 1, 3,
+// 5, 6 and 15 words stop with PartialError.Done at exactly that many words'
+// node units and a checkpoint whose done set is [0, b) with counters of b
+// words, at 1, 2 and 4 workers alike; resuming from it finishes with the
+// unbudgeted estimates and checkpoint, byte for byte.
+func TestMCBudgetInsideBlock(t *testing.T) {
+	c := gen.SmallRandomSequential(58)
+	n := c.N()
+	mc, err := Lookup("monte-carlo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vectors, words = 1000, 16
+	for _, frames := range []int{1, 3} {
+		run := func(path string, workers, budget int) ([]float64, error) {
+			out := make([]float64, n)
+			req := &Request{Circuit: c, Frames: frames, Vectors: vectors, Seed: 4, Workers: workers,
+				MaxSweepNodes: budget, Resume: resume.New(path, 0)}
+			return out, mc.PSensitizedAll(context.Background(), req, out)
+		}
+		fresh := filepath.Join(t.TempDir(), "fresh.ckpt")
+		want, err := run(fresh, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFile, err := os.ReadFile(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, b := range []int{1, 3, 5, 6, 15} {
+				path := filepath.Join(t.TempDir(), "mc.ckpt")
+				_, err := run(path, workers, b*n/words)
+				var perr *PartialError
+				if !errors.As(err, &perr) || !errors.Is(err, ErrBudget) {
+					t.Fatalf("frames %d workers %d budget %d words: err = %v, want a *PartialError wrapping ErrBudget", frames, workers, b, err)
+				}
+				if perr.Done != b*n/words || perr.Total != n {
+					t.Errorf("frames %d workers %d budget %d words: PartialError reports %d/%d, want %d/%d", frames, workers, b, perr.Done, perr.Total, b*n/words, n)
+				}
+				f, err := resume.Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(f.Done) != 1 || f.Done[0] != (resume.Range{Lo: 0, Hi: b}) || f.Counters.Words != int64(b) {
+					t.Errorf("frames %d workers %d budget %d words: checkpoint done %v with counters of %d words, want [0,%d) and %d",
+						frames, workers, b, f.Done, f.Counters.Words, b, b)
+				}
+				got, err := run(path, workers, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := range got {
+					if math.Float64bits(got[id]) != math.Float64bits(want[id]) {
+						t.Fatalf("frames %d workers %d budget %d words: resumed site %d = %v, unbudgeted %v", frames, workers, b, id, got[id], want[id])
+					}
+				}
+				if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, wantFile) {
+					t.Errorf("frames %d workers %d budget %d words: the resumed checkpoint differs from the unbudgeted one (%v)", frames, workers, b, err)
+				}
+			}
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func TestCancelResumeByteExact(t *testing.T) {
 // TestAbortFlushWithLazyCadence: with a checkpoint interval far longer than
 // the sweep, nothing hits disk on cadence — durability of an interrupted run
 // rests entirely on the abort-path flush (the site-major drivers' final
-// Flush, the word-major kernels' OnAbort snapshot). A cancelled run must
+// Flush, the word-major sweep's FlushCounters). A cancelled run must
 // still leave its committed prefix in the file, and resuming from that file
 // must reproduce the baseline byte for byte.
 func TestAbortFlushWithLazyCadence(t *testing.T) {

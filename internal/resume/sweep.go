@@ -43,10 +43,10 @@ func Pending(lo, hi, chunk int, done []Range) []Range {
 var ErrBudget = errors.New("engine: sweep node budget exhausted")
 
 // SweepPanicError is a panic recovered from inside a sweep — a worker
-// goroutine processing a batch or word, or a user callback
-// (OnBatch/OnProgress/OnWord) — converted to a returned error so a buggy
-// callback or one poisoned input aborts the sweep cleanly instead of
-// crashing the process.
+// goroutine processing a batch or block of words, or a callback (OnBatch,
+// OnProgress, a Monte Carlo sweep's fold) — converted to a returned error
+// so a buggy callback or one poisoned input aborts the sweep cleanly
+// instead of crashing the process.
 type SweepPanicError struct {
 	Engine string // registry name of the engine whose sweep panicked
 	Unit   string // failing unit kind: "batch", "words", "setup" or "sweep"

@@ -120,10 +120,8 @@ type Config struct {
 	SP sigprob.Config
 	// MC configures the sampling engines (MethodMonteCarlo or an explicit
 	// sampling Engine): the pipeline consumes its Vectors, Seed and
-	// SourceProb fields. The kernel-level fields (SharedVectors, OnWord)
-	// are managed by the engine layer — the monte-carlo engine always runs
-	// the shared-vector batched kernel and reports progress through
-	// Progress — so values set here for them are ignored.
+	// SourceProb fields. SharedVectors is ignored: the monte-carlo engine
+	// always runs the shared-vector batched kernel.
 	MC simulate.MCOptions
 	// Faults is the R_SEU model; nil is replaced by faults.Default().
 	Faults *faults.Model

@@ -438,15 +438,29 @@ func TestCancelledRequestDoesNotTripBreaker(t *testing.T) {
 // TestShardValueValidationTripsBreaker: a worker answering 200 with NaN
 // values must have its responses rejected before the fold — counted as
 // worker failures that open its breaker — while the healthy worker carries
-// the sweep to the byte-identical result.
+// the sweep to the byte-identical result. The healthy worker holds its
+// shard responses until the poisoned one has served both NaN responses
+// (or 10 s have passed): otherwise it can finish the sweep after the
+// poisoned worker was handed only one shard.
 func TestShardValueValidationTripsBreaker(t *testing.T) {
 	src := CircuitSource{Profile: "s953"}
 	want := localRun(t, src, Options{})
 	var mu sync.Mutex
-	poisoned := 0
+	poisoned, served := 0, 0
+	bothServed := make(chan struct{})
 	workers := workerFleet(t, 2, func(i int, h http.Handler) http.Handler {
 		if i != 0 {
-			return h
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/shard" {
+					select {
+					case <-bothServed:
+					case <-r.Context().Done():
+						return
+					case <-time.After(10 * time.Second):
+					}
+				}
+				h.ServeHTTP(w, r)
+			})
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path != "/v1/shard" {
@@ -465,6 +479,13 @@ func TestShardValueValidationTripsBreaker(t *testing.T) {
 			}
 			// Serve the real response with one value replaced by NaN: a
 			// plausible-looking but unfoldable shard.
+			defer func() {
+				mu.Lock()
+				defer mu.Unlock()
+				if served++; served == 2 {
+					close(bothServed)
+				}
+			}()
 			rec := record(t, h, r)
 			var sresp ShardResponse
 			if json.Unmarshal(rec, &sresp) == nil && len(sresp.Values) > 0 {

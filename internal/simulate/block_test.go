@@ -2,7 +2,6 @@ package simulate
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -26,9 +25,9 @@ func buildMC(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 // 1000 vectors (a partial block alone, and full blocks before a partial
 // one), single-cycle and at 3 frames, every site's Detected and Later
 // equal MonteCarlo's or Sequential's; the counters and Visits are the same
-// at 1, 2 and 4 workers; and two resumed sweeps that each run every other
-// word, as one-word blocks, add up to the same counters, per-frame
-// detections included.
+// at 1, 2 and 4 workers; and two sweeps that each run every other word, as
+// one-word blocks, add up to the same counters, per-frame detections
+// included, as do two sweeps over spans that start and end inside blocks.
 func TestMCBatchBlockBoundaries(t *testing.T) {
 	c := gen.SmallRandomSequential(57)
 	ctx := context.Background()
@@ -82,89 +81,43 @@ func TestMCBatchBlockBoundaries(t *testing.T) {
 					odd = append(odd, resume.Range{Lo: w, Hi: w + 1})
 				}
 			}
-			sum := mb.newCounters()
-			for _, done := range [][]resume.Range{even, odd} {
-				mb.opt.Resume = &Resume{Done: done}
-				if err := mb.sweep(ctx, 2); err != nil {
-					t.Fatal(err)
-				}
-				sum.Add(&mb.fin)
+			parts := [][]resume.Range{even, odd}
+			if vectors == 1000 {
+				// 16 words: spans that start and end inside blocks, the
+				// words of [1, 3) and [6, 11) in one sweep and the rest in
+				// another, each cut into blocks from its gaps' starts.
+				done := []resume.Range{{Lo: 1, Hi: 3}, {Lo: 6, Hi: 11}}
+				rest := []resume.Range{{Lo: 0, Hi: 1}, {Lo: 3, Hi: 6}, {Lo: 11, Hi: 16}}
+				parts = append(parts, resume.Pending(0, 16, MCBlock, rest), resume.Pending(0, 16, MCBlock, done))
 			}
-			mb.opt.Resume = nil
-			if d := countersDiff(base, sum); d != "" || sum.Words != base.Words || sum.GoodSims != base.GoodSims {
-				t.Fatalf("vectors %d frames %d: one-word blocks: %s, words %d/%d, good sims %d/%d", vectors, frames, d,
-					sum.Words, base.Words, sum.GoodSims, base.GoodSims)
+			for i := 0; i < len(parts); i += 2 {
+				sum := mb.NewCounters()
+				for j, spans := range parts[i : i+2] {
+					cnt := sweepSpans(t, mb, 2+2*j, spans)
+					sum.Add(&cnt)
+				}
+				if d := countersDiff(base, sum); d != "" || sum.Words != base.Words || sum.GoodSims != base.GoodSims {
+					t.Fatalf("vectors %d frames %d: sweeps over %v and %v: %s, words %d/%d, good sims %d/%d", vectors, frames,
+						parts[i], parts[i+1], d, sum.Words, base.Words, sum.GoodSims, base.GoodSims)
+				}
 			}
 		}
 	}
 }
 
-// TestMCBatchBudgetInsideBlock: a MaxNewWords budget that ends inside a
-// block runs and commits exactly that many words — the block is cut short
-// — and resuming from the committed words and snapshot finishes with the
-// uninterrupted counters, as does a resume whose done ranges start and end
-// inside blocks.
-func TestMCBatchBudgetInsideBlock(t *testing.T) {
-	c := gen.SmallRandomSequential(58)
-	ctx := context.Background()
-	for _, frames := range []int{1, 3} {
-		opt := MCOptions{Vectors: 1000, Seed: 4} // 16 words
-		mb := buildMC(c, opt, frames)
-		if _, err := mb.PDetectAll(ctx, 1); err != nil {
-			t.Fatal(err)
-		}
-		base := *mb.fin.Clone()
-		for _, workers := range []int{1, 2, 4} {
-			for _, budget := range []int{1, 3, 5, 6, 15} {
-				var committed []resume.Range
-				var snap resume.Counters
-				mb.opt.MaxNewWords = budget
-				mb.opt.OnCommit = func(lo, hi int, _ func() resume.Counters) error {
-					committed = append(committed, resume.Range{Lo: lo, Hi: hi})
-					return nil
-				}
-				mb.opt.OnAbort = func(s resume.Counters) { snap = s }
-				if err := mb.sweep(ctx, workers); !errors.Is(err, resume.ErrBudget) {
-					t.Fatalf("frames %d budget %d: err = %v, want the budget stop", frames, budget, err)
-				}
-				ran := 0
-				for _, r := range committed {
-					ran += r.Hi - r.Lo
-				}
-				if ran != budget || snap.Words != int64(budget) {
-					t.Fatalf("frames %d budget %d workers %d: committed %v (%d words), snapshot of %d words",
-						frames, budget, workers, committed, ran, snap.Words)
-				}
-				mb.opt.MaxNewWords, mb.opt.OnCommit, mb.opt.OnAbort = 0, nil, nil
-				mb.opt.Resume = &Resume{Done: []resume.Range{{Lo: 0, Hi: budget}}, Counters: &snap}
-				if err := mb.sweep(ctx, workers); err != nil {
-					t.Fatal(err)
-				}
-				mb.opt.Resume = nil
-				if d := countersDiff(base, mb.fin); d != "" || mb.fin.Words != base.Words || mb.fin.GoodSims != base.GoodSims {
-					t.Fatalf("frames %d budget %d workers %d: resumed sweep: %s", frames, budget, workers, d)
-				}
-			}
-		}
-
-		// Words [1,3) and [6,11) as a prior run's done set: first run just
-		// them (their complement marked done), then the rest from their
-		// counters.
-		done := []resume.Range{{Lo: 1, Hi: 3}, {Lo: 6, Hi: 11}}
-		mb.opt.Resume = &Resume{Done: []resume.Range{{Lo: 0, Hi: 1}, {Lo: 3, Hi: 6}, {Lo: 11, Hi: 16}}}
-		if err := mb.sweep(ctx, 2); err != nil {
-			t.Fatal(err)
-		}
-		part := *mb.fin.Clone()
-		mb.opt.Resume = &Resume{Done: done, Counters: &part}
-		if err := mb.sweep(ctx, 4); err != nil {
-			t.Fatal(err)
-		}
-		mb.opt.Resume = nil
-		if d := countersDiff(base, mb.fin); d != "" || mb.fin.Words != base.Words {
-			t.Fatalf("frames %d: resume of unaligned done ranges %v: %s", frames, done, d)
-		}
+// sweepSpans runs mb over spans at the given worker count and returns the
+// counters of those words.
+func sweepSpans(t *testing.T, mb *MCBatch, workers int, spans []resume.Range) resume.Counters {
+	t.Helper()
+	tot := mb.NewCounters()
+	err := mb.Sweep(context.Background(), workers, spans, 0, func(_, _ int, c *resume.Counters, _ int64) error {
+		tot.Add(c)
+		return nil
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tot
 }
 
 // TestNewMCSeqBatchLinearBuild is the construction gate: building the

@@ -2,11 +2,11 @@ package simulate
 
 import (
 	"context"
-	"errors"
 	"slices"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/resume"
 )
@@ -15,13 +15,15 @@ import (
 // the per-site shared-vector estimators. The circuit is a small (5–80
 // gates) or large (200–600 gates) random one (gen.FuzzParams), optionally
 // with one edge-case gadget grafted on (gen.FuzzCircuit), swept for a
-// fuzzed 1–8 words. In single-cycle mode
-// every site's MCBatch estimate must equal MonteCarlo's with SharedVectors
-// set, and at frame budgets 1–4 NewMCSeqBatch's must equal Sequential's,
-// field for field. Within each mode the counters — Detected, DetectedLater
-// and the per-frame detections — must be identical at 1 and 3 workers and
-// after a resume at a fuzzed word boundary; a frame's detections must not
-// depend on the budget that contains it.
+// fuzzed 1–8 words. In single-cycle mode each checked site's MCBatch
+// estimate must equal MonteCarlo's with SharedVectors set, and at frame
+// budgets 1–4 NewMCSeqBatch's must equal Sequential's, field for field;
+// the checked sites are every site of a small circuit and a sample of at
+// most 32, every flip-flop among them, of a large one (refSites). Within
+// each mode the counters of every site — Detected, DetectedLater and the
+// per-frame detections — must be identical at 1 and 3 workers and after a
+// resume at a fuzzed word boundary; a frame's detections must not depend on
+// the budget that contains it.
 func FuzzMCBatch(f *testing.F) {
 	// One seed per gadget: XOR(s, s), constant masking, the AND/OR family
 	// at fanin 1, 2, 3 and 5, a carried flip-flop that always latches its
@@ -43,15 +45,15 @@ func FuzzMCBatch(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		n := c.N()
+		sites := refSites(c, size >= 0xc0)
 		opt := MCOptions{Vectors: 64 * (1 + int(words)%8), Seed: seed}
 		shared := opt
 		shared.SharedVectors = true
 
 		single := fuzzCounters(t, NewMCBatch(c, opt), int(cut))
 		ps := NewMonteCarlo(c, shared)
-		for id := range n {
-			want := ps.EPP(netlist.ID(id))
+		for _, id := range sites {
+			want := ps.EPP(id)
 			if got := single.Detected[id]; got != int64(want.Detected) {
 				t.Fatalf("single-cycle site %d: MCBatch detected %d, MonteCarlo %d", id, got, want.Detected)
 			}
@@ -61,8 +63,8 @@ func FuzzMCBatch(f *testing.F) {
 		for frames := 1; frames <= 4; frames++ {
 			got := fuzzCounters(t, NewMCSeqBatch(c, opt, frames), int(cut))
 			seq := NewSequential(c, SeqOptions{Frames: frames, Trials: opt.Vectors, Seed: opt.Seed, SharedVectors: true})
-			for id := range n {
-				want := seq.PDetect(netlist.ID(id))
+			for _, id := range sites {
+				want := seq.PDetect(id)
 				later := int64(0)
 				if got.Later != nil {
 					later = got.Later[id]
@@ -107,26 +109,58 @@ func fuzzCounters(t *testing.T, mb *MCBatch, cut int) resume.Counters {
 
 	words := mb.opt.Words()
 	cut %= words
-	var snap resume.Counters
-	mb.opt.MaxNewWords = cut
-	mb.opt.OnCommit = func(int, int, func() resume.Counters) error { return nil }
-	mb.opt.OnAbort = func(s resume.Counters) { snap = s }
-	defer func() { mb.opt.MaxNewWords, mb.opt.OnCommit, mb.opt.OnAbort = 0, nil, nil }()
-	if cut > 0 {
-		if err := mb.sweep(ctx, 3); !errors.Is(err, resume.ErrBudget) {
-			t.Fatalf("sweep cut after %d of %d words: err = %v, want the budget stop", cut, words, err)
-		}
-		mb.opt.MaxNewWords = 0
-		mb.opt.Resume = &Resume{Done: []resume.Range{{Lo: 0, Hi: cut}}, Counters: &snap}
-	}
-	if err := mb.sweep(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
-	mb.opt.Resume = nil
-	if d := countersDiff(base, mb.Counters()); d != "" {
+	resumed := sweepSpans(t, mb, 3, resume.Pending(0, cut, MCBlock, nil))
+	rest := sweepSpans(t, mb, 3, resume.Pending(cut, words, MCBlock, nil))
+	resumed.Add(&rest)
+	if d := countersDiff(base, resumed); d != "" {
 		t.Fatalf("resumed after %d of %d words: %s", cut, words, d)
 	}
 	return base
+}
+
+// refSites returns the sites checked against the per-site references:
+// every node of a small circuit. On a large one, whose per-site references
+// would cost seconds an input, it returns at most 32: every flip-flop, and
+// evenly spaced among the nodes with a path into a flip-flop's D input
+// (the sites whose divergence the sweep carries across clock edges) and
+// among all nodes, half of the rest each.
+func refSites(c *netlist.Circuit, large bool) []netlist.ID {
+	n := c.N()
+	pick := make([]bool, n)
+	if large {
+		feeds := make([]bool, n)
+		foIdx, foArr := c.FanoutCSR()
+		topo := c.Topo()
+		for i := len(topo) - 1; i >= 0; i-- {
+			id := topo[i]
+			for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
+				feeds[id] = feeds[id] || feeds[o] || c.Nodes[o].Kind == logic.DFF
+			}
+		}
+		var feeders []netlist.ID
+		for id, f := range feeds {
+			if f {
+				feeders = append(feeders, netlist.ID(id))
+			}
+		}
+		for _, ff := range c.FFs {
+			pick[ff] = true
+		}
+		k := (32 - len(c.FFs)) / 2
+		for i := range k {
+			pick[i*n/k] = true
+			if len(feeders) > 0 {
+				pick[feeders[i*len(feeders)/k]] = true
+			}
+		}
+	}
+	var ids []netlist.ID
+	for id, p := range pick {
+		if p || !large {
+			ids = append(ids, netlist.ID(id))
+		}
+	}
+	return ids
 }
 
 // countersDiff describes the first difference between two counter sets, or

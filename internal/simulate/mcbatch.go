@@ -9,7 +9,6 @@ package simulate
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -19,13 +18,13 @@ import (
 	"repro/internal/resume"
 )
 
-// mcBlock is the number of 64-vector words in a block: a site's faulty
+// MCBlock is the number of 64-vector words in a block: a site's faulty
 // sweep evaluates each gate on all of them at once. eval and the Const1
 // block spell out its four words.
-const mcBlock = 4
+const MCBlock = 4
 
 // block holds one value per word of a block.
-type block = [mcBlock]uint64
+type block = [MCBlock]uint64
 
 // MCStats are the work counters of one MCBatch sweep, the quantities the
 // shared-good-sim design optimizes. GoodSims == Words × frames is the
@@ -38,9 +37,8 @@ type MCStats struct {
 	GoodSims int64 // full-circuit good simulations (one per word and frame)
 	// Visits counts the gates the faulty sweeps evaluated, summed over
 	// sites, frames and blocks; each evaluation covers every word of its
-	// block. It covers the words this sweep simulated, not resumed ones,
-	// and depends on where blocks start, so it is not checkpointed; for a
-	// fresh sweep it is identical at any worker count.
+	// block. It depends on where blocks start, so it is not checkpointed;
+	// for a sweep over the same spans it is identical at any worker count.
 	Visits       int64
 	Sites        int64 // error sites estimated
 	Unobservable int64 // sites excluded up front (no reachable observation point)
@@ -100,8 +98,8 @@ type MCStats struct {
 // seeded by (Seed, word index) — see MCOptions.SharedVectors): every site
 // sees the same vectors, which is what makes the good sharing sound. Blocks
 // are distributed over workers by the shared sweep driver
-// resume.SweepSpans. An MCBatch may be reused for repeated sweeps but is
-// not safe for concurrent use.
+// resume.SweepSpans (see Sweep). An MCBatch may be reused for repeated
+// sweeps but is not safe for concurrent use.
 type MCBatch struct {
 	c      *netlist.Circuit
 	opt    MCOptions
@@ -111,8 +109,8 @@ type MCBatch struct {
 	rank   []int32      // per node: its position in c.Topo(), the sweeps' visiting order
 	sites  []netlist.ID // the observable sites, in node-ID order
 
-	fin       resume.Counters // final counters of the most recent successful sweep
-	finVisits int64           // gates evaluated by the most recent successful sweep
+	fin       resume.Counters // final counters of the most recent successful PDetectAll
+	finVisits int64           // gates evaluated by the most recent successful PDetectAll
 }
 
 // NewMCBatch builds the estimator in single-cycle mode for circuit c. The
@@ -162,12 +160,11 @@ func newMCBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 }
 
 // Counters returns the final integer counters of the most recent successful
-// sweep — every word, resumed and new. Later and Frames are non-nil iff the
-// frame budget exceeds 1. The slices alias kernel state; treat them as
-// read-only.
+// PDetectAll. Later and Frames are non-nil iff the frame budget exceeds 1.
+// The slices alias kernel state; treat them as read-only.
 func (m *MCBatch) Counters() resume.Counters { return m.fin }
 
-// Stats returns the work counters of the most recent successful sweep.
+// Stats returns the work counters of the most recent successful PDetectAll.
 func (m *MCBatch) Stats() MCStats {
 	if m.fin.Detected == nil {
 		return MCStats{}
@@ -182,7 +179,7 @@ func (m *MCBatch) Stats() MCStats {
 }
 
 // FrameDetected returns the per-frame detection counters of the most recent
-// successful sweep: the returned slice, indexed by node ID, counts the
+// successful PDetectAll: the returned slice, indexed by node ID, counts the
 // trials with a detection during frame `frame` (0 = the strike cycle). A
 // trial may be detected in several frames, so the per-frame counts can sum
 // to more than Detected; their union is Detected and the union over frames
@@ -200,10 +197,10 @@ func (m *MCBatch) FrameDetected(frame int) []int64 {
 	return m.fin.Frames[frame*n : (frame+1)*n]
 }
 
-// newCounters returns zeroed counters shaped for this kernel: per-site
+// NewCounters returns zeroed counters shaped for this kernel: per-site
 // detections always, later-frame and per-frame detections only when the
 // frame budget exceeds 1.
-func (m *MCBatch) newCounters() resume.Counters {
+func (m *MCBatch) NewCounters() resume.Counters {
 	n := m.c.N()
 	cnt := resume.Counters{Detected: make([]int64, n)}
 	if m.frames > 1 {
@@ -213,73 +210,32 @@ func (m *MCBatch) newCounters() resume.Counters {
 	return cnt
 }
 
-// sweep runs every pending word through resume.SweepSpans, in blocks of up
-// to mcBlock words cut from each pending gap's start, across workers
-// goroutines (0 = GOMAXPROCS) and, on success, records the final counters. A
-// block's counters are folded into the totals in SweepSpans' serialized
-// report section, in the same step as its OnCommit, so the totals never
-// include an uncommitted word. Cancellation of ctx is honored between block
-// claims; on any abort the partial counters go to OnAbort (when
-// checkpointing) and the error is returned.
-func (m *MCBatch) sweep(ctx context.Context, workers int) error {
-	words := m.opt.Words()
-	tot := m.newCounters()
-	var done []resume.Range
-	doneBase := 0
-	if r := m.opt.Resume; r != nil {
-		prev := 0
-		for _, rg := range r.Done {
-			if rg.Lo < prev || rg.Hi <= rg.Lo || rg.Hi > words {
-				return fmt.Errorf("simulate: Resume.Done range [%d,%d) is unsorted, empty or outside the sweep's %d words", rg.Lo, rg.Hi, words)
-			}
-			prev = rg.Hi
-			doneBase += rg.Hi - rg.Lo
-		}
-		if c := r.Counters; c != nil {
-			if len(c.Detected) != len(tot.Detected) || len(c.Later) != len(tot.Later) || len(c.Frames) != len(tot.Frames) {
-				return fmt.Errorf("simulate: resumed counters have %d/%d/%d detected/later/frame entries, sweep wants %d/%d/%d",
-					len(c.Detected), len(c.Later), len(c.Frames), len(tot.Detected), len(tot.Later), len(tot.Frames))
-			}
-			tot.Add(c)
-		}
-		done = r.Done
-	}
-	spans := resume.Pending(0, words, mcBlock, done)
-	maxUnits := 0
-	if b := m.opt.MaxNewWords; b > 0 {
-		maxUnits = doneBase + b
-		// SweepSpans stops after the span that reaches the budget, so the
-		// span the budget ends inside is split there: exactly MaxNewWords
-		// new words run.
-		for i, s := range spans {
-			if b < s.Hi-s.Lo {
-				spans = slices.Insert(spans, i+1, resume.Range{Lo: s.Lo + b, Hi: s.Hi})
-				spans[i].Hi = s.Lo + b
-				break
-			}
-			if b -= s.Hi - s.Lo; b == 0 {
-				break
-			}
-		}
-	}
+// Sweep runs the given spans of 64-vector words, each at most MCBlock words
+// and within [0, Words()), through resume.SweepSpans across workers
+// goroutines (0 = GOMAXPROCS); doneBase is the number of words completed
+// before this call. After each block, in SweepSpans' serialized report
+// section, fold receives the block's words [lo, hi), its counters (valid
+// only during the call) and the gates its faulty sweeps evaluated; then
+// progress, when non-nil, receives the words done so far and the total.
+// A non-nil error from fold aborts the sweep and is returned verbatim.
+// Cancellation of ctx is checked between block claims, and a panic in a
+// worker or callback becomes a *resume.SweepPanicError with Unit "words".
+// The caller owns the totals, and with them resumption, budgets and
+// checkpoints: per-block counters are integer sums, so folding them in any
+// order gives results identical at any block partitioning and worker count.
+func (m *MCBatch) Sweep(ctx context.Context, workers int, spans []resume.Range, doneBase int, fold func(lo, hi int, c *resume.Counters, visits int64) error, progress func(done, total int)) error {
 	// ran[lo] is the worker that ran the block starting at word lo.
-	// SweepSpans reports a block on the goroutine that ran it, so onBatch
+	// SweepSpans reports a block on the goroutine that ran it, so the fold
 	// reads a worker whose tallies hold exactly that block.
-	ran := make([]*mcWorker, words)
-	var visits int64
-	snapshot := func() resume.Counters { return *tot.Clone() }
-	onBatch := func(lo, hi int) error {
-		wk := ran[lo]
-		tot.Add(&wk.Counters)
-		visits += wk.visits
-		wk.Counters.Reset()
-		wk.visits = 0
-		if m.opt.OnCommit != nil {
-			return m.opt.OnCommit(lo, hi, snapshot)
-		}
-		return nil
-	}
-	_, err := resume.SweepSpans(ctx, spans, words, doneBase, workers, maxUnits, onBatch, m.opt.OnWord,
+	ran := make([]*mcWorker, m.opt.Words())
+	_, err := resume.SweepSpans(ctx, spans, len(ran), doneBase, workers, 0,
+		func(lo, hi int) error {
+			wk := ran[lo]
+			err := fold(lo, hi, &wk.Counters, wk.visits)
+			wk.Counters.Reset()
+			wk.visits = 0
+			return err
+		}, progress,
 		func() (func(lo, hi int) error, error) {
 			wk := m.newWorker()
 			return func(lo, hi int) error {
@@ -288,18 +244,11 @@ func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 				return nil
 			}, nil
 		})
-	if err != nil {
-		var pe *resume.SweepPanicError
-		if errors.As(err, &pe) && pe.Unit == "batch" {
-			pe.Unit = "words"
-		}
-		if m.opt.OnCommit != nil && m.opt.OnAbort != nil {
-			m.opt.OnAbort(tot)
-		}
-		return err
+	var pe *resume.SweepPanicError
+	if errors.As(err, &pe) && pe.Unit == "batch" {
+		pe.Unit = "words"
 	}
-	m.fin, m.finVisits = tot, visits
-	return nil
+	return err
 }
 
 // PDetectAll sweeps every word and returns the estimate for every node of
@@ -310,12 +259,27 @@ func (m *MCBatch) sweep(ctx context.Context, workers int) error {
 // cancellation the partial estimate is discarded and ctx.Err() returned.
 // Results are identical at any worker count.
 func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, error) {
-	if err := m.sweep(ctx, workers); err != nil {
+	tot := m.NewCounters()
+	var visits int64
+	err := m.Sweep(ctx, workers, resume.Pending(0, m.opt.Words(), MCBlock, nil), 0,
+		func(_, _ int, c *resume.Counters, v int64) error {
+			tot.Add(c)
+			visits += v
+			return nil
+		}, nil)
+	if err != nil {
 		return nil, err
 	}
+	m.fin, m.finVisits = tot, visits
+	return m.Results(tot), nil
+}
+
+// Results turns the counters of a sweep over every word into the estimate
+// for every node of the circuit, indexed by node ID (see PDetectAll).
+func (m *MCBatch) Results(tot resume.Counters) []SeqResult {
 	trials := m.opt.Words() * 64
 	out := make([]SeqResult, m.c.N())
-	for id, d := range m.fin.Detected {
+	for id, d := range tot.Detected {
 		p := float64(d) / float64(trials)
 		out[id] = SeqResult{
 			Site:     netlist.ID(id),
@@ -325,11 +289,11 @@ func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, err
 			Trials:   trials,
 			Detected: int(d),
 		}
-		if m.fin.Later != nil {
-			out[id].DetectedLater = int(m.fin.Later[id])
+		if tot.Later != nil {
+			out[id].DetectedLater = int(tot.Later[id])
 		}
 	}
-	return out, nil
+	return out
 }
 
 // mcWorker is the per-goroutine state of one sweep: the good trajectory of
@@ -360,7 +324,7 @@ type mcInject struct {
 func (m *MCBatch) newWorker() *mcWorker {
 	n := m.c.N()
 	wk := &mcWorker{
-		Counters: m.newCounters(),
+		Counters: m.NewCounters(),
 		m:        m,
 		good:     make([][]block, m.frames),
 		faulty:   make([][]block, m.frames),
@@ -373,7 +337,7 @@ func (m *MCBatch) newWorker() *mcWorker {
 	return wk
 }
 
-// runBlock applies the shared vectors of words [lo, hi), at most mcBlock of
+// runBlock applies the shared vectors of words [lo, hi), at most MCBlock of
 // them: the good trajectory, then every observable site's propagation.
 // The strike flips only the block's first hi-lo words, so the words past
 // them in a partial block never diverge and never count.
@@ -420,7 +384,7 @@ func (wk *mcWorker) runBlock(lo, hi int) {
 func (wk *mcWorker) goodSim(lo, nw int) {
 	m := wk.m
 	c := m.c
-	for i := range mcBlock {
+	for i := range MCBlock {
 		var src *VectorSource
 		if i < nw {
 			src = NewVectorSource(wordSeed(m.opt.Seed, int64(lo+i)), m.opt.SourceProb)

@@ -204,7 +204,7 @@ func TestMCBatchVisits(t *testing.T) {
 		}
 		gates := int64(c.Stats().Gates)
 		sites := int64(len(mb.sites))
-		blocks := int64((opt.Words() + mcBlock - 1) / mcBlock)
+		blocks := int64((opt.Words() + MCBlock - 1) / MCBlock)
 		frac := float64(visits[0]) / float64(sites*blocks*int64(tc.frames)*gates)
 		t.Logf("frames=%d: %d visits, %.4f of the gates per (site, block, frame)", tc.frames, visits[0], frac)
 		if frac > tc.maxFrac {

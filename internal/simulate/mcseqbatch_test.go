@@ -3,6 +3,7 @@ package simulate
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/netlist"
+	"repro/internal/resume"
 )
 
 // TestMCSeqBatchMatchesSequentialShared is the kernel's conformance suite:
@@ -234,28 +236,24 @@ func TestMCSeqBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestMCSeqBatchOnWord: the progress hook fires once per completed block
-// of up to four words, with strictly increasing done counts ending at the
-// total — what the engine layer's streaming progress builds on. 520
-// vectors are 9 words: two full blocks and a one-word block, which three
-// workers may finish in any order. MCBatch shares the hook and contract.
+// TestMCSeqBatchOnWord: Sweep's progress callback fires once per
+// completed block of up to four words, with strictly increasing done counts
+// ending at the total — what the engine layer's streaming progress builds
+// on. 520 vectors are 9 words: two full blocks and a one-word block, which
+// three workers may finish in any order. Both modes share the contract.
 func TestMCSeqBatchOnWord(t *testing.T) {
 	c := gen.SmallRandomSequential(21)
 	const words = (520 + 63) / 64
-	for _, kernel := range []string{"seq", "single"} {
-		// The hook runs on sweep worker goroutines under the driver's mutex,
-		// so record the (done, total) pairs and assert only after the sweep
-		// returns — a t.Fatalf from inside would strand the mutex.
+	opt := MCOptions{Vectors: 520, Seed: 2}
+	for _, mb := range []*MCBatch{NewMCSeqBatch(c, opt, 2), NewMCBatch(c, opt)} {
+		kernel := fmt.Sprintf("%d-frame", mb.frames)
+		// The callback runs on sweep worker goroutines under the driver's
+		// mutex, so record the (done, total) pairs and assert only after the
+		// sweep returns — a t.Fatalf from inside would strand the mutex.
 		var seen [][2]int
-		opt := MCOptions{Vectors: 520, Seed: 2, OnWord: func(done, total int) {
-			seen = append(seen, [2]int{done, total})
-		}}
-		var err error
-		if kernel == "seq" {
-			_, err = NewMCSeqBatch(c, opt, 2).PDetectAll(context.Background(), 3)
-		} else {
-			_, err = NewMCBatch(c, opt).PDetectAll(context.Background(), 3)
-		}
+		err := mb.Sweep(context.Background(), 3, resume.Pending(0, words, MCBlock, nil), 0,
+			func(int, int, *resume.Counters, int64) error { return nil },
+			func(done, total int) { seen = append(seen, [2]int{done, total}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,14 +261,14 @@ func TestMCSeqBatchOnWord(t *testing.T) {
 		prev := 0
 		for _, sn := range seen {
 			if sn[1] != words {
-				t.Fatalf("%s: OnWord calls %v, want total %d in each", kernel, seen, words)
+				t.Fatalf("%s: progress calls %v, want total %d in each", kernel, seen, words)
 			}
 			steps = append(steps, sn[0]-prev)
 			prev = sn[0]
 		}
 		slices.Sort(steps)
 		if prev != words || !slices.Equal(steps, []int{1, 4, 4}) {
-			t.Fatalf("%s: OnWord calls %v, want done counts rising by one block each (4, 4 and 1 words) to %d", kernel, seen, words)
+			t.Fatalf("%s: progress calls %v, want done counts rising by one block each (4, 4 and 1 words) to %d", kernel, seen, words)
 		}
 	}
 }
@@ -475,7 +473,7 @@ func bruteCarried(wk *mcWorker, site netlist.ID, nw int) [][]netlist.ID {
 			case k == logic.DFF && f > 0:
 				faulty[id] = prev[c.FaninOf(id)[0]]
 			case k.IsGate():
-				for i := range mcBlock {
+				for i := range MCBlock {
 					var ins []uint64
 					for _, fi := range c.FaninOf(id) {
 						ins = append(ins, faulty[fi][i])

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/netlist"
-	"repro/internal/resume"
 )
 
 // MCOptions configure the Monte Carlo error-propagation estimator.
@@ -39,62 +38,6 @@ type MCOptions struct {
 	// the historical regime, kept so existing per-site results stay
 	// reproducible (both regimes are pinned by TestMonteCarloSeedGolden).
 	SharedVectors bool
-	// OnWord, when non-nil, is invoked by the batched kernel (MCBatch)
-	// once per completed block — up to four 64-vector words, cut from the
-	// start of each pending gap — with the number of words finished so far
-	// and the total. It is resume.SweepSpans' progress callback,
-	// serialized in its report section, so done is
-	// strictly increasing and calls never overlap — the block-granular
-	// progress signal the sweep can honestly report (per-site results all
-	// finalize together at the last block). The per-site estimators ignore
-	// it. A panic in the callback aborts the sweep with a
-	// *resume.SweepPanicError (Unit "words", the block's word range)
-	// instead of crashing the worker goroutine.
-	OnWord func(done, total int)
-	// Resume, when non-nil, seeds a batched sweep from a prior partial run:
-	// the words in its Done ranges are not re-run and the saved Counters are
-	// folded into the totals before the sweep starts. Because every counter
-	// is an integer sum over words under the shared-stream vector regime,
-	// the completed sweep is bit-identical to an uninterrupted one. The
-	// per-site estimators ignore it.
-	Resume *Resume
-	// OnCommit, when non-nil, is invoked by the batched kernel in
-	// resume.SweepSpans' serialized report section right after a block's
-	// counters are folded into the sweep totals, before OnWord, with the
-	// block's words [lo, hi) — the durability hook checkpointing rides on
-	// (resume.State.CommitWords). snap returns a copy of the totals
-	// consistent with every committed word including this block; call it
-	// only if the commit will be persisted. A non-nil error aborts the sweep
-	// and is returned verbatim.
-	OnCommit func(lo, hi int, snap func() resume.Counters) error
-	// OnAbort, when non-nil alongside OnCommit, is invoked once after the
-	// sweep's workers have stopped on any failed or truncated run —
-	// cancellation, deadline, budget stop, recovered panic — with a counter
-	// snapshot consistent with every committed word (a block is folded into
-	// the totals in the same step as its commit, so they never include an
-	// uncommitted word). The durability layer uses it to flush the final
-	// partial state that the interval-based commit cadence may not have
-	// written yet.
-	OnAbort func(snap resume.Counters)
-	// MaxNewWords, when > 0, bounds the number of words one sweep call may
-	// process (not counting words skipped via Resume). When it truncates
-	// the sweep, the kernel processes exactly that many words (the block
-	// the budget ends inside is cut short) and returns
-	// resume.ErrBudget — combined with OnCommit the completed words are
-	// durable, so repeated budgeted calls converge to completion.
-	MaxNewWords int
-}
-
-// Resume seeds a batched Monte Carlo sweep with the completed work of a
-// prior partial run; see MCOptions.Resume.
-type Resume struct {
-	// Done lists the 64-vector words already completed as sorted, disjoint
-	// word ranges within the sweep's word count (resume.State.DoneRanges).
-	Done []resume.Range
-	// Counters is the integer counter snapshot over exactly the Done
-	// words (nil means all-zero, a fresh start). Its shape must match the
-	// kernel's: Later and Frames are present iff the frame budget exceeds 1.
-	Counters *resume.Counters
 }
 
 func (o *MCOptions) setDefaults() {
