@@ -109,7 +109,7 @@ func BenchmarkEPPAllNodes(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			c := circuitFor(b, name)
 			b.ReportAllocs()
-			benchEPP(b, &engine.Request{Circuit: c, SP: spFor(b, c), Workers: 1})
+			benchEngine(b, "epp-batch", &engine.Request{Circuit: c, SP: spFor(b, c), Workers: 1})
 			b.ReportMetric(float64(c.N()), "nodes")
 		})
 	}
@@ -122,7 +122,7 @@ func BenchmarkEPPAllNodes(b *testing.B) {
 func BenchmarkEPPInverters(b *testing.B) {
 	c := splitInverters(b, circuitFor(b, "s9234"))
 	b.ReportAllocs()
-	benchEPP(b, &engine.Request{Circuit: c, SP: spFor(b, c), Workers: 1})
+	benchEngine(b, "epp-batch", &engine.Request{Circuit: c, SP: spFor(b, c), Workers: 1})
 	b.ReportMetric(float64(c.N()), "nodes")
 }
 
@@ -172,10 +172,10 @@ func splitInverters(b *testing.B, c *netlist.Circuit) *netlist.Circuit {
 	return out
 }
 
-// benchEPP times b.N all-sites epp-batch sweeps of req.
-func benchEPP(b *testing.B, req *engine.Request) {
+// benchEngine times b.N all-sites sweeps of req by the named engine.
+func benchEngine(b *testing.B, name string, req *engine.Request) {
 	b.Helper()
-	eng, err := engine.Lookup("epp-batch")
+	eng, err := engine.Lookup(name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func BenchmarkAblationRules(b *testing.B) {
 	sp := spFor(b, c)
 	for _, rs := range []core.RuleSet{core.RulesClosedForm, core.RulesPairwise} {
 		b.Run(rs.String(), func(b *testing.B) {
-			benchEPP(b, &engine.Request{Circuit: c, SP: sp, Workers: 1, Rules: rs})
+			benchEngine(b, "epp-batch", &engine.Request{Circuit: c, SP: sp, Workers: 1, Rules: rs})
 		})
 	}
 }
@@ -367,12 +367,12 @@ func BenchmarkEPPScaling(b *testing.B) {
 	sp := spFor(b, c)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchEPP(b, &engine.Request{Circuit: c, SP: sp, Workers: workers})
+			benchEngine(b, "epp-batch", &engine.Request{Circuit: c, SP: sp, Workers: workers})
 			b.ReportMetric(float64(workers), "workers")
 		})
 	}
 	b.Run("workers=max", func(b *testing.B) {
-		benchEPP(b, &engine.Request{Circuit: c, SP: sp})
+		benchEngine(b, "epp-batch", &engine.Request{Circuit: c, SP: sp})
 	})
 }
 
@@ -403,17 +403,17 @@ func BenchmarkSequentialSim(b *testing.B) {
 }
 
 // BenchmarkMCAllNodes: the all-nodes Monte Carlo sweep, per-site estimator
-// vs the shared-good-sim batched kernel (simulate.MCBatch), at a reduced
-// 128-vector budget so the quadratic per-site variant stays benchable on
-// s38417. The batched kernel performs exactly one good simulation per
-// 64-vector word regardless of site count (the goodsims/word metric;
-// the per-site estimator pays one per site per word — the sites× metric),
-// which is where the wall-clock win comes from. At 128 vectors the batched
-// sweep is one block of two words, run on one worker; the visits/site
-// metric is the gates its event-driven per-site sweeps evaluated.
+// vs the monte-carlo engine's shared-good-sim batched kernel
+// (simulate.MCBatch), at a reduced 128-vector budget so the quadratic
+// per-site variant stays benchable on s38417. The batched kernel performs
+// exactly one good simulation per 64-vector word regardless of site count
+// (the goodsims/word metric; the per-site estimator pays one per site per
+// word — the sites× metric), which is where the wall-clock win comes from.
+// At 128 vectors the batched sweep is one block of two words, run on one
+// worker; the visits/site metric is the gates its event-driven per-site
+// sweeps evaluated (engine.Stats.SweptNodes per site).
 func BenchmarkMCAllNodes(b *testing.B) {
 	const vectors = 128 // 2 words
-	words := (vectors + 63) / 64
 	for _, name := range []string{"s9234", "s38417"} {
 		c := circuitFor(b, name)
 		b.Run(name+"/per-site", func(b *testing.B) {
@@ -427,30 +427,35 @@ func BenchmarkMCAllNodes(b *testing.B) {
 			b.ReportMetric(float64(c.N()), "goodsims/word")
 		})
 		b.Run(name+"/batched", func(b *testing.B) {
-			mb := simulate.NewMCBatch(c, simulate.MCOptions{Vectors: vectors, Seed: 1})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := mb.Stats()
-			if st.GoodSims != int64(words) || st.Words != int64(words) {
-				b.Fatalf("good sims = %d over %d words, want exactly one per word", st.GoodSims, st.Words)
-			}
-			b.ReportMetric(float64(st.GoodSims)/float64(st.Words), "goodsims/word")
-			b.ReportMetric(float64(st.Visits)/float64(st.Sites), "visits/site")
+			st := benchMC(b, c, vectors, 1)
+			b.ReportMetric(st.SweptNodesPerSite(), "visits/site")
 		})
 	}
+}
+
+// benchMC times b.N all-sites monte-carlo engine sweeps of c on one worker
+// at the given frame budget, requires exactly one good simulation per word
+// and frame, reports the goodsims/word metric and returns the counters.
+func benchMC(b *testing.B, c *netlist.Circuit, vectors, frames int) *engine.Stats {
+	b.Helper()
+	st := &engine.Stats{}
+	benchEngine(b, "monte-carlo", &engine.Request{Circuit: c, Frames: frames, Vectors: vectors, Seed: 1, Workers: 1, Stats: st})
+	b.StopTimer()
+	words := int64(b.N * ((vectors + 63) / 64))
+	if st.Words.Load() != words || st.GoodSims.Load() != words*int64(frames) {
+		b.Fatalf("good sims = %d over %d words at %d frames, want exactly one per (word, frame)",
+			st.GoodSims.Load(), st.Words.Load(), frames)
+	}
+	b.ReportMetric(st.GoodSimsPerWord(), "goodsims/word")
+	return st
 }
 
 // BenchmarkNewMCBatch: single-cycle Monte Carlo construction on its own —
 // topological ranks, the observation mask, the draw order and the
 // observable sites, all linear in the circuit (the sweep workers allocate
-// their block state when a sweep starts). BenchmarkMCAllNodes builds its
-// MCBatch before the timer starts, so this is the only timing of the
-// set-up an end-to-end monte-carlo run pays.
+// their block state when a sweep starts). The monte-carlo engine builds
+// one per call, so BenchmarkMCAllNodes' batched rows include it; this
+// times it alone.
 func BenchmarkNewMCBatch(b *testing.B) {
 	for _, name := range []string{"s9234", "s38417"} {
 		c := circuitFor(b, name)
@@ -463,35 +468,22 @@ func BenchmarkNewMCBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMCSeqAllNodes: the all-nodes multi-cycle Monte Carlo sweep
-// (simulate.MCBatch in multi-cycle mode) on s9234 at frame budgets 1/2/4,
-// 128 vectors. Cost grows with frames — each 64-vector word pays exactly
-// one good simulation per frame (the goodsims/word metric equals the frame
-// count), and each site's sweep runs on through a later frame only while
-// some flip-flop carries its divergence; the per-site Sequential baseline
-// would pay sites × frames good sims per word. frames=1 isolates the multi-cycle
-// mode's overhead against BenchmarkMCAllNodes' batched row (PO-only
-// detection, so the numbers are close but not identical workloads).
+// BenchmarkMCSeqAllNodes: the all-nodes multi-cycle Monte Carlo sweep of
+// the monte-carlo engine (simulate.MCBatch in multi-cycle mode) on s9234
+// at frame budgets 1/2/4, 128 vectors. Cost grows with frames — each
+// 64-vector word pays exactly one good simulation per frame (the
+// goodsims/word metric equals the frame count), and each site's sweep runs
+// on through a later frame only while some flip-flop carries its
+// divergence; the per-site Sequential baseline would pay sites × frames
+// good sims per word. frames=1 isolates the multi-cycle mode's overhead
+// against BenchmarkMCAllNodes' batched row (PO-only detection, so the
+// numbers are close but not identical workloads).
 func BenchmarkMCSeqAllNodes(b *testing.B) {
 	const vectors = 128 // 2 words
-	words := (vectors + 63) / 64
 	c := circuitFor(b, "s9234")
 	for _, frames := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
-			mb := simulate.NewMCSeqBatch(c, simulate.MCOptions{Vectors: vectors, Seed: 1}, frames)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := mb.Stats()
-			if st.Words != int64(words) || st.GoodSims != int64(words*frames) {
-				b.Fatalf("good sims = %d over %d words at %d frames, want exactly one per (word, frame)",
-					st.GoodSims, st.Words, frames)
-			}
-			b.ReportMetric(float64(st.GoodSims)/float64(st.Words), "goodsims/word")
+			benchMC(b, c, vectors, frames)
 		})
 	}
 }

@@ -15,7 +15,6 @@
 package circuitio
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -26,6 +25,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/gen"
+	"repro/internal/lru"
 	"repro/internal/netlist"
 	"repro/internal/verilog"
 )
@@ -130,34 +130,12 @@ func EstimateBytes(c *netlist.Circuit) int64 {
 	return size
 }
 
-// Stats is a point-in-time cache observation.
-type Stats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
-
 // Cache is a content-addressed, byte-bounded, LRU circuit cache with
 // single-flight parsing. The zero value is not usable; construct with New.
 type Cache struct {
 	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[string]*list.Element // content hash -> element
-	aliases  map[string]string        // alias key -> content hash
-	lru      *list.List               // front = most recent
-	inflight map[string]*call         // alias key -> pending parse
-	stats    Stats
-}
-
-type entry struct {
-	hash    string
-	circuit *netlist.Circuit
-	size    int64
-	aliases []string
+	lru      *lru.Cache[string, string, *netlist.Circuit] // content hash; alias keys
+	inflight map[string]*call                             // alias key -> pending parse
 }
 
 type call struct {
@@ -175,10 +153,7 @@ func New(maxBytes int64) *Cache {
 		maxBytes = 256 << 20
 	}
 	return &Cache{
-		maxBytes: maxBytes,
-		entries:  map[string]*list.Element{},
-		aliases:  map[string]string{},
-		lru:      list.New(),
+		lru:      lru.New[string, string, *netlist.Circuit](maxBytes, 0, nil),
 		inflight: map[string]*call{},
 	}
 }
@@ -204,16 +179,9 @@ func (cc *Cache) Load(src Source) (*netlist.Circuit, error) {
 	}
 	//serlint:allow deferunlock single-flight gate: the lock is intentionally released around the parse (and before waiting on a peer's in-flight parse) and retaken to publish; every critical section is a handful of panic-free map/list operations
 	cc.mu.Lock()
-	if hash, ok := cc.aliases[alias]; ok {
-		if el, ok := cc.entries[hash]; ok {
-			cc.lru.MoveToFront(el)
-			cc.stats.Hits++
-			c := el.Value.(*entry).circuit
-			cc.mu.Unlock()
-			return c, nil
-		}
-		// Alias points at an evicted entry; drop it and re-parse.
-		delete(cc.aliases, alias)
+	if c, ok := cc.lru.Alias(alias); ok {
+		cc.mu.Unlock()
+		return c, nil
 	}
 	if fl, ok := cc.inflight[alias]; ok {
 		cc.mu.Unlock()
@@ -225,7 +193,7 @@ func (cc *Cache) Load(src Source) (*netlist.Circuit, error) {
 	}
 	fl := &call{done: make(chan struct{})}
 	cc.inflight[alias] = fl
-	cc.stats.Misses++
+	cc.lru.Miss()
 	cc.mu.Unlock()
 
 	fl.c, fl.err = src.parse()
@@ -244,13 +212,7 @@ func (cc *Cache) Load(src Source) (*netlist.Circuit, error) {
 func (cc *Cache) Get(hash string) (*netlist.Circuit, bool) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if el, ok := cc.entries[hash]; ok {
-		cc.lru.MoveToFront(el)
-		cc.stats.Hits++
-		return el.Value.(*entry).circuit, true
-	}
-	cc.stats.Misses++
-	return nil, false
+	return cc.lru.Get(hash)
 }
 
 // Put inserts an already-parsed circuit (e.g. one built programmatically)
@@ -261,57 +223,23 @@ func (cc *Cache) Put(c *netlist.Circuit) string {
 	return cc.insertLocked(c, "")
 }
 
-// insertLocked adds the circuit under its content hash, records the alias,
-// and evicts LRU entries until the byte bound holds again.
+// insertLocked adds the circuit under its content hash, keeping the
+// resident copy when the same content is already cached, and records the
+// alias.
 func (cc *Cache) insertLocked(c *netlist.Circuit, alias string) string {
 	hash := c.ContentHash()
-	if el, ok := cc.entries[hash]; ok {
-		// Same content arrived through a new alias; keep the resident copy.
-		e := el.Value.(*entry)
-		if alias != "" {
-			cc.aliases[alias] = hash
-			e.aliases = append(e.aliases, alias)
-		}
-		cc.lru.MoveToFront(el)
-		return hash
-	}
-	e := &entry{hash: hash, circuit: c, size: EstimateBytes(c)}
+	cc.lru.Put(hash, c, EstimateBytes(c))
 	if alias != "" {
-		e.aliases = append(e.aliases, alias)
-		cc.aliases[alias] = hash
-	}
-	cc.entries[hash] = cc.lru.PushFront(e)
-	cc.bytes += e.size
-	for cc.bytes > cc.maxBytes && cc.lru.Len() > 1 {
-		cc.evictOldestLocked()
+		cc.lru.AddAlias(hash, alias)
 	}
 	return hash
 }
 
-func (cc *Cache) evictOldestLocked() {
-	el := cc.lru.Back()
-	if el == nil {
-		return
-	}
-	e := el.Value.(*entry)
-	cc.lru.Remove(el)
-	delete(cc.entries, e.hash)
-	for _, a := range e.aliases {
-		delete(cc.aliases, a)
-	}
-	cc.bytes -= e.size
-	cc.stats.Evictions++
-}
-
 // Stats returns a snapshot of the cache counters.
-func (cc *Cache) Stats() Stats {
+func (cc *Cache) Stats() lru.Stats {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	s := cc.stats
-	s.Entries = cc.lru.Len()
-	s.Bytes = cc.bytes
-	s.MaxBytes = cc.maxBytes
-	return s
+	return cc.lru.Stats()
 }
 
 // Default is the process-wide cache used by the package-level Load — the

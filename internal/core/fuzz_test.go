@@ -22,7 +22,9 @@ import (
 // and each output's state, in order — and every on-path lane's live bit
 // must match the scalar state. Then the epp-batch and epp-scalar engines
 // must agree bitwise on every site at a fuzzed frame count (1–3) and
-// worker count (1 or 3).
+// worker count (1 or 3), and epp-batch swept as two SiteLo/SiteHi shards
+// split at a site derived from the seed, merged, must equal its unsplit
+// sweep bitwise.
 func FuzzEPPBatch(f *testing.F) {
 	// One seed per gadget under the closed-form rules: XOR(s, s), constant
 	// masking, and the AND/OR family at fanin 1, 2, 3 and 5; then plain
@@ -100,6 +102,34 @@ func FuzzEPPBatch(f *testing.F) {
 		for id, b := range outs["epp-batch"] {
 			if s := outs["epp-scalar"][id]; math.Float64bits(b) != math.Float64bits(s) {
 				t.Fatalf("frames %d rules %v site %d: epp-batch %v, epp-scalar %v", req.Frames, req.Rules, id, b, s)
+			}
+		}
+
+		// The shard leg: epp-batch swept as the site ranges [0, cut) and
+		// [cut, n), each writing only its own range, must give the unsplit
+		// sweep bit for bit.
+		if n < 2 {
+			return
+		}
+		cut := 1 + int(seed%uint64(n-1))
+		e, err := engine.Lookup("epp-batch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := make([]float64, n)
+		for _, r := range [][2]int{{0, cut}, {cut, n}} {
+			sr := req
+			sr.SiteLo, sr.SiteHi = r[0], r[1]
+			shard := make([]float64, n)
+			if err := e.PSensitizedAll(context.Background(), &sr, shard); err != nil {
+				t.Fatalf("shard [%d, %d): %v", r[0], r[1], err)
+			}
+			copy(merged[r[0]:r[1]], shard[r[0]:r[1]])
+		}
+		for id, b := range outs["epp-batch"] {
+			if m := merged[id]; math.Float64bits(m) != math.Float64bits(b) {
+				t.Fatalf("frames %d rules %v site %d: shards [0, %d) and [%d, %d) give %v, the unsplit sweep %v",
+					req.Frames, req.Rules, id, cut, cut, n, m, b)
 			}
 		}
 	})

@@ -640,26 +640,7 @@ func writeFile(path string, vals map[Hash]uint64) error {
 	}
 	csum := sha256.Sum256(buf)
 	buf = append(buf, csum[:]...)
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".eco-*")
-	if err != nil {
-		return fmt.Errorf("eco: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eco: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eco: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("eco: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := resume.WriteFileAtomic(path, buf); err != nil {
 		return fmt.Errorf("eco: %w", err)
 	}
 	return nil

@@ -251,9 +251,10 @@ type Stats struct {
 	// flip-flop lookahead (the only batched sweep epp-scalar runs), made
 	// only when some site is left to sweep; the count is the same at every
 	// worker count. For the monte-carlo engine it counts the gates its
-	// event-driven sweeps evaluated (simulate.MCStats.Visits), summed over
-	// sites, frames and blocks of four 64-vector words; it covers the words
-	// simulated by this call, not those restored from a checkpoint.
+	// event-driven sweeps evaluated (the visits simulate.MCBatch.Sweep
+	// hands to each block's fold), summed over sites, frames and blocks of
+	// four 64-vector words; it covers the words simulated by this call,
+	// not those restored from a checkpoint.
 	SweptNodes atomic.Int64
 	// Sites counts error sites analyzed.
 	Sites atomic.Int64

@@ -1,6 +1,6 @@
-// Pins the monte-carlo engine's completed checkpoint bytes and the batched
-// kernel's work counters, so a refactor of the word-major kernel or its
-// counter plumbing must reproduce both verbatim.
+// Pins the monte-carlo engine's completed checkpoint bytes and its work
+// counters, so a refactor of the word-major kernel or its counter plumbing
+// must reproduce both verbatim.
 
 package engine
 
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/resume"
-	"repro/internal/simulate"
 )
 
 func TestMCCheckpointPins(t *testing.T) {
@@ -33,15 +32,17 @@ func TestMCCheckpointPins(t *testing.T) {
 	const vectors, seed = 640, 5
 	files := []struct {
 		frames int
-		want   string // hex SHA-256 of the completed checkpoint file
+		want   string   // hex SHA-256 of the completed checkpoint file
+		work   [3]int64 // Stats {Words, GoodSims, SweptNodes}
 	}{
-		{1, "305ef4c3b180cc0e36d66fcde706ac391eddc83c770337327fefa3cbfae922bc"},
-		{3, "8f1dafbb2b1ad54846cffb52bd15b15481dc4aa4b491fc526f6937630daa51db"},
+		{1, "305ef4c3b180cc0e36d66fcde706ac391eddc83c770337327fefa3cbfae922bc", [3]int64{10, 10, 50066}},
+		{3, "8f1dafbb2b1ad54846cffb52bd15b15481dc4aa4b491fc526f6937630daa51db", [3]int64{10, 30, 128552}},
 	}
 	for _, tc := range files {
 		path := filepath.Join(t.TempDir(), "mc.ckpt")
+		st := &Stats{}
 		req := &Request{Circuit: c, Frames: tc.frames, Vectors: vectors, Seed: seed, Workers: 2,
-			Resume: resume.New(path, time.Hour)}
+			Resume: resume.New(path, time.Hour), Stats: st}
 		if err := mc.PSensitizedAll(context.Background(), req, make([]float64, c.N())); err != nil {
 			t.Fatal(err)
 		}
@@ -53,29 +54,8 @@ func TestMCCheckpointPins(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("frames %d: checkpoint sha256 = %s, want %s", tc.frames, got, tc.want)
 		}
-	}
-
-	opt := simulate.MCOptions{Vectors: vectors, Seed: seed}
-	single := simulate.NewMCBatch(c, opt)
-	if _, err := single.PDetectAll(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	multi := simulate.NewMCSeqBatch(c, opt, 3)
-	if _, err := multi.PDetectAll(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	stats := []struct {
-		name string
-		got  simulate.MCStats
-		want [3]int64 // Words, GoodSims, Visits
-	}{
-		{"single-cycle", single.Stats(), [3]int64{10, 10, 50066}},
-		{"multi-cycle", multi.Stats(), [3]int64{10, 30, 128552}},
-	}
-	for _, s := range stats {
-		got := [3]int64{s.got.Words, s.got.GoodSims, s.got.Visits}
-		if got != s.want {
-			t.Errorf("%s: MCStats {Words, GoodSims, Visits} = %v, want %v", s.name, got, s.want)
+		if got := [3]int64{st.Words.Load(), st.GoodSims.Load(), st.SweptNodes.Load()}; got != tc.work {
+			t.Errorf("frames %d: Stats {Words, GoodSims, SweptNodes} = %v, want %v", tc.frames, got, tc.work)
 		}
 	}
 }

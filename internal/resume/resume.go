@@ -584,27 +584,36 @@ func (s *State) writeLocked() error {
 	if err != nil {
 		return fmt.Errorf("resume: %w", err)
 	}
-	dir := filepath.Dir(s.cp.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(s.cp.path)+".tmp*")
-	if err != nil {
+	if err := WriteFileAtomic(s.cp.path, data); err != nil {
 		return fmt.Errorf("resume: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.cp.path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resume: %w", werr)
 	}
 	//serlint:allow detsource checkpoint write cadence is scheduling only; the timestamp gates the next write and is never serialized
 	s.last = time.Now()
 	s.dirty = false
 	return nil
+}
+
+// WriteFileAtomic replaces path with data: it writes a temporary file in
+// the same directory, syncs and closes it, and renames it over path, so a
+// reader sees the old file or the new one, never a partial write. On error
+// the temporary file is removed.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

@@ -351,6 +351,33 @@ func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicRemovesTempOnError: a rename that fails (the target
+// is a directory) returns the error and leaves only what was there.
+func TestWriteFileAtomicRemovesTempOnError(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "out")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(target, []byte("data")); err == nil {
+		t.Fatal("write over a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "out" {
+		t.Fatalf("directory holds %v after a failed write, want only the target", entries)
+	}
+	file := filepath.Join(dir, "file")
+	if err := WriteFileAtomic(file, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(file); err != nil || string(got) != "data" {
+		t.Fatalf("read back %q (err %v)", got, err)
+	}
+}
+
 func TestWordFlushRefusesInconsistentState(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	st, err := New(path, 1e18).Arm("monte-carlo", "fp", KindWords, 4)

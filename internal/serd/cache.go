@@ -22,24 +22,14 @@ package serd
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/json"
 	"math"
 	"sync"
 	"unsafe"
 
+	"repro/internal/lru"
 	"repro/internal/ser"
 )
-
-// CacheStats is a point-in-time report-cache observation.
-type CacheStats struct {
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	MaxBytes  int64 `json:"max_bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-}
 
 // cachedReport is a complete report in the form serd serves it. Every hit
 // shares it, so it is never modified after encodeReport.
@@ -94,39 +84,23 @@ func newAliasKey(hash string, o Options) aliasKey {
 }
 
 // size is the key's resident size: the struct and its strings' bytes.
-func (k *aliasKey) size() int64 {
+func (k aliasKey) size() int64 {
 	o := &k.opts
-	return int64(unsafe.Sizeof(*k)) + int64(len(k.hash)+len(o.Method)+len(o.Engine)+len(o.SPMethod)+len(o.Rules))
-}
-
-type reportEntry struct {
-	report  *cachedReport
-	aliases []aliasKey // oldest first
-	size    int64
+	return int64(unsafe.Sizeof(k)) + int64(len(k.hash)+len(o.Method)+len(o.Engine)+len(o.SPMethod)+len(o.Rules))
 }
 
 // reportCache is a byte-bounded LRU of complete reports by fingerprint,
 // with alias keys into the same entries.
 type reportCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[string]*list.Element
-	aliases  map[aliasKey]*list.Element
-	lru      *list.List
-	stats    CacheStats
+	mu  sync.Mutex
+	lru *lru.Cache[string, aliasKey, *cachedReport]
 }
 
 func newReportCache(maxBytes int64) *reportCache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	return &reportCache{
-		maxBytes: maxBytes,
-		entries:  map[string]*list.Element{},
-		aliases:  map[aliasKey]*list.Element{},
-		lru:      list.New(),
-	}
+	return &reportCache{lru: lru.New[string, aliasKey, *cachedReport](maxBytes, maxAliases, aliasKey.size)}
 }
 
 // lookup returns the report an alias key points to, counting a hit. A miss
@@ -134,13 +108,7 @@ func newReportCache(maxBytes int64) *reportCache {
 func (rc *reportCache) lookup(key aliasKey) (*cachedReport, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	el, ok := rc.aliases[key]
-	if !ok {
-		return nil, false
-	}
-	rc.lru.MoveToFront(el)
-	rc.stats.Hits++
-	return el.Value.(*reportEntry).report, true
+	return rc.lru.Alias(key)
 }
 
 // get returns the report for the fingerprint, if resident, and adds key as
@@ -148,28 +116,11 @@ func (rc *reportCache) lookup(key aliasKey) (*cachedReport, bool) {
 func (rc *reportCache) get(fp string, key aliasKey) (*cachedReport, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	el, ok := rc.entries[fp]
-	if !ok {
-		rc.stats.Misses++
-		return nil, false
+	r, ok := rc.lru.Get(fp)
+	if ok {
+		rc.lru.AddAlias(fp, key)
 	}
-	rc.lru.MoveToFront(el)
-	rc.stats.Hits++
-	e := el.Value.(*reportEntry)
-	if _, dup := rc.aliases[key]; !dup {
-		if len(e.aliases) == maxAliases {
-			old := e.aliases[0]
-			e.aliases = append(e.aliases[:0], e.aliases[1:]...)
-			delete(rc.aliases, old)
-			e.size -= old.size()
-			rc.bytes -= old.size()
-		}
-		e.aliases = append(e.aliases, key)
-		rc.aliases[key] = el
-		e.size += key.size()
-		rc.bytes += key.size()
-	}
-	return e.report, true
+	return r, ok
 }
 
 // put memoizes a complete report under its fingerprint, evicting LRU
@@ -178,34 +129,12 @@ func (rc *reportCache) get(fp string, key aliasKey) (*cachedReport, bool) {
 func (rc *reportCache) put(r *cachedReport) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	fp := r.info.Fingerprint
-	if el, ok := rc.entries[fp]; ok {
-		rc.lru.MoveToFront(el)
-		return
-	}
-	e := &reportEntry{report: r, size: int64(len(r.json) + len(r.ndjson))}
-	rc.entries[fp] = rc.lru.PushFront(e)
-	rc.bytes += e.size
-	for rc.bytes > rc.maxBytes && rc.lru.Len() > 1 {
-		back := rc.lru.Back()
-		be := back.Value.(*reportEntry)
-		rc.lru.Remove(back)
-		delete(rc.entries, be.report.info.Fingerprint)
-		for _, k := range be.aliases {
-			delete(rc.aliases, k)
-		}
-		rc.bytes -= be.size
-		rc.stats.Evictions++
-	}
+	rc.lru.Put(r.info.Fingerprint, r, int64(len(r.json)+len(r.ndjson)))
 }
 
 // snapshot returns the current counters.
-func (rc *reportCache) snapshot() CacheStats {
+func (rc *reportCache) snapshot() lru.Stats {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	s := rc.stats
-	s.Entries = rc.lru.Len()
-	s.Bytes = rc.bytes
-	s.MaxBytes = rc.maxBytes
-	return s
+	return rc.lru.Stats()
 }

@@ -225,7 +225,7 @@ type dispatch struct {
 	st   *resume.State
 	out  []float64
 	src  CircuitSource
-	cfg  ser.Config
+	opts Options // the client's, scheduling knobs cleared
 	info ser.Info
 
 	mu      sync.Mutex
@@ -538,7 +538,7 @@ func (co *coordinator) runWorker(d *dispatch, base string) {
 			continue
 		}
 		co.dispatched.Add(1)
-		vals, err := co.callShard(actx, base, d.src, d.cfg, d.info, fl.task.lo, fl.task.hi)
+		vals, err := co.callShard(actx, base, d.src, d.opts, d.info, fl.task.lo, fl.task.hi)
 		cancel()
 		d.finish(base, br, fl, vals, err)
 	}
@@ -576,7 +576,7 @@ func (co *coordinator) probeWorker(ctx context.Context, base string) error {
 // their retry budget are returned as explicit uncovered ranges instead of
 // failing the request; the values at uncovered positions are unspecified
 // and must not be read.
-func (co *coordinator) psensitized(ctx context.Context, c *netlist.Circuit, cfg ser.Config, src CircuitSource, info ser.Info, allowPartial bool) ([]float64, []Range, error) {
+func (co *coordinator) psensitized(ctx context.Context, c *netlist.Circuit, src CircuitSource, opts Options, info ser.Info, allowPartial bool) ([]float64, []Range, error) {
 	n := c.N()
 	ck := resume.InMemory()
 	if co.checkpointDir != "" {
@@ -603,7 +603,7 @@ func (co *coordinator) psensitized(ctx context.Context, c *netlist.Circuit, cfg 
 		st:      st,
 		out:     out,
 		src:     src,
-		cfg:     cfg,
+		opts:    opts,
 		info:    info,
 		pending: tasks,
 		flights: make(map[int]*flight),
@@ -650,10 +650,10 @@ func (co *coordinator) psensitized(ctx context.Context, c *netlist.Circuit, cfg 
 // [0,1]; a NaN, infinity or out-of-range value is a per-worker error (it
 // counts toward the breaker) rather than something to fold into a
 // committed checkpoint.
-func (co *coordinator) callShard(ctx context.Context, base string, src CircuitSource, cfg ser.Config, info ser.Info, lo, hi int) ([]float64, error) {
+func (co *coordinator) callShard(ctx context.Context, base string, src CircuitSource, opts Options, info ser.Info, lo, hi int) ([]float64, error) {
 	sreq := ShardRequest{
 		Circuit: src,
-		Options: optionsFromConfig(cfg),
+		Options: opts,
 		Lo:      lo,
 		Hi:      hi,
 	}
@@ -694,33 +694,4 @@ func (co *coordinator) callShard(ctx context.Context, base string, src CircuitSo
 		}
 	}
 	return vals, nil
-}
-
-// optionsFromConfig maps a resolved ser.Config back onto wire Options for
-// shard dispatch. Only fields the analyze protocol itself accepts can be
-// set (the handler built cfg from wire Options), so the round-trip is
-// lossless for everything result-affecting; the per-request timeout stays
-// coordinator-side (the shard inherits cancellation through the request
-// context), and worker count is left to each worker's own sizing.
-func optionsFromConfig(cfg ser.Config) Options {
-	o := Options{
-		Engine:    cfg.Engine,
-		Frames:    cfg.Frames,
-		Vectors:   cfg.MC.Vectors,
-		SPVectors: cfg.SP.Vectors,
-		Seed:      cfg.MC.Seed,
-		BDDBudget: cfg.BDDBudget,
-	}
-	o.Method = cfg.Method.String()
-	o.SPMethod = cfg.SPMethod.String()
-	o.Rules = cfg.Rules.String()
-	if cfg.Latch != nil {
-		o.Latch = &LatchParams{
-			ClockPeriodPs:       cfg.Latch.ClockPeriodPs,
-			WindowPs:            cfg.Latch.WindowPs,
-			PulseWidthPs:        cfg.Latch.PulseWidthPs,
-			AttenuationPerLevel: cfg.Latch.AttenuationPerLevel,
-		}
-	}
-	return o
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/circuitio"
 	"repro/internal/latch"
+	"repro/internal/lru"
 	"repro/internal/ser"
 )
 
@@ -250,9 +251,9 @@ type ErrorResponse struct {
 
 // StatsResponse is the body of GET /v1/stats.
 type StatsResponse struct {
-	Circuits  circuitio.Stats `json:"circuits"` // parsed-circuit cache
-	Reports   CacheStats      `json:"reports"`  // memoized-report cache
-	Admission AdmissionStats  `json:"admission"`
+	Circuits  lru.Stats      `json:"circuits"` // parsed-circuit cache
+	Reports   lru.Stats      `json:"reports"`  // memoized-report cache
+	Admission AdmissionStats `json:"admission"`
 	// Coordinator is present only on coordinator daemons: dispatch counters
 	// and the per-worker breaker states.
 	Coordinator *CoordinatorStats `json:"coordinator,omitempty"`

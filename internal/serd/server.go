@@ -279,7 +279,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.streamLive(w, r, c, cfg, info)
 		return
 	}
-	rep, uncovered, err := s.runReport(ctx, c, cfg, req.Circuit, info, req.AllowPartial)
+	rep, uncovered, err := s.runReport(ctx, c, cfg, &req, info)
 	if err != nil {
 		// A canceled client is gone; don't log it as a failure.
 		if !errors.Is(err, context.Canceled) {
@@ -336,9 +336,14 @@ func (s *Server) memoize(info ser.Info, rep *ser.Report) (*cachedReport, error) 
 // locally otherwise (sampling engines always run whole — see the package
 // doc). A non-empty uncovered return (possible only with allowPartial on a
 // coordinator) marks a degraded report covering only the committed ranges.
-func (s *Server) runReport(ctx context.Context, c *netlist.Circuit, cfg ser.Config, src CircuitSource, info ser.Info, allowPartial bool) (*ser.Report, []Range, error) {
+func (s *Server) runReport(ctx context.Context, c *netlist.Circuit, cfg ser.Config, req *AnalyzeRequest, info ser.Info) (*ser.Report, []Range, error) {
 	if s.coord != nil && info.Class != engine.ClassSampling {
-		psens, uncovered, err := s.coord.psensitized(ctx, c, cfg, src, info, allowPartial)
+		// Shards carry the client's options but not its scheduling knobs:
+		// the deadline stays here (shards inherit cancellation through ctx)
+		// and each worker sizes its own sweep.
+		opts := req.Options
+		opts.Workers, opts.TimeoutMs = 0, 0
+		psens, uncovered, err := s.coord.psensitized(ctx, c, req.Circuit, opts, info, req.AllowPartial)
 		if err != nil {
 			return nil, nil, err
 		}

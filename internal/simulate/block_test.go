@@ -38,18 +38,19 @@ func TestMCBatchBlockBoundaries(t *testing.T) {
 			var base resume.Counters
 			var visits int64
 			for i, workers := range []int{1, 2, 4} {
-				if _, err := mb.PDetectAll(ctx, workers); err != nil {
+				_, cnt, v, err := sweepAll(ctx, mb, workers)
+				if err != nil {
 					t.Fatal(err)
 				}
 				if i == 0 {
-					base, visits = *mb.fin.Clone(), mb.Stats().Visits
+					base, visits = cnt, v
 					continue
 				}
-				if d := countersDiff(base, mb.Counters()); d != "" {
+				if d := countersDiff(base, cnt); d != "" {
 					t.Fatalf("vectors %d frames %d: 1 vs %d workers: %s", vectors, frames, workers, d)
 				}
-				if got := mb.Stats().Visits; got != visits {
-					t.Fatalf("vectors %d frames %d: Visits %d at 1 worker, %d at %d", vectors, frames, visits, got, workers)
+				if v != visits {
+					t.Fatalf("vectors %d frames %d: Visits %d at 1 worker, %d at %d", vectors, frames, visits, v, workers)
 				}
 			}
 
@@ -93,7 +94,10 @@ func TestMCBatchBlockBoundaries(t *testing.T) {
 			for i := 0; i < len(parts); i += 2 {
 				sum := mb.NewCounters()
 				for j, spans := range parts[i : i+2] {
-					cnt := sweepSpans(t, mb, 2+2*j, spans)
+					_, cnt, _, err := sweepSpans(ctx, mb, 2+2*j, spans)
+					if err != nil {
+						t.Fatal(err)
+					}
 					sum.Add(&cnt)
 				}
 				if d := countersDiff(base, sum); d != "" || sum.Words != base.Words || sum.GoodSims != base.GoodSims {
@@ -105,19 +109,27 @@ func TestMCBatchBlockBoundaries(t *testing.T) {
 	}
 }
 
-// sweepSpans runs mb over spans at the given worker count and returns the
-// counters of those words.
-func sweepSpans(t *testing.T, mb *MCBatch, workers int, spans []resume.Range) resume.Counters {
-	t.Helper()
+// sweepAll sweeps every word of mb at the given worker count; see
+// sweepSpans.
+func sweepAll(ctx context.Context, mb *MCBatch, workers int) ([]SeqResult, resume.Counters, int64, error) {
+	return sweepSpans(ctx, mb, workers, resume.Pending(0, mb.opt.Words(), MCBlock, nil))
+}
+
+// sweepSpans runs mb over spans through Sweep at the given worker count and
+// returns the per-node results (meaningful only when the spans cover every
+// word), the counter totals and the gates the sweep evaluated.
+func sweepSpans(ctx context.Context, mb *MCBatch, workers int, spans []resume.Range) ([]SeqResult, resume.Counters, int64, error) {
 	tot := mb.NewCounters()
-	err := mb.Sweep(context.Background(), workers, spans, 0, func(_, _ int, c *resume.Counters, _ int64) error {
+	var visits int64
+	err := mb.Sweep(ctx, workers, spans, 0, func(_, _ int, c *resume.Counters, v int64) error {
 		tot.Add(c)
+		visits += v
 		return nil
 	}, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, tot, 0, err
 	}
-	return tot
+	return mb.Results(tot), tot, visits, nil
 }
 
 // TestNewMCSeqBatchLinearBuild is the construction gate: building the

@@ -95,22 +95,28 @@ func FuzzMCBatch(f *testing.F) {
 func fuzzCounters(t *testing.T, mb *MCBatch, cut int) resume.Counters {
 	t.Helper()
 	ctx := context.Background()
-	if _, err := mb.PDetectAll(ctx, 1); err != nil {
+	_, base, _, err := sweepAll(ctx, mb, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cnt := mb.Counters()
-	base := *cnt.Clone()
-	if _, err := mb.PDetectAll(ctx, 3); err != nil {
+	_, cnt, _, err := sweepAll(ctx, mb, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d := countersDiff(base, mb.Counters()); d != "" {
+	if d := countersDiff(base, cnt); d != "" {
 		t.Fatalf("1 vs 3 workers: %s", d)
 	}
 
 	words := mb.opt.Words()
 	cut %= words
-	resumed := sweepSpans(t, mb, 3, resume.Pending(0, cut, MCBlock, nil))
-	rest := sweepSpans(t, mb, 3, resume.Pending(cut, words, MCBlock, nil))
+	_, resumed, _, err := sweepSpans(ctx, mb, 3, resume.Pending(0, cut, MCBlock, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _, err := sweepSpans(ctx, mb, 3, resume.Pending(cut, words, MCBlock, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
 	resumed.Add(&rest)
 	if d := countersDiff(base, resumed); d != "" {
 		t.Fatalf("resumed after %d of %d words: %s", cut, words, d)

@@ -26,24 +26,6 @@ const MCBlock = 4
 // block holds one value per word of a block.
 type block = [MCBlock]uint64
 
-// MCStats are the work counters of one MCBatch sweep, the quantities the
-// shared-good-sim design optimizes. GoodSims == Words × frames is the
-// kernel's defining invariant: the good machine depends only on the vectors,
-// never on the error site, so exactly one full-circuit simulation is
-// performed per 64-vector word and frame — against Words × frames × Sites
-// for the per-site estimators.
-type MCStats struct {
-	Words    int64 // 64-vector words applied
-	GoodSims int64 // full-circuit good simulations (one per word and frame)
-	// Visits counts the gates the faulty sweeps evaluated, summed over
-	// sites, frames and blocks; each evaluation covers every word of its
-	// block. It depends on where blocks start, so it is not checkpointed;
-	// for a sweep over the same spans it is identical at any worker count.
-	Visits       int64
-	Sites        int64 // error sites estimated
-	Unobservable int64 // sites excluded up front (no reachable observation point)
-}
-
 // MCBatch is the batched Monte Carlo error-propagation estimator: the same
 // random-vector fault-injection semantics as the per-site MonteCarlo and
 // Sequential estimators, restructured so the good-machine work is shared
@@ -90,8 +72,8 @@ type MCStats struct {
 //
 // Detection is counted per site as integers: trials detected in any frame,
 // and with more than one frame also trials detected in a frame >= 1 and
-// per-frame detections (see Counters and FrameDetected), which is what lets
-// the latch-window-weighted composition (SeqResult.PDetectWeighted) stay
+// per-frame detections (see NewCounters), which is what lets the
+// latch-window-weighted composition (SeqResult.PDetectWeighted) stay
 // bit-exact and worker-invariant.
 //
 // Vectors are drawn from the shared-stream regime (one stream per word,
@@ -108,9 +90,6 @@ type MCBatch struct {
 	draw   []netlist.ID // frame-0 source draw order; later frames draw c.PIs
 	rank   []int32      // per node: its position in c.Topo(), the sweeps' visiting order
 	sites  []netlist.ID // the observable sites, in node-ID order
-
-	fin       resume.Counters // final counters of the most recent successful PDetectAll
-	finVisits int64           // gates evaluated by the most recent successful PDetectAll
 }
 
 // NewMCBatch builds the estimator in single-cycle mode for circuit c. The
@@ -159,47 +138,12 @@ func newMCBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 	return m
 }
 
-// Counters returns the final integer counters of the most recent successful
-// PDetectAll. Later and Frames are non-nil iff the frame budget exceeds 1.
-// The slices alias kernel state; treat them as read-only.
-func (m *MCBatch) Counters() resume.Counters { return m.fin }
-
-// Stats returns the work counters of the most recent successful PDetectAll.
-func (m *MCBatch) Stats() MCStats {
-	if m.fin.Detected == nil {
-		return MCStats{}
-	}
-	return MCStats{
-		Words:        m.fin.Words,
-		GoodSims:     m.fin.GoodSims,
-		Visits:       m.finVisits,
-		Sites:        int64(m.c.N()),
-		Unobservable: int64(m.c.N() - len(m.sites)),
-	}
-}
-
-// FrameDetected returns the per-frame detection counters of the most recent
-// successful PDetectAll: the returned slice, indexed by node ID, counts the
-// trials with a detection during frame `frame` (0 = the strike cycle). A
-// trial may be detected in several frames, so the per-frame counts can sum
-// to more than Detected; their union is Detected and the union over frames
-// >= 1 is DetectedLater. The counters are integers folded in canonical
-// (site, frame) order, identical at any worker count. The returned slice
-// aliases kernel state — treat it as read-only.
-func (m *MCBatch) FrameDetected(frame int) []int64 {
-	if m.fin.Detected == nil || frame < 0 || frame >= m.frames {
-		return nil
-	}
-	if m.frames == 1 {
-		return m.fin.Detected
-	}
-	n := m.c.N()
-	return m.fin.Frames[frame*n : (frame+1)*n]
-}
-
 // NewCounters returns zeroed counters shaped for this kernel: per-site
 // detections always, later-frame and per-frame detections only when the
-// frame budget exceeds 1.
+// frame budget exceeds 1. Frames[f*N+id] counts the trials site id was
+// detected in during frame f (0 = the strike cycle); a trial may be
+// detected in several frames, so the union over frames is Detected and
+// over frames >= 1 is Later, while the counts may sum to more.
 func (m *MCBatch) NewCounters() resume.Counters {
 	n := m.c.N()
 	cnt := resume.Counters{Detected: make([]int64, n)}
@@ -251,31 +195,10 @@ func (m *MCBatch) Sweep(ctx context.Context, workers int, spans []resume.Range, 
 	return err
 }
 
-// PDetectAll sweeps every word and returns the estimate for every node of
-// the circuit (indexed by node ID) as a SeqResult — the multi-cycle
-// detection probability in multi-cycle mode, P_sensitized with
-// DetectedLater == 0 in single-cycle mode. Each 64-vector word costs
-// exactly one good simulation per frame shared by all sites. On
-// cancellation the partial estimate is discarded and ctx.Err() returned.
-// Results are identical at any worker count.
-func (m *MCBatch) PDetectAll(ctx context.Context, workers int) ([]SeqResult, error) {
-	tot := m.NewCounters()
-	var visits int64
-	err := m.Sweep(ctx, workers, resume.Pending(0, m.opt.Words(), MCBlock, nil), 0,
-		func(_, _ int, c *resume.Counters, v int64) error {
-			tot.Add(c)
-			visits += v
-			return nil
-		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	m.fin, m.finVisits = tot, visits
-	return m.Results(tot), nil
-}
-
 // Results turns the counters of a sweep over every word into the estimate
-// for every node of the circuit, indexed by node ID (see PDetectAll).
+// for every node of the circuit, indexed by node ID: the multi-cycle
+// detection probability in multi-cycle mode, P_sensitized with
+// DetectedLater == 0 in single-cycle mode.
 func (m *MCBatch) Results(tot resume.Counters) []SeqResult {
 	trials := m.opt.Words() * 64
 	out := make([]SeqResult, m.c.N())

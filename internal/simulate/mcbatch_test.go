@@ -24,7 +24,7 @@ func TestMCBatchMatchesPerSite(t *testing.T) {
 		c := gen.SmallRandomSequential(seed + 50)
 		opt := MCOptions{Vectors: 256, Seed: seed + 1}
 		mb := NewMCBatch(c, opt)
-		got, err := mb.PDetectAll(context.Background(), 1)
+		got, _, _, err := sweepAll(context.Background(), mb, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +55,12 @@ func matchesMC(got SeqResult, want MCResult) bool {
 func TestMCBatchWorkerInvariance(t *testing.T) {
 	c := gen.SmallRandomSequential(61)
 	mb := NewMCBatch(c, MCOptions{Vectors: 512, Seed: 7})
-	base, err := mb.PDetectAll(context.Background(), 1)
+	base, _, _, err := sweepAll(context.Background(), mb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
-		got, err := mb.PDetectAll(context.Background(), workers)
+		got, _, _, err := sweepAll(context.Background(), mb, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,22 +79,22 @@ func TestMCBatchGoodSimInvariant(t *testing.T) {
 	c := gen.SmallRandomSequential(42)
 	vectors := 1000 // rounds up to 16 words
 	mb := NewMCBatch(c, MCOptions{Vectors: vectors, Seed: 1})
-	if _, err := mb.PDetectAll(context.Background(), 3); err != nil {
+	res, tot, visits, err := sweepAll(context.Background(), mb, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := mb.Stats()
 	words := int64((vectors + 63) / 64)
-	if st.Words != words || st.GoodSims != words {
-		t.Fatalf("stats = %+v, want Words == GoodSims == %d", st, words)
+	if tot.Words != words || tot.GoodSims != words {
+		t.Fatalf("Words = %d, GoodSims = %d, want both %d", tot.Words, tot.GoodSims, words)
 	}
-	if st.Sites != int64(c.N()) {
-		t.Fatalf("Sites = %d, want %d", st.Sites, c.N())
+	if len(res) != c.N() {
+		t.Fatalf("%d results, want %d", len(res), c.N())
 	}
-	if perSite := words * int64(c.N()); perSite < 5*st.GoodSims {
-		t.Fatalf("good-sim saving %d/%d < 5x", perSite, st.GoodSims)
+	if perSite := words * int64(c.N()); perSite < 5*tot.GoodSims {
+		t.Fatalf("good-sim saving %d/%d < 5x", perSite, tot.GoodSims)
 	}
-	if st.Visits <= 0 {
-		t.Fatalf("work counters not recorded: %+v", st)
+	if visits <= 0 {
+		t.Fatalf("visits = %d, want a positive count", visits)
 	}
 }
 
@@ -109,7 +109,7 @@ dead = AND(a, b)
 y = OR(a, b)
 `)
 	mb := NewMCBatch(c, MCOptions{Vectors: 128, Seed: 3})
-	out, err := mb.PDetectAll(context.Background(), 1)
+	out, _, _, err := sweepAll(context.Background(), mb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ y = OR(a, b)
 	if out[dead].Trials != 128 {
 		t.Fatalf("dead node vectors = %d, want 128", out[dead].Trials)
 	}
-	if got := mb.Stats().Unobservable; got != 1 {
-		t.Fatalf("Stats().Unobservable = %d, want 1 (just the dead gate)", got)
+	if got := c.N() - len(mb.sites); got != 1 {
+		t.Fatalf("%d unobservable sites, want 1 (just the dead gate)", got)
 	}
 	// And an always-observed site: a is a PO's fanin through OR... the PO
 	// itself must be P = 1 (its own flip is always visible).
@@ -138,7 +138,7 @@ func TestMCBatchCancellation(t *testing.T) {
 	mb := NewMCBatch(c, MCOptions{Vectors: 1 << 14, Seed: 5})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mb.PDetectAll(ctx, 2); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := sweepAll(ctx, mb, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestMonteCarloSeedGolden(t *testing.T) {
 		t.Errorf("shared regime: Detected = %d, want %d (wordSeed stream changed!)", got, want)
 	}
 	// MCBatch inherits the shared-regime value verbatim.
-	batched, err := NewMCBatch(c, MCOptions{Vectors: 1024, Seed: 1}).PDetectAll(context.Background(), 2)
+	batched, _, _, err := sweepAll(context.Background(), NewMCBatch(c, MCOptions{Vectors: 1024, Seed: 1}), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,10 +194,11 @@ func TestMCBatchVisits(t *testing.T) {
 		}
 		var visits [3]int64
 		for i, workers := range []int{1, 2, 4} {
-			if _, err := mb.PDetectAll(context.Background(), workers); err != nil {
+			_, _, v, err := sweepAll(context.Background(), mb, workers)
+			if err != nil {
 				t.Fatal(err)
 			}
-			visits[i] = mb.Stats().Visits
+			visits[i] = v
 		}
 		if visits[0] <= 0 || visits[1] != visits[0] || visits[2] != visits[0] {
 			t.Fatalf("frames=%d: Visits %v at 1, 2 and 4 workers, want one positive count", tc.frames, visits)
@@ -239,10 +240,11 @@ func TestMCBatchWorkPins(t *testing.T) {
 		if tc.frames > 1 {
 			mb = NewMCSeqBatch(c, opt, tc.frames)
 		}
-		if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
+		_, _, got, err := sweepAll(context.Background(), mb, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := mb.Stats().Visits; got != tc.visits {
+		if got != tc.visits {
 			t.Errorf("%s frames %d vectors %d: Visits %d, want %d", tc.circuit, tc.frames, tc.vectors, got, tc.visits)
 		}
 	}
@@ -282,7 +284,7 @@ func heapAlloc() int64 {
 func checkMatchesPerSiteAllFrames(t *testing.T, c *netlist.Circuit) []SeqResult {
 	t.Helper()
 	opt := MCOptions{Vectors: 256, Seed: 3}
-	single, err := NewMCBatch(c, opt).PDetectAll(context.Background(), 2)
+	single, _, _, err := sweepAll(context.Background(), NewMCBatch(c, opt), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +297,7 @@ func checkMatchesPerSiteAllFrames(t *testing.T, c *netlist.Circuit) []SeqResult 
 		}
 	}
 	for frames := 1; frames <= 4; frames++ {
-		got, err := NewMCSeqBatch(c, opt, frames).PDetectAll(context.Background(), 2)
+		got, _, _, err := sweepAll(context.Background(), NewMCSeqBatch(c, opt, frames), 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +379,7 @@ z = BUFF(q2)
 `)
 		checkMatchesPerSiteAllFrames(t, c)
 		for _, frames := range []int{2, 4} {
-			got, err := NewMCSeqBatch(c, MCOptions{Vectors: 256, Seed: 3}, frames).PDetectAll(context.Background(), 1)
+			got, _, _, err := sweepAll(context.Background(), NewMCSeqBatch(c, MCOptions{Vectors: 256, Seed: 3}, frames), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -460,7 +462,7 @@ q2 = DFF(nor5)
 			t.Errorf("site %s never detected: the test would not exercise its cone", c.NameOf(netlist.ID(id)))
 		}
 	}
-	later, err := NewMCSeqBatch(c, MCOptions{Vectors: 256, Seed: 3}, 3).PDetectAll(context.Background(), 1)
+	later, _, _, err := sweepAll(context.Background(), NewMCSeqBatch(c, MCOptions{Vectors: 256, Seed: 3}, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

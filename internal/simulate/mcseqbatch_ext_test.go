@@ -1,27 +1,32 @@
 package simulate_test
 
 // The analytical cross-check lives in an external test package: it needs
-// sigprob for the seq analyzer's signal probabilities, and sigprob itself
-// imports simulate.
+// sigprob for the seq analyzer's signal probabilities and runs the kernel
+// through the monte-carlo engine, and both import simulate.
 
 import (
 	"context"
 	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/seq"
 	"repro/internal/sigprob"
-	"repro/internal/simulate"
 )
 
 // TestMCSeqBatchVsAnalyticalSeq cross-checks the frame-unrolled Monte Carlo
-// kernel against the analytical multi-cycle extension (package seq): mean
-// |diff| over all sites and several frame budgets must stay within the same
-// bound the analytical model is held to against Sequential — the two
-// multi-cycle paths must tell one story.
+// kernel, run by the monte-carlo engine, against the analytical
+// multi-cycle extension (package seq): mean |diff| over all sites and
+// several frame budgets must stay within the same bound the analytical
+// model is held to against Sequential — the two multi-cycle paths must
+// tell one story.
 func TestMCSeqBatchVsAnalyticalSeq(t *testing.T) {
+	mc, err := engine.Lookup("monte-carlo")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sumAbs, n := 0.0, 0
 	for seed := uint64(0); seed < 3; seed++ {
 		c := gen.SmallRandomSequential(seed + 80)
@@ -30,13 +35,13 @@ func TestMCSeqBatchVsAnalyticalSeq(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, frames := range []int{2, 4} {
-			mb := simulate.NewMCSeqBatch(c, simulate.MCOptions{Vectors: 1 << 12, Seed: seed + 9}, frames)
-			got, err := mb.PDetectAll(context.Background(), 0)
-			if err != nil {
+			req := &engine.Request{Circuit: c, Frames: frames, Vectors: 1 << 12, Seed: seed + 9}
+			got := make([]float64, c.N())
+			if err := mc.PSensitizedAll(context.Background(), req, got); err != nil {
 				t.Fatal(err)
 			}
 			for id := 0; id < c.N(); id++ {
-				sumAbs += math.Abs(got[id].PDetect - a.PDetect(netlist.ID(id), frames))
+				sumAbs += math.Abs(got[id] - a.PDetect(netlist.ID(id), frames))
 				n++
 			}
 		}

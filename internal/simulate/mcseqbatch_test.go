@@ -28,7 +28,7 @@ func TestMCSeqBatchMatchesSequentialShared(t *testing.T) {
 		for _, frames := range []int{1, 2, 4} {
 			opt := MCOptions{Vectors: 256, Seed: seed + 1}
 			mb := NewMCSeqBatch(c, opt, frames)
-			got, err := mb.PDetectAll(context.Background(), 1)
+			got, _, _, err := sweepAll(context.Background(), mb, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestMCSeqBatchStatisticalVsSequential(t *testing.T) {
 	}
 	for name, c := range circuits {
 		mb := NewMCSeqBatch(c, MCOptions{Vectors: 1 << 13, Seed: 5}, 3)
-		got, err := mb.PDetectAll(context.Background(), 2)
+		got, _, _, err := sweepAll(context.Background(), mb, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ z  = BUFF(q2)
 	site := c.ByName("d0")
 	for frames, want := range map[int]float64{1: 0, 2: 0, 3: 0, 4: 1, 5: 1} {
 		mb := NewMCSeqBatch(c, MCOptions{Vectors: 256, Seed: 1}, frames)
-		got, err := mb.PDetectAll(context.Background(), 1)
+		got, _, _, err := sweepAll(context.Background(), mb, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestMCSeqBatchMonotoneFrames(t *testing.T) {
 	}
 	for frames := 1; frames <= 4; frames++ {
 		mb := NewMCSeqBatch(c, MCOptions{Vectors: 512, Seed: 7}, frames)
-		got, err := mb.PDetectAll(context.Background(), 2)
+		got, _, _, err := sweepAll(context.Background(), mb, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,12 +150,12 @@ func TestMCSeqBatchMonotoneFrames(t *testing.T) {
 func TestMCSeqBatchWorkerInvariance(t *testing.T) {
 	c := gen.SmallRandomSequential(61)
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: 512, Seed: 7}, 3)
-	base, err := mb.PDetectAll(context.Background(), 1)
+	base, _, _, err := sweepAll(context.Background(), mb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 0} {
-		got, err := mb.PDetectAll(context.Background(), workers)
+		got, _, _, err := sweepAll(context.Background(), mb, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,23 +175,23 @@ func TestMCSeqBatchGoodSimInvariant(t *testing.T) {
 	c := gen.SmallRandomSequential(42)
 	vectors, frames := 1000, 3 // rounds up to 16 words
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: vectors, Seed: 1}, frames)
-	if _, err := mb.PDetectAll(context.Background(), 3); err != nil {
+	res, tot, visits, err := sweepAll(context.Background(), mb, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := mb.Stats()
 	words := int64((vectors + 63) / 64)
-	if st.Words != words || st.GoodSims != words*int64(frames) {
-		t.Fatalf("stats = %+v, want Words == %d, GoodSims == %d (one per word per frame)",
-			st, words, words*int64(frames))
+	if tot.Words != words || tot.GoodSims != words*int64(frames) {
+		t.Fatalf("Words = %d, GoodSims = %d, want %d and %d (one per word per frame)",
+			tot.Words, tot.GoodSims, words, words*int64(frames))
 	}
-	if st.Sites != int64(c.N()) {
-		t.Fatalf("Sites = %d, want %d", st.Sites, c.N())
+	if len(res) != c.N() {
+		t.Fatalf("%d results, want %d", len(res), c.N())
 	}
-	if perSite := words * int64(frames) * int64(c.N()); perSite < 5*st.GoodSims {
-		t.Fatalf("good-sim saving %d/%d < 5x", perSite, st.GoodSims)
+	if perSite := words * int64(frames) * int64(c.N()); perSite < 5*tot.GoodSims {
+		t.Fatalf("good-sim saving %d/%d < 5x", perSite, tot.GoodSims)
 	}
-	if st.Visits <= 0 {
-		t.Fatalf("work counters not recorded: %+v", st)
+	if visits <= 0 {
+		t.Fatalf("visits = %d, want a positive count", visits)
 	}
 }
 
@@ -207,7 +207,7 @@ dead = AND(a, b)
 y = OR(a, b)
 `)
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: 128, Seed: 3}, 2)
-	out, err := mb.PDetectAll(context.Background(), 1)
+	out, _, _, err := sweepAll(context.Background(), mb, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,8 @@ y = OR(a, b)
 	if out[dead].Trials != 128 || out[dead].Frames != 2 {
 		t.Fatalf("dead node accounting = %+v, want 128 trials over 2 frames", out[dead])
 	}
-	if got := mb.Stats().Unobservable; got != 1 {
-		t.Fatalf("Stats().Unobservable = %d, want 1 (just the dead gate)", got)
+	if got := c.N() - len(mb.sites); got != 1 {
+		t.Fatalf("%d unobservable sites, want 1 (just the dead gate)", got)
 	}
 }
 
@@ -231,7 +231,7 @@ func TestMCSeqBatchCancellation(t *testing.T) {
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: 1 << 14, Seed: 5}, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mb.PDetectAll(ctx, 2); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := sweepAll(ctx, mb, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -287,7 +287,7 @@ func TestMCSeqBatchSeedGolden(t *testing.T) {
 		t.Errorf("shared regime: detected = %d/%d, want %d (multi-cycle word stream changed!)",
 			got, shared.Trials, wantDetected)
 	}
-	batched, err := NewMCSeqBatch(c, MCOptions{Vectors: 1024, Seed: 1}, 3).PDetectAll(context.Background(), 2)
+	batched, _, _, err := sweepAll(context.Background(), NewMCSeqBatch(c, MCOptions{Vectors: 1024, Seed: 1}, 3), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,17 +306,13 @@ func TestMCSeqBatchFrameCounters(t *testing.T) {
 	c := gen.SmallRandomSequential(23)
 	const frames = 4
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: 512, Seed: 3}, frames)
-	got, err := mb.PDetectAll(context.Background(), 2)
+	got, tot, _, err := sweepAll(context.Background(), mb, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for f := 0; f < frames; f++ {
-		if fd := mb.FrameDetected(f); len(fd) != c.N() {
-			t.Fatalf("FrameDetected(%d) has %d entries for %d nodes", f, len(fd), c.N())
-		}
-	}
-	if mb.FrameDetected(-1) != nil || mb.FrameDetected(frames) != nil {
-		t.Fatal("out-of-range FrameDetected returned a slice")
+	n := c.N()
+	if len(tot.Frames) != frames*n {
+		t.Fatalf("%d per-frame counters for %d frames of %d nodes", len(tot.Frames), frames, n)
 	}
 	for id := 0; id < c.N(); id++ {
 		r := got[id]
@@ -328,7 +324,7 @@ func TestMCSeqBatchFrameCounters(t *testing.T) {
 		}
 		var sumLater, maxAny int64
 		for f := 0; f < frames; f++ {
-			fd := mb.FrameDetected(f)[id]
+			fd := tot.Frames[f*n+id]
 			if fd < 0 || fd > int64(r.Detected) {
 				t.Fatalf("site %d frame %d: count %d outside [0, Detected=%d]", id, f, fd, r.Detected)
 			}
@@ -347,7 +343,7 @@ func TestMCSeqBatchFrameCounters(t *testing.T) {
 			t.Fatalf("site %d: a single frame's count %d exceeds the union %d", id, maxAny, r.Detected)
 		}
 		// Frame 0 alone accounts for every strike-only trial.
-		if f0 := mb.FrameDetected(0)[id]; int64(r.Detected-r.DetectedLater) > f0 {
+		if f0 := tot.Frames[id]; int64(r.Detected-r.DetectedLater) > f0 {
 			t.Fatalf("site %d: strike-only %d exceeds frame-0 count %d", id, r.Detected-r.DetectedLater, f0)
 		}
 	}
@@ -359,23 +355,19 @@ func TestMCSeqBatchFrameCountersWorkerInvariance(t *testing.T) {
 	c := gen.SmallRandomSequential(29)
 	const frames = 3
 	mb := NewMCSeqBatch(c, MCOptions{Vectors: 512, Seed: 11}, frames)
-	if _, err := mb.PDetectAll(context.Background(), 1); err != nil {
+	_, base, _, err := sweepAll(context.Background(), mb, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	base := make([][]int64, frames)
-	for f := range base {
-		base[f] = append([]int64(nil), mb.FrameDetected(f)...)
-	}
+	n := c.N()
 	for _, workers := range []int{2, 0} {
-		if _, err := mb.PDetectAll(context.Background(), workers); err != nil {
+		_, tot, _, err := sweepAll(context.Background(), mb, workers)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for f := 0; f < frames; f++ {
-			got := mb.FrameDetected(f)
-			for id := range got {
-				if got[id] != base[f][id] {
-					t.Fatalf("workers=%d frame %d site %d: %d != %d", workers, f, id, got[id], base[f][id])
-				}
+		for i, got := range tot.Frames {
+			if got != base.Frames[i] {
+				t.Fatalf("workers=%d frame %d site %d: %d != %d", workers, i/n, i%n, got, base.Frames[i])
 			}
 		}
 	}

@@ -128,15 +128,3 @@ func (m *MonteCarlo) EPP(site netlist.ID) MCResult {
 		Detected:    detected,
 	}
 }
-
-// EPPAll estimates P_sensitized for every node ID in sites, serially on one
-// engine. It exists for baseline comparisons; the production all-sites path
-// is MCBatch.PDetectAll, which shares each word's good simulation across all
-// sites and parallelizes over words.
-func (m *MonteCarlo) EPPAll(sites []netlist.ID) []MCResult {
-	out := make([]MCResult, len(sites))
-	for i, s := range sites {
-		out[i] = m.EPP(s)
-	}
-	return out
-}

@@ -78,21 +78,6 @@ func TestMCResultString(t *testing.T) {
 	}
 }
 
-// TestEPPAllMatchesSingle.
-func TestEPPAllMatchesSingle(t *testing.T) {
-	c := gen.SmallRandom(9)
-	sites := []netlist.ID{0, netlist.ID(c.N() / 2), netlist.ID(c.N() - 1)}
-	mc := NewMonteCarlo(c, MCOptions{Vectors: 512, Seed: 8})
-	all := mc.EPPAll(sites)
-	single := NewMonteCarlo(c, MCOptions{Vectors: 512, Seed: 8})
-	for i, s := range sites {
-		want := single.EPP(s)
-		if all[i].PSensitized != want.PSensitized {
-			t.Errorf("site %d: batch %v, single %v", s, all[i].PSensitized, want.PSensitized)
-		}
-	}
-}
-
 // TestFaultyValue: after FaultySim the faulty value of the site is the
 // complement of the good value, and off-cone values are untouched.
 func TestFaultyValue(t *testing.T) {
