@@ -30,20 +30,21 @@ import (
 	"repro/internal/verilog"
 )
 
-// Source names one circuit input. Exactly one field must be set.
+// Source names one circuit input. Exactly one field must be set. The json
+// tags are serd's wire form of a request's circuit.
 type Source struct {
 	// Bench is inline ISCAS'89 .bench source text.
-	Bench string
+	Bench string `json:"bench,omitempty"`
 	// Path is a netlist file: .v / .verilog parses as structural Verilog,
 	// anything else as ISCAS'89 .bench.
-	Path string
+	Path string `json:"path,omitempty"`
 	// Profile is a generated synthetic ISCAS'89 profile name (see gen.Names).
-	Profile string
+	Profile string `json:"profile,omitempty"`
 	// Hash references a circuit already resident in the cache by its
 	// content hash — the daemon's repeat-request fast path. Loading a hash
 	// that is not resident fails with ErrNotCached (there is no source to
 	// parse); re-send the full source to repopulate.
-	Hash string
+	Hash string `json:"hash,omitempty"`
 }
 
 // Validate checks that exactly one source field is set.

@@ -20,8 +20,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -323,65 +322,32 @@ type Engine interface {
 	PSensitizedAll(ctx context.Context, req *Request, out []float64) error
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Engine{}
-)
-
-// Register adds an engine to the registry. It panics if the name is empty
-// or already taken — registration is an init-time programming error, not a
-// runtime condition.
-func Register(e Engine) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	name := e.Name()
-	if name == "" {
-		panic("engine: Register with empty name")
-	}
-	if _, dup := registry[name]; dup {
-		panic("engine: duplicate Register of " + name)
-	}
-	registry[name] = e
-}
+// engines is the registry of built-in engines, sorted by name.
+var engines = []Engine{bddEngine{}, enumEngine{}, batchEngine{}, scalarEngine{}, mcEngine{}}
 
 // Lookup returns the registered engine with the given name, or an error
 // naming the registered alternatives.
 func Lookup(name string) (Engine, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if e, ok := registry[name]; ok {
-		return e, nil
+	for _, e := range engines {
+		if e.Name() == name {
+			return e, nil
+		}
 	}
-	return nil, fmt.Errorf("engine: unknown engine %q (registered: %v)", name, namesLocked())
+	return nil, fmt.Errorf("engine: unknown engine %q (registered: %v)", name, Names())
 }
 
 // Names returns the registered engine names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return namesLocked()
-}
-
-func namesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(engines))
+	for i, e := range engines {
+		out[i] = e.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Engines returns the registered engines sorted by name, for table-driven
 // conformance testing.
-func Engines() []Engine {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Engine, 0, len(registry))
-	for _, name := range namesLocked() {
-		out = append(out, registry[name])
-	}
-	return out
-}
+func Engines() []Engine { return slices.Clone(engines) }
 
 // checkOut validates the request/output pairing shared by every engine.
 func checkOut(req *Request, out []float64) error {

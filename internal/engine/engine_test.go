@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,6 +48,33 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := Lookup("nope"); err == nil {
 		t.Error("Lookup of unknown engine succeeded")
+	}
+}
+
+// TestEngineTable checks the invariants of the static engine table that a
+// registration step would otherwise enforce, for any table: every name is
+// non-empty and the names are strictly ascending (so none repeats), each
+// resolves to its own engine, and an unknown name's error lists them all.
+// TestRegistry pins which five engines the table holds.
+func TestEngineTable(t *testing.T) {
+	_, unknown := Lookup("nope")
+	if unknown == nil {
+		t.Fatal("Lookup of unknown engine succeeded")
+	}
+	for i, e := range engines {
+		name := e.Name()
+		if name == "" {
+			t.Fatalf("engines[%d] has an empty name", i)
+		}
+		if i > 0 && name <= engines[i-1].Name() {
+			t.Fatalf("engines[%d] = %q does not sort after %q", i, name, engines[i-1].Name())
+		}
+		if got, err := Lookup(name); err != nil || got.Name() != name {
+			t.Fatalf("Lookup(%q) = %v, %v", name, got, err)
+		}
+		if !strings.Contains(unknown.Error(), name) {
+			t.Errorf("unknown-engine error %q does not list %q", unknown, name)
+		}
 	}
 }
 

@@ -20,14 +20,6 @@ import (
 	"repro/internal/simulate"
 )
 
-func init() {
-	Register(batchEngine{})
-	Register(scalarEngine{})
-	Register(mcEngine{})
-	Register(enumEngine{})
-	Register(bddEngine{})
-}
-
 // batchEngine is the production EPP backend: core.BatchAnalyzer sweeping up
 // to 64 error sites per union-cone pass, optionally across workers — the
 // one all-sites driver of the analytic method. Frames > 1 runs the same

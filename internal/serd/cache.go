@@ -1,19 +1,21 @@
-// The memoized-report cache: every complete report, held as the bytes serd
-// serves it as and keyed by the full request fingerprint. Because the
+// The encoded form of every report serd sends, and the memoized-report
+// cache of the complete ones. A cachedReport holds a report as the bytes of
+// its two wire forms: the JSON "report" value of AnalyzeResponse and the
+// NDJSON frames after the header line. writeReport sends every response
+// from it, wrapping a small per-request envelope around those bytes; the
+// live stream sends the same bytes as it encodes them. Because the
 // fingerprint covers every result-affecting input (circuit content, engine,
 // frames, vectors, seed, rules, bias, signal probabilities, latch
-// parameters), all of a response but a small per-request envelope is a pure
-// function of it: the JSON encoding of the report and the NDJSON frames
-// after the header line are encoded once, when the report is put, and a hit
-// writes them as they are — byte-identical to recomputing.
+// parameters), the encoded bytes are a pure function of it, so a cache hit
+// is byte-identical to recomputing.
 //
-// Each entry also keeps up to maxAliases alias keys: the circuit content
-// hash plus the request's full decoded Options, scheduling knobs included.
-// A request matching an alias is served without ser.Describe, which would
-// otherwise re-resolve the signal probabilities only to recompute the
-// fingerprint. An alias is added only after Describe accepted that exact
-// request and its fingerprint hit, so a request Describe would reject can
-// never match one.
+// Complete reports are memoized under their fingerprint. Each entry also
+// keeps up to maxAliases alias keys: the circuit content hash plus the
+// request's full decoded Options, scheduling knobs included. A request
+// matching an alias is served without ser.Describe, which would otherwise
+// re-resolve the signal probabilities only to recompute the fingerprint. An
+// alias is added only after Describe accepted that exact request and its
+// fingerprint hit, so a request Describe would reject can never match one.
 //
 // The LRU byte bound charges the encoded bytes plus the alias keys: about
 // 6.9 MB per s38417-profile report, so the 64 MiB default holds about nine.
@@ -31,22 +33,18 @@ import (
 	"repro/internal/ser"
 )
 
-// cachedReport is a complete report in the form serd serves it. Every hit
-// shares it, so it is never modified after encodeReport.
+// cachedReport is a report in the form serd sends it. Responses and cache
+// hits share it, so it is never modified after finishReport.
 type cachedReport struct {
-	info   ser.Info
-	json   []byte // the report's JSON encoding: the "report" value of AnalyzeResponse
-	ndjson []byte // the NDJSON frames after the header: node tiles, then the total
+	info      ser.Info
+	json      []byte  // the report's JSON encoding: the "report" value of AnalyzeResponse
+	ndjson    []byte  // the NDJSON frames after the header: node tiles, then the total or partial frame
+	uncovered []Range // the holes of a degraded report; empty for a complete one
 }
 
-// encodeReport encodes a complete report both ways serd serves it. The
-// frames use the same nodeFrame and json.Encoder as streamLive, so a cached
-// stream is byte-identical to the live one after the header line.
-func encodeReport(info ser.Info, rep *ser.Report) (*cachedReport, error) {
-	js, err := json.Marshal(rep)
-	if err != nil {
-		return nil, err
-	}
+// encodeReport encodes a report both ways serd sends it. A non-empty
+// uncovered marks a degraded report covering only the other nodes.
+func encodeReport(info ser.Info, rep *ser.Report, uncovered []Range) (*cachedReport, error) {
 	var nd bytes.Buffer
 	enc := json.NewEncoder(&nd)
 	for i := range rep.Nodes {
@@ -54,11 +52,26 @@ func encodeReport(info ser.Info, rep *ser.Report) (*cachedReport, error) {
 			return nil, err
 		}
 	}
-	if err := enc.Encode(&StreamTotal{Type: FrameTotal, Nodes: len(rep.Nodes), TotalFIT: rep.TotalFIT}); err != nil {
+	return finishReport(&nd, info, rep, uncovered)
+}
+
+// finishReport completes the encoding of a report whose node tiles are in
+// nd: it JSON-encodes the report and appends the terminal frame to nd —
+// total, or partial when uncovered is non-empty. On error nd is unchanged.
+func finishReport(nd *bytes.Buffer, info ser.Info, rep *ser.Report, uncovered []Range) (*cachedReport, error) {
+	js, err := json.Marshal(rep)
+	if err != nil {
+		return nil, err
+	}
+	var last any = &StreamTotal{Type: FrameTotal, Nodes: len(rep.Nodes), TotalFIT: rep.TotalFIT}
+	if len(uncovered) > 0 {
+		last = &StreamPartial{Type: FramePartial, Nodes: len(rep.Nodes), TotalFIT: rep.TotalFIT, Uncovered: uncovered}
+	}
+	if err := json.NewEncoder(nd).Encode(last); err != nil {
 		return nil, err
 	}
 	// Clone so the resident slice is exactly as long as what it is charged.
-	return &cachedReport{info: info, json: js, ndjson: bytes.Clone(nd.Bytes())}, nil
+	return &cachedReport{info: info, json: js, ndjson: bytes.Clone(nd.Bytes()), uncovered: uncovered}, nil
 }
 
 // maxAliases bounds the alias keys one entry keeps; the oldest goes first.

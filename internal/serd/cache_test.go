@@ -7,10 +7,13 @@ package serd
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ser"
 )
@@ -254,5 +257,94 @@ func TestAliasEvictedWithReport(t *testing.T) {
 	var again AnalyzeResponse
 	if err := json.Unmarshal(postRaw(t, ts.URL, first), &again); err != nil || again.Cached {
 		t.Fatalf("evicted request served cached (err %v)", err)
+	}
+}
+
+// servesOnce answers the first shard request and drops the connection of
+// every later one, as a worker that dies after one shard would.
+type servesOnce struct {
+	h      http.Handler
+	served atomic.Bool
+}
+
+func (so *servesOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/shard" && so.served.Swap(true) {
+		if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+			conn.Close()
+		}
+		return
+	}
+	so.h.ServeHTTP(w, r)
+}
+
+// TestPartialResponseBytes pins the bytes of a partly covered degraded
+// response. A one-worker coordinator cuts s953 into four shards; its worker
+// serves the first and drops the rest, each shard gets one attempt, and
+// the request allows a partial result. The JSON body must be the plain
+// encoding of AnalyzeResponse around the local run's covered nodes; the
+// NDJSON body the header, the covered tiles and the partial frame.
+func TestPartialResponseBytes(t *testing.T) {
+	src := CircuitSource{Profile: "s953"}
+	full := localRun(t, src, Options{})
+	c, err := newTestServerlessCircuit(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := ser.Describe(c, ser.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const covered = 110 // the first of four shards of 440 nodes
+	uncovered := []Range{{Lo: covered, Hi: c.N()}}
+	rep := *full
+	rep.Nodes = full.Nodes[:covered]
+	rep.TotalFIT = 0
+	for _, ns := range rep.Nodes {
+		rep.TotalFIT += ns.SERFIT
+	}
+
+	var wantJSON, wantNDJSON bytes.Buffer
+	if err := json.NewEncoder(&wantJSON).Encode(AnalyzeResponse{
+		Hash: c.ContentHash(), Fingerprint: info.Fingerprint, Report: &rep, Partial: true, Uncovered: uncovered,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	enc := json.NewEncoder(&wantNDJSON)
+	frames := []any{&StreamHeader{Type: FrameHeader, Circuit: full.Circuit, Hash: c.ContentHash(),
+		Fingerprint: info.Fingerprint, Engine: full.Engine, Method: full.Method.String(), Nodes: c.N()}}
+	for _, ns := range rep.Nodes {
+		frames = append(frames, &StreamNode{Type: FrameNode, ID: int(ns.ID), Name: ns.Name, RateFIT: ns.RateFIT,
+			PLatched: ns.PLatched, PSensitized: ns.PSensitized, SERFIT: ns.SERFIT})
+	}
+	frames = append(frames, &StreamPartial{Type: FramePartial, Nodes: covered, TotalFIT: rep.TotalFIT, Uncovered: uncovered})
+	for _, f := range frames {
+		if err := enc.Encode(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, stream := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stream=%v", stream), func(t *testing.T) {
+			workers := workerFleet(t, 1, func(_ int, h http.Handler) http.Handler { return &servesOnce{h: h} })
+			_, ts := newTestServer(t, Config{Workers: workers, ShardsPerWorker: 4, ShardAttempts: 1, RetryBackoff: time.Millisecond})
+			resp := postJSON(t, http.DefaultClient, ts.URL+"/v1/analyze",
+				AnalyzeRequest{Circuit: src, Stream: stream, AllowPartial: true})
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusPartialContent {
+				t.Fatalf("HTTP %d (want 206): %.300s", resp.StatusCode, body)
+			}
+			want := wantJSON.Bytes()
+			if stream {
+				want = wantNDJSON.Bytes()
+			}
+			if !bytes.Equal(body, want) {
+				t.Fatalf("partial body (%d bytes) differs from the expected encoding (%d bytes):\n%.300s\n%.300s",
+					len(body), len(want), body, want)
+			}
+		})
 	}
 }

@@ -22,21 +22,12 @@ import (
 )
 
 // CircuitSource names the circuit of a request. Exactly one field must be
-// set. Hash references a circuit already resident in the daemon's cache by
-// content hash — the repeat-request fast path that skips re-uploading and
-// re-parsing; a non-resident hash fails with HTTP 404 and the client
-// re-sends the full source.
-type CircuitSource struct {
-	Bench   string `json:"bench,omitempty"`   // inline ISCAS'89 .bench text
-	Path    string `json:"path,omitempty"`    // server-local netlist file (.bench, .v)
-	Profile string `json:"profile,omitempty"` // generated synthetic profile name
-	Hash    string `json:"hash,omitempty"`    // content hash of a cached circuit
-}
-
-// source converts to the circuitio form.
-func (cs CircuitSource) source() circuitio.Source {
-	return circuitio.Source{Bench: cs.Bench, Path: cs.Path, Profile: cs.Profile, Hash: cs.Hash}
-}
+// set: inline .bench text, a server-local netlist file (.bench, .v), a
+// generated profile name, or the content hash of a cached circuit. Hash is
+// the repeat-request fast path that skips re-uploading and re-parsing; a
+// non-resident hash fails with HTTP 404 and the client re-sends the full
+// source.
+type CircuitSource = circuitio.Source
 
 // LatchParams carries an explicit latch model. Supplying it with frames > 1
 // selects the latch-window-weighted multi-cycle composition, and it is part

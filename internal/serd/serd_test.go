@@ -31,7 +31,7 @@ import (
 // newTestServerlessCircuit resolves a wire circuit source without a daemon,
 // through the same shared parse path the daemon uses.
 func newTestServerlessCircuit(src CircuitSource) (*netlist.Circuit, error) {
-	return circuitio.Load(src.source())
+	return circuitio.Load(src)
 }
 
 // discardLogf silences server logs in tests (t.Logf would race with test
@@ -578,6 +578,50 @@ func TestStreamClientDisconnect(t *testing.T) {
 	got := analyze(t, ts.URL, AnalyzeRequest{Circuit: CircuitSource{Bench: c17Bench(t)}})
 	if got.Report == nil {
 		t.Fatal("post-disconnect analyze returned no report")
+	}
+}
+
+// TestStreamDeadlineErrorFrame: a live stream whose sweep fails after the
+// header went out ends in an error frame naming the failure, after an
+// ascending run of node tiles and with no total frame, and is not memoized.
+// How many tiles arrive before the deadline does not matter.
+func TestStreamDeadlineErrorFrame(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := AnalyzeRequest{
+		Circuit: CircuitSource{Profile: "s9234"},
+		Options: Options{Engine: "epp-scalar", Frames: 4, TimeoutMs: 1},
+		Stream:  true,
+	}
+	resp := postJSON(t, http.DefaultClient, ts.URL+"/v1/analyze", req)
+	lines, err := readLines(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || len(lines) < 2 {
+		t.Fatalf("HTTP %d with %d lines", resp.StatusCode, len(lines))
+	}
+	var hdr StreamHeader
+	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Type != FrameHeader {
+		t.Fatalf("first line %q (err %v), want the header", lines[0], err)
+	}
+	last := lines[len(lines)-1]
+	var ef StreamError
+	if err := json.Unmarshal([]byte(last), &ef); err != nil || ef.Type != FrameError || !strings.Contains(ef.Error, "deadline") {
+		t.Fatalf("last line %q (err %v), want an error frame naming the deadline", last, err)
+	}
+	tiles := lines[1 : len(lines)-1]
+	for i, line := range tiles {
+		var n StreamNode
+		if err := json.Unmarshal([]byte(line), &n); err != nil || n.Type != FrameNode || n.ID != i {
+			t.Fatalf("line %d = %q (err %v), want the node tile of ID %d", i+1, line, err, i)
+		}
+	}
+	t.Logf("%d tiles before the error frame", len(tiles))
+
+	req.Options.TimeoutMs = 0
+	if hdr, _ := decodeStream(t, analyzeStream(t, ts.URL, req)); hdr.Cached {
+		t.Fatal("the failed stream was memoized")
 	}
 }
 

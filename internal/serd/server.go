@@ -42,6 +42,7 @@
 package serd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -214,7 +215,7 @@ func errStatus(err error) int {
 // mapping the error classes onto HTTP statuses: an unknown hash is 404 (the
 // client re-sends the full source), anything else a 400.
 func (s *Server) loadCircuit(w http.ResponseWriter, src CircuitSource) (*netlist.Circuit, bool) {
-	c, err := s.circuits.Load(src.source())
+	c, err := s.circuits.Load(src)
 	if err != nil {
 		if errors.Is(err, circuitio.ErrNotCached) {
 			writeError(w, http.StatusNotFound, "%v", err)
@@ -230,9 +231,10 @@ func (s *Server) loadCircuit(w http.ResponseWriter, src CircuitSource) (*netlist
 // cache), serve from the report cache if the request matches an alias or,
 // once the options are resolved, validated and fingerprinted, a memoized
 // fingerprint; otherwise admit the request to the engine pool, run the
-// sweep — locally or sharded over workers — and memoize the complete
-// report. The response is one JSON document, or an NDJSON tile stream when
-// requested.
+// sweep — locally or sharded over workers — encode the report once and
+// memoize it if complete. The response is one JSON document, or an NDJSON
+// tile stream when requested; writeReport sends it from the encoded report,
+// except for the live stream, which sends the tiles as it encodes them.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -288,22 +290,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
-	if len(uncovered) > 0 {
-		// Degraded result: disclosed holes, HTTP 206, and never memoized —
-		// a retried request must be able to produce the complete report.
-		s.logf("serd: analyze %s engine=%s: partial result, %d uncovered range(s)", c.Name, info.Engine, len(uncovered))
-		if stream {
-			s.streamPartialReport(w, r, c, info, rep, uncovered)
-		} else {
-			s.writePartialReport(w, c, info, rep, uncovered)
-		}
-		return
-	}
-	cr, err := s.memoize(info, rep)
+	cr, err := encodeReport(info, rep, uncovered)
 	if err != nil {
 		s.logf("serd: analyze %s engine=%s: %v", c.Name, info.Engine, err)
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
+	}
+	if len(uncovered) > 0 {
+		// Degraded result: disclosed holes, HTTP 206, and never memoized —
+		// a retried request must be able to produce the complete report.
+		s.logf("serd: analyze %s engine=%s: partial result, %d uncovered range(s)", c.Name, info.Engine, len(uncovered))
+	} else {
+		s.reports.put(cr)
 	}
 	writeReport(w, c, cr, stream, false)
 }
@@ -319,16 +317,6 @@ func acceptsNDJSON(h http.Header) bool {
 		}
 	}
 	return false
-}
-
-// memoize encodes a complete report and puts it in the report cache.
-func (s *Server) memoize(info ser.Info, rep *ser.Report) (*cachedReport, error) {
-	cr, err := encodeReport(info, rep)
-	if err != nil {
-		return nil, err
-	}
-	s.reports.put(cr)
-	return cr, nil
 }
 
 // runReport computes the Report for an admitted request: sharded over the
@@ -392,45 +380,35 @@ func partialReport(c *netlist.Circuit, cfg ser.Config, psens []float64, uncovere
 	return rep, nil
 }
 
-// writeReport serves a complete report: a small per-request envelope — the
-// hash, fingerprint and cache flag of AnalyzeResponse, or the NDJSON header
-// frame — then the memoized bytes. The body is byte-identical to encoding
-// the AnalyzeResponse, or to the live stream, around the report.
+// writeReport sends a report: a small per-request envelope — the hash,
+// fingerprint, cache flag and disclosed holes of AnalyzeResponse, or the
+// NDJSON header frame — around the encoded report bytes, with HTTP 206 when
+// the report has holes. The body is byte-identical to encoding the whole
+// AnalyzeResponse, or to the live stream.
 func writeReport(w http.ResponseWriter, c *netlist.Circuit, cr *cachedReport, stream, cached bool) {
 	var head, body, tail []byte
 	if stream {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		head, _ = json.Marshal(header(c, cr.info, cached))
-		head = append(head, '\n')
-		body = cr.ndjson
+		head, body = headerLine(c, cr.info, cached), cr.ndjson
 	} else {
 		w.Header().Set("Content-Type", "application/json")
-		// The envelope without a report ends in `"report":null}`: the
-		// memoized report bytes take the place of the null.
-		head, _ = json.Marshal(AnalyzeResponse{Hash: c.ContentHash(), Fingerprint: cr.info.Fingerprint, Cached: cached})
-		head = head[:len(head)-len("null}")]
-		body, tail = cr.json, []byte("}\n")
+		// The envelope without a report holds `"report":null`: the report
+		// bytes take the place of the null. Without a report, marshaling
+		// cannot fail.
+		env, _ := json.Marshal(AnalyzeResponse{Hash: c.ContentHash(), Fingerprint: cr.info.Fingerprint, Cached: cached,
+			Partial: len(cr.uncovered) > 0, Uncovered: cr.uncovered})
+		at := bytes.Index(env, []byte(`"report":null`)) + len(`"report":`)
+		head, body, tail = env[:at], cr.json, append(env[at+len("null"):], '\n')
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(body)+len(tail)))
+	if len(cr.uncovered) > 0 {
+		w.WriteHeader(http.StatusPartialContent)
+	}
 	for _, b := range [][]byte{head, body, tail} {
 		if _, err := w.Write(b); err != nil {
 			return
 		}
 	}
-}
-
-// writePartialReport emits the degraded non-streaming response: HTTP 206
-// with the partial flag and the uncovered ranges disclosed.
-func (s *Server) writePartialReport(w http.ResponseWriter, c *netlist.Circuit, info ser.Info, rep *ser.Report, uncovered []Range) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusPartialContent)
-	_ = json.NewEncoder(w).Encode(AnalyzeResponse{
-		Hash:        c.ContentHash(),
-		Fingerprint: info.Fingerprint,
-		Report:      rep,
-		Partial:     true,
-		Uncovered:   uncovered,
-	})
 }
 
 // handleShard serves POST /v1/shard: the worker half of the coordinator

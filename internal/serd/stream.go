@@ -1,13 +1,14 @@
 // NDJSON streaming of analyze results: one header frame, one tile per node
-// in ascending ID order, one total (or error) frame. The tile and total
-// frames are a pure function of the request fingerprint — per-serving
-// metadata (cache status) lives only in the header — so a cached stream is
-// byte-identical to the live stream that populated the cache from line 2 on.
+// in ascending ID order, one total (partial, error) frame. The tile and
+// terminal frames are a pure function of the request fingerprint —
+// per-serving metadata (cache status) lives only in the header — so a cached
+// stream is byte-identical to the live stream that populated the cache from
+// line 2 on.
 
 package serd
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,66 +18,10 @@ import (
 	"repro/internal/ser"
 )
 
-// flushEvery is the tile cadence between explicit flushes: frequent enough
-// that clients observe steady progress (and disconnect tests see bytes
-// early), coarse enough to not syscall per node on big circuits.
+// flushEvery is the tile cadence between writes to the client: frequent
+// enough that clients observe steady progress (and disconnect tests see
+// bytes early), coarse enough to not syscall per node on big circuits.
 const flushEvery = 64
-
-// streamWriter serializes NDJSON frames with periodic flushing. Write
-// errors are sticky: once the client is gone every subsequent frame is
-// dropped, and err reports the first failure.
-type streamWriter struct {
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	flusher http.Flusher
-	tiles   int
-	err     error
-}
-
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
-	sw := &streamWriter{bw: bufio.NewWriter(w)}
-	sw.enc = json.NewEncoder(sw.bw)
-	sw.flusher, _ = w.(http.Flusher)
-	return sw
-}
-
-// frame writes one NDJSON line (Encode appends the newline).
-func (sw *streamWriter) frame(v any) bool {
-	if sw.err != nil {
-		return false
-	}
-	if err := sw.enc.Encode(v); err != nil {
-		sw.err = err
-		return false
-	}
-	return true
-}
-
-// tile writes a node frame, flushing at the cadence.
-func (sw *streamWriter) tile(v *StreamNode) bool {
-	if !sw.frame(v) {
-		return false
-	}
-	sw.tiles++
-	if sw.tiles%flushEvery == 0 {
-		sw.flush()
-	}
-	return sw.err == nil
-}
-
-// flush pushes buffered frames to the client.
-func (sw *streamWriter) flush() {
-	if sw.err != nil {
-		return
-	}
-	if err := sw.bw.Flush(); err != nil {
-		sw.err = err
-		return
-	}
-	if sw.flusher != nil {
-		sw.flusher.Flush()
-	}
-}
 
 // nodeFrame converts one NodeSER into its wire tile.
 func nodeFrame(ns *ser.NodeSER) *StreamNode {
@@ -91,9 +36,10 @@ func nodeFrame(ns *ser.NodeSER) *StreamNode {
 	}
 }
 
-// header builds the first frame of a stream.
-func header(c *netlist.Circuit, info ser.Info, cached bool) *StreamHeader {
-	return &StreamHeader{
+// headerLine encodes the first frame of a stream, newline included.
+func headerLine(c *netlist.Circuit, info ser.Info, cached bool) []byte {
+	// Strings, ints and a bool: marshaling cannot fail.
+	line, _ := json.Marshal(&StreamHeader{
 		Type:        FrameHeader,
 		Circuit:     c.Name,
 		Hash:        c.ContentHash(),
@@ -102,82 +48,77 @@ func header(c *netlist.Circuit, info ser.Info, cached bool) *StreamHeader {
 		Method:      info.Method.String(),
 		Nodes:       c.N(),
 		Cached:      cached,
-	}
+	})
+	return append(line, '\n')
 }
 
-// streamLive runs the sweep through ser.Stream, emitting each node tile as
-// its engine batch finalizes, while accumulating the Report for
-// memoization. The request context is the sweep context: a client
-// disconnect cancels the engine promptly (the stream consumer also stops at
-// the first failed write, whichever signal lands first). TotalFIT
-// accumulates in yield order — ascending node ID, the same order Run sums —
-// so the memoized Report and the total frame are bit-identical to a local
-// Run of the request. The cache entry is encoded by encodeReport, like
-// every complete report; the live tiles went out before the report was
-// complete, so a live stream encodes its tiles twice (tens of milliseconds
-// on s38417, beside a sweep of seconds).
+// streamLive runs the sweep through ser.Stream, sending each node tile as
+// its engine batch finalizes. The tiles are encoded once, into the buffer
+// that becomes the cache entry: every flushEvery tiles the bytes not yet
+// sent go out, and after the last tile finishReport appends the total frame
+// to the same buffer, so the memoized frames are the bytes the client
+// received. The request context is the sweep context: a client disconnect
+// cancels the engine promptly (the loop also stops at the first failed
+// write, whichever signal lands first). TotalFIT accumulates in yield
+// order — ascending node ID, the same order Run sums — so the memoized
+// Report and the total frame are bit-identical to a local Run of the
+// request. A failed sweep ends in an error frame and is not memoized.
 func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, c *netlist.Circuit, cfg ser.Config, info ser.Info) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sw := newStreamWriter(w)
-	if !sw.frame(header(c, info, false)) {
+	flusher, _ := w.(http.Flusher)
+	// send writes b and pushes it to the client; false means the client is gone.
+	send := func(b []byte) bool {
+		if _, err := w.Write(b); err != nil {
+			return false
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
+	if !send(headerLine(c, info, false)) {
 		return
 	}
-	sw.flush()
 	rep := &ser.Report{Circuit: c.Name, Method: cfg.Method, Engine: info.Engine, Nodes: make([]ser.NodeSER, 0, c.N())}
-	var sweepErr error
-	for ns, err := range ser.Stream(r.Context(), c, cfg) {
-		if err != nil {
-			sweepErr = err
+	var nd bytes.Buffer
+	enc := json.NewEncoder(&nd)
+	sent := 0 // bytes of nd already sent
+	var err error
+	for ns, serr := range ser.Stream(r.Context(), c, cfg) {
+		if err = serr; err != nil {
 			break
 		}
 		rep.Nodes = append(rep.Nodes, ns)
 		rep.TotalFIT += ns.SERFIT
-		if !sw.tile(nodeFrame(&ns)) {
-			// Client gone: breaking out cancels the sweep after the current
-			// batch; nothing further can be written.
-			return
+		if err = enc.Encode(nodeFrame(&ns)); err != nil {
+			break
+		}
+		if len(rep.Nodes)%flushEvery == 0 {
+			if !send(nd.Bytes()[sent:]) {
+				// Client gone: breaking out cancels the sweep after the
+				// current batch; nothing further can be written.
+				return
+			}
+			sent = nd.Len()
 		}
 	}
-	if sweepErr != nil {
-		if !errors.Is(sweepErr, context.Canceled) {
-			s.logf("serd: stream %s engine=%s: %v", c.Name, info.Engine, sweepErr)
+	var cr *cachedReport
+	if err == nil {
+		// Describe already normalized the method (sampling engines report
+		// monte-carlo even when selected via WithEngine); mirror it so the
+		// memoized report matches Run's.
+		rep.Method = info.Method
+		cr, err = finishReport(&nd, info, rep, nil)
+	}
+	if err != nil {
+		if !errors.Is(err, context.Canceled) {
+			s.logf("serd: stream %s engine=%s: %v", c.Name, info.Engine, err)
 		}
-		sw.frame(&StreamError{Type: FrameError, Error: sweepErr.Error()})
-		sw.flush()
+		if enc.Encode(&StreamError{Type: FrameError, Error: err.Error()}) == nil {
+			send(nd.Bytes()[sent:])
+		}
 		return
 	}
-	// Describe already normalized the method (sampling engines report
-	// monte-carlo even when selected via WithEngine); mirror it so the
-	// memoized report matches Run's.
-	rep.Method = info.Method
-	if _, err := s.memoize(info, rep); err != nil {
-		s.logf("serd: stream %s engine=%s: %v", c.Name, info.Engine, err)
-	}
-	sw.frame(&StreamTotal{Type: FrameTotal, Nodes: len(rep.Nodes), TotalFIT: rep.TotalFIT})
-	sw.flush()
-}
-
-// streamPartialReport streams a degraded report (AllowPartial requests
-// whose dispatch left holes): HTTP 206, tiles for the covered nodes only,
-// and a terminal partial frame disclosing the uncovered ranges in place of
-// the total frame — a stream consumer cannot mistake a degraded result for
-// a complete one.
-func (s *Server) streamPartialReport(w http.ResponseWriter, r *http.Request, c *netlist.Circuit, info ser.Info, rep *ser.Report, uncovered []Range) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusPartialContent)
-	sw := newStreamWriter(w)
-	if !sw.frame(header(c, info, false)) {
-		return
-	}
-	sw.flush()
-	for i := range rep.Nodes {
-		if r.Context().Err() != nil {
-			return
-		}
-		if !sw.tile(nodeFrame(&rep.Nodes[i])) {
-			return
-		}
-	}
-	sw.frame(&StreamPartial{Type: FramePartial, Nodes: len(rep.Nodes), TotalFIT: rep.TotalFIT, Uncovered: uncovered})
-	sw.flush()
+	s.reports.put(cr)
+	send(cr.ndjson[sent:])
 }
