@@ -203,10 +203,12 @@ func validName(s string) bool {
 }
 
 // assemble resolves names (forward references allowed) and constructs the
-// immutable circuit.
+// immutable circuit. Every statement but an OUTPUT declaration defines one
+// node, so nodes and ids are sized for len(stmts) up front; only implicit
+// inputs can grow them.
 func assemble(cname string, stmts []stmt, opt Options, fail func(int, string, ...any) error) (*netlist.Circuit, error) {
-	ids := make(map[string]netlist.ID)
-	var nodes []netlist.Node
+	ids := make(map[string]netlist.ID, len(stmts))
+	nodes := make([]netlist.Node, 0, len(stmts))
 	var pis, pos, ffs []netlist.ID
 
 	define := func(name string, kind logic.Kind, line int) (netlist.ID, error) {

@@ -88,13 +88,19 @@ type MCBatch struct {
 	frames int          // frame budget, 1 in single-cycle mode
 	obs    []bool       // per node: a difference here is a detection
 	draw   []netlist.ID // frame-0 source draw order; later frames draw c.PIs
-	rank   []int32      // per node: its position in c.Topo(), the sweeps' visiting order
+	flags  []uint8      // per node: its gate flags (see eval)
+	// actArr[actIdx[id]:actIdx[id+1]] lists the topological ranks (positions
+	// in c.Topo(), the sweeps' visiting order) of node id's gate fanouts:
+	// the gates a divergence at id activates. With flags and obs it is
+	// what an MCBatch keeps per node, O(N + fanout edges) bytes.
+	actIdx []int32
+	actArr []int32
 	sites  []netlist.ID // the observable sites, in node-ID order
 }
 
 // NewMCBatch builds the estimator in single-cycle mode for circuit c. The
-// build is linear in the circuit: topological ranks, the observation mask,
-// the draw order and the observable sites.
+// build is linear in the circuit: gate flags, the activation lists, the
+// observation mask, the draw order and the observable sites.
 func NewMCBatch(c *netlist.Circuit, opt MCOptions) *MCBatch {
 	m := newMCBatch(c, opt, 1)
 	for id := range m.obs {
@@ -122,13 +128,28 @@ func NewMCSeqBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 }
 
 // newMCBatch holds the construction both modes share: options, frame
-// budget, ranks and the observable sites — those whose observation
-// signature is nonzero, as no vector can detect the others.
+// budget, gate flags, the activation lists and the observable sites —
+// those whose observation signature is nonzero, as no vector can detect
+// the others.
 func newMCBatch(c *netlist.Circuit, opt MCOptions, frames int) *MCBatch {
 	opt.setDefaults()
-	m := &MCBatch{c: c, opt: opt, frames: frames, obs: make([]bool, c.N()), rank: make([]int32, c.N())}
+	n := c.N()
+	foIdx, foArr := c.FanoutCSR()
+	kinds := c.Kinds()
+	m := &MCBatch{c: c, opt: opt, frames: frames, obs: make([]bool, n), flags: make([]uint8, n),
+		actIdx: make([]int32, n+1), actArr: make([]int32, 0, len(foArr))}
+	rank := make([]int32, n)
 	for r, id := range c.Topo() {
-		m.rank[id] = int32(r)
+		rank[id] = int32(r)
+	}
+	for id, k := range kinds {
+		m.flags[id] = gateFlags(k)
+		for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
+			if kinds[o].IsGate() {
+				m.actArr = append(m.actArr, rank[o])
+			}
+		}
+		m.actIdx[id+1] = int32(len(m.actArr))
 	}
 	for id, sig := range c.ObsSignatures() {
 		if sig != 0 {
@@ -223,7 +244,9 @@ func (m *MCBatch) Results(tot resume.Counters) []SeqResult {
 // the block it runs, its faulty mirror, the propagation state of the
 // current site, and the counters of the block it last ran, folded into the
 // sweep totals when SweepSpans reports that block. Its arrays take
-// 2 × frames × N blocks of 32 bytes plus O(N) for the active set.
+// 2 × frames × N blocks of 32 bytes plus O(N) for the active set; the gate
+// flags and activation lists it reads are the MCBatch's, shared by every
+// worker.
 type mcWorker struct {
 	resume.Counters
 	visits int64 // gates evaluated since the last fold
@@ -337,7 +360,8 @@ func (wk *mcWorker) goodSim(lo, nw int) {
 		for _, id := range c.Topo() {
 			switch k := kinds[id]; {
 			case k.IsGate():
-				good[id] = eval(k, fiArr[fiIdx[id]:fiIdx[id+1]], good)
+				v0, v1, v2, v3 := eval(m.flags[id], fiArr[fiIdx[id]:fiIdx[id+1]], good)
+				good[id] = block{v0, v1, v2, v3}
 			case k == logic.Const0:
 				good[id] = block{}
 			case k == logic.Const1:
@@ -363,7 +387,7 @@ func (wk *mcWorker) frame(f int) (det block) {
 	fiIdx, fiArr := c.FaninCSR()
 	foIdx, foArr := c.FanoutCSR()
 	kinds := c.Kinds()
-	rank, topo, obs := m.rank, c.Topo(), m.obs
+	topo, obs, flags, actIdx, actArr := c.Topo(), m.obs, m.flags, m.actIdx, m.actArr
 	act := wk.active
 	lo, hi := len(act), -1
 	// diverged records that id's value now differs from the good value.
@@ -376,12 +400,9 @@ func (wk *mcWorker) frame(f int) (det block) {
 				det[i] |= v[i] ^ g[i]
 			}
 		}
-		for _, o := range foArr[foIdx[id]:foIdx[id+1]] {
-			if kinds[o].IsGate() {
-				r := int(rank[o])
-				act[r>>6] |= 1 << uint(r&63)
-				lo, hi = min(lo, r>>6), max(hi, r>>6)
-			}
+		for _, r := range actArr[actIdx[id]:actIdx[id+1]] {
+			act[r>>6] |= 1 << uint(r&63)
+			lo, hi = min(lo, int(r>>6)), max(hi, int(r>>6))
 		}
 	}
 	for _, in := range wk.inj {
@@ -394,8 +415,9 @@ func (wk *mcWorker) frame(f int) (det block) {
 			id := topo[aw*64+bits.TrailingZeros64(act[aw])]
 			act[aw] &= act[aw] - 1
 			wk.visits++
-			if v := eval(kinds[id], fiArr[fiIdx[id]:fiIdx[id+1]], fv); v != good[id] {
-				diverged(id, v)
+			v0, v1, v2, v3 := eval(flags[id], fiArr[fiIdx[id]:fiIdx[id+1]], fv)
+			if g := &good[id]; v0 != g[0] || v1 != g[1] || v2 != g[2] || v3 != g[3] {
+				diverged(id, block{v0, v1, v2, v3})
 			}
 		}
 	}
@@ -415,31 +437,57 @@ func (wk *mcWorker) frame(f int) (det block) {
 	return det
 }
 
-// eval evaluates a gate of kind k over a block: word i of the result is
-// logic.EvalWord of word i of the fanins' values in vals.
-func eval(k logic.Kind, fanin []netlist.ID, vals []block) block {
-	v := vals[fanin[0]]
+// Gate flags: one byte per node, set by newMCBatch, selects the fold eval
+// applies. With masks in and out each all-zero or all-one, every AND, NAND,
+// OR, NOR, BUF and NOT gate is AND_k(x_k ^ in) ^ out, by De Morgan: NAND
+// and NOT complement the output, NOR the inputs, OR both. XOR and XNOR fold
+// parity instead, XNOR with the output complemented.
+const (
+	complIn  uint8 = 1 << iota // in is all-one: OR, NOR
+	complOut                   // out is all-one: NAND, NOT, OR, XNOR
+	parity                     // XOR the fanins instead of ANDing them
+)
+
+// gateFlags returns the flags of kind k; AND, BUF and every non-gate kind
+// have none.
+func gateFlags(k logic.Kind) uint8 {
 	switch k {
-	case logic.And, logic.Nand:
+	case logic.Nand, logic.Not:
+		return complOut
+	case logic.Or:
+		return complIn | complOut
+	case logic.Nor:
+		return complIn
+	case logic.Xor:
+		return parity
+	case logic.Xnor:
+		return parity | complOut
+	}
+	return 0
+}
+
+// eval evaluates a gate with flags fl over a block: word i of the result,
+// vi, is logic.EvalWord of word i of the fanins' values in vals. Its one
+// branch, the parity test, is taken by every visit or by none on a circuit
+// without XOR gates, so it predicts well where a switch on the gate kind
+// would not. The words come back as four scalars, which the compiler keeps
+// in registers; a block would make a round trip through the stack.
+func eval(fl uint8, fanin []netlist.ID, vals []block) (v0, v1, v2, v3 uint64) {
+	in, out := -uint64(fl&complIn), -uint64(fl&complOut>>1)
+	x := &vals[fanin[0]]
+	v0, v1, v2, v3 = x[0]^in, x[1]^in, x[2]^in, x[3]^in
+	if fl&parity == 0 {
 		for _, f := range fanin[1:] {
 			x := &vals[f]
-			v[0], v[1], v[2], v[3] = v[0]&x[0], v[1]&x[1], v[2]&x[2], v[3]&x[3]
+			v0, v1, v2, v3 = v0&(x[0]^in), v1&(x[1]^in), v2&(x[2]^in), v3&(x[3]^in)
 		}
-	case logic.Or, logic.Nor:
+	} else {
 		for _, f := range fanin[1:] {
 			x := &vals[f]
-			v[0], v[1], v[2], v[3] = v[0]|x[0], v[1]|x[1], v[2]|x[2], v[3]|x[3]
-		}
-	case logic.Xor, logic.Xnor:
-		for _, f := range fanin[1:] {
-			x := &vals[f]
-			v[0], v[1], v[2], v[3] = v[0]^x[0], v[1]^x[1], v[2]^x[2], v[3]^x[3]
+			v0, v1, v2, v3 = v0^x[0], v1^x[1], v2^x[2], v3^x[3]
 		}
 	}
-	if k.Inverting() {
-		v[0], v[1], v[2], v[3] = ^v[0], ^v[1], ^v[2], ^v[3]
-	}
-	return v
+	return v0 ^ out, v1 ^ out, v2 ^ out, v3 ^ out
 }
 
 // popcount returns the number of set bits in b.
