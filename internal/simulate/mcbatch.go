@@ -468,10 +468,11 @@ func gateFlags(k logic.Kind) uint8 {
 
 // eval evaluates a gate with flags fl over a block: word i of the result,
 // vi, is logic.EvalWord of word i of the fanins' values in vals. Its one
-// branch, the parity test, is taken by every visit or by none on a circuit
-// without XOR gates, so it predicts well where a switch on the gate kind
-// would not. The words come back as four scalars, which the compiler keeps
-// in registers; a block would make a round trip through the stack.
+// branch, the parity test, is never taken on a circuit without XOR gates
+// and rarely on most others, so it predicts well where a switch on the
+// gate kind would not. The words come back as four scalars, which the
+// compiler keeps in registers; a block would make a round trip through the
+// stack.
 func eval(fl uint8, fanin []netlist.ID, vals []block) (v0, v1, v2, v3 uint64) {
 	in, out := -uint64(fl&complIn), -uint64(fl&complOut>>1)
 	x := &vals[fanin[0]]
