@@ -6,8 +6,9 @@
 // paper's stated use-case: identifying the most vulnerable components and
 // evaluating selective hardening.
 //
-// Run is the context-aware pipeline entry point; Stream is its incremental
-// sibling that yields one NodeSER at a time.
+// Prepare validates and resolves one request; its Run is the context-aware
+// pipeline entry point, and Stream the incremental sibling that yields one
+// NodeSER at a time.
 package ser
 
 import (
@@ -219,9 +220,10 @@ type Config struct {
 	Stats *engine.Stats
 }
 
-// engineName resolves the effective engine: an explicit override wins,
-// otherwise the Method picks its canonical backend.
-func (cfg *Config) engineName() string {
+// EngineName resolves the effective P_sensitized backend this configuration
+// selects: the explicit Engine override if set, else the Method's canonical
+// engine. It does not validate that the engine exists.
+func (cfg *Config) EngineName() string {
 	if cfg.Engine != "" {
 		return cfg.Engine
 	}
@@ -230,11 +232,6 @@ func (cfg *Config) engineName() string {
 	}
 	return "epp-batch"
 }
-
-// EngineName resolves the effective P_sensitized backend this configuration
-// selects: the explicit Engine override if set, else the Method's canonical
-// engine. It does not validate that the engine exists.
-func (cfg *Config) EngineName() string { return cfg.engineName() }
 
 // Validate rejects contradictory or out-of-range configurations with
 // descriptive errors instead of silently ignoring them. c may be nil when no
@@ -279,7 +276,7 @@ func (cfg *Config) Validate(c *netlist.Circuit) error {
 	if cfg.MaxSweepNodes < 0 {
 		return fmt.Errorf("ser: MaxSweepNodes = %d is negative (0 means no budget)", cfg.MaxSweepNodes)
 	}
-	eng, err := engine.Lookup(cfg.engineName())
+	eng, err := engine.Lookup(cfg.EngineName())
 	if err != nil {
 		return err
 	}
@@ -343,19 +340,14 @@ func (cfg *Config) ecoEligible() error {
 }
 
 // AttachECO attaches the cache to cfg when the configuration is eligible
-// (see Config.ECO) and reports whether it did. Use it when the caller — a
-// daemon serving arbitrary requests, say — wants incremental re-estimation
+// (see Config.ECO) and holds none yet. Use it when the caller — a daemon
+// serving arbitrary requests, say — wants incremental re-estimation
 // opportunistically rather than as a hard requirement: ineligible
 // configurations simply run uncached instead of erroring.
-func AttachECO(cfg *Config, cache *eco.Cache) bool {
-	if cache == nil || cfg.ECO != nil {
-		return cfg.ECO != nil
+func AttachECO(cfg *Config, cache *eco.Cache) {
+	if cfg.ECO == nil && cfg.ecoEligible() == nil {
+		cfg.ECO = cache
 	}
-	if cfg.ecoEligible() != nil {
-		return false
-	}
-	cfg.ECO = cache
-	return true
 }
 
 // validBias checks a per-source probability vector for range and, when the
@@ -399,37 +391,37 @@ type Report struct {
 	TotalFIT float64   // sum over nodes
 }
 
-// prepared is the validated, resolved state shared by the package's entry
-// points (Run, Stream, Assemble, Describe, PSensitizedRange): the engine,
-// its request, and the R_SEU / P_latched models.
-type prepared struct {
+// Prepared is one validated request with its engine, engine request and
+// R_SEU / P_latched models resolved once for every step of serving it: Info,
+// Run, Stream, Range and Assemble. An analytic engine's signal probabilities
+// are resolved by the first step that sweeps or fingerprints and reused by
+// every later one; Assemble never needs them. Each step sweeps on its own
+// copy of the engine request. A Prepared serves one caller at a time.
+type Prepared struct {
+	c      *netlist.Circuit
+	cfg    Config
 	eng    engine.Engine
-	req    engine.Request
+	req    engine.Request // the template every step copies; SP unset
+	sp     []float64      // the resolved signal probabilities, see request
 	faults faults.Model
 	latch  latch.Model
 }
 
-// prepare validates cfg against c, resolves the engine and models, and
-// assembles the engine request (computing the signal probability vector for
-// analytic engines per cfg.SPMethod).
-func prepare(c *netlist.Circuit, cfg *Config) (*prepared, error) {
+// Prepare validates cfg against c and resolves the engine, its request and
+// the models, leaving the signal probabilities for the first step that
+// needs them.
+func Prepare(c *netlist.Circuit, cfg Config) (*Prepared, error) {
 	if err := cfg.Validate(c); err != nil {
 		return nil, err
 	}
-	p := &prepared{faults: faults.Default(), latch: latch.Default()}
+	p := &Prepared{c: c, faults: faults.Default(), latch: latch.Default()}
 	if cfg.Faults != nil {
 		p.faults = *cfg.Faults
 	}
 	if cfg.Latch != nil {
 		p.latch = *cfg.Latch
 	}
-	if err := p.faults.Validate(); err != nil {
-		return nil, err
-	}
-	if err := p.latch.Validate(); err != nil {
-		return nil, err
-	}
-	eng, err := engine.Lookup(cfg.engineName())
+	eng, err := engine.Lookup(cfg.EngineName())
 	if err != nil {
 		return nil, err
 	}
@@ -439,6 +431,7 @@ func prepare(c *netlist.Circuit, cfg *Config) (*prepared, error) {
 		// the engine was selected directly.
 		cfg.Method = MethodMonteCarlo
 	}
+	p.cfg = cfg
 	// The sampling engines draw fault-injection vectors from MC.SourceProb
 	// only (an SP-only bias must not leak into the injection vectors); everything else reads the
 	// signal-probability bias. WithSourceBias sets both.
@@ -447,15 +440,21 @@ func prepare(c *netlist.Circuit, cfg *Config) (*prepared, error) {
 		bias = cfg.MC.SourceProb
 	}
 	p.req = engine.Request{
-		Circuit:    c,
-		Bias:       bias,
-		Workers:    cfg.Workers,
-		BatchWidth: cfg.BatchWidth,
-		Frames:     cfg.Frames,
-		Rules:      cfg.Rules,
-		Vectors:    cfg.MC.Vectors,
-		Seed:       cfg.MC.Seed,
-		BDDBudget:  cfg.BDDBudget,
+		Circuit:       c,
+		Bias:          bias,
+		Workers:       cfg.Workers,
+		BatchWidth:    cfg.BatchWidth,
+		Frames:        cfg.Frames,
+		Rules:         cfg.Rules,
+		Vectors:       cfg.MC.Vectors,
+		Seed:          cfg.MC.Seed,
+		BDDBudget:     cfg.BDDBudget,
+		OnProgress:    cfg.Progress,
+		MaxSweepNodes: cfg.MaxSweepNodes,
+		Stats:         cfg.Stats,
+		// Validate vetted the cache's eligibility (ecoEligible); the engine
+		// enforces its own combination rules (no shard, no resume, nil bias).
+		Memo: cfg.ECO,
 	}
 	if cfg.Latch != nil {
 		// An explicitly chosen latch model couples the latching window into
@@ -464,29 +463,39 @@ func prepare(c *netlist.Circuit, cfg *Config) (*prepared, error) {
 		// compatibility. The static per-node factor always applies.
 		p.req.Latch = &p.latch
 	}
-	p.req.MaxSweepNodes = cfg.MaxSweepNodes
-	p.req.Stats = cfg.Stats
 	if cfg.CheckpointPath != "" {
 		p.req.Resume = resume.New(cfg.CheckpointPath, cfg.CheckpointInterval)
-	}
-	// Validate already vetted eligibility (ecoEligible); the engine enforces
-	// its own combination rules (no shard, no resume, nil bias) besides.
-	p.req.Memo = cfg.ECO
-	if eng.Class() == engine.ClassAnalytic {
-		p.req.SP = SignalProbabilities(c, *cfg)
 	}
 	return p, nil
 }
 
-// runEngine invokes the engine's all-sites sweep with the pipeline-level
+// request returns a copy of the engine request for one step. An analytic
+// engine's copy carries the signal probability vector per cfg.SPMethod,
+// computed by the first call and shared by every later one.
+func (p *Prepared) request() engine.Request {
+	r := p.req
+	if p.eng.Class() == engine.ClassAnalytic {
+		if p.sp == nil {
+			resolve := sigprob.Topological
+			if p.cfg.SPMethod == SPMonteCarlo {
+				resolve = sigprob.MonteCarlo
+			}
+			p.sp = resolve(p.c, p.cfg.SP)
+		}
+		r.SP = p.sp
+	}
+	return r
+}
+
+// sweep invokes the engine's all-sites sweep on req with the pipeline-level
 // deadline applied and a defense-in-depth panic guard: the sweep driver
 // recovers worker and callback panics itself, but a panic on an
 // engine's synchronous setup path (kernel construction, say) must equally
 // surface as an error rather than crash the caller.
-func (p *prepared) runEngine(ctx context.Context, cfg *Config, psens []float64) (err error) {
-	if cfg.Timeout > 0 {
+func (p *Prepared) sweep(ctx context.Context, req *engine.Request, psens []float64) (err error) {
+	if p.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, p.cfg.Timeout)
 		defer cancel()
 	}
 	defer func() {
@@ -494,7 +503,7 @@ func (p *prepared) runEngine(ctx context.Context, cfg *Config, psens []float64) 
 			err = &engine.SweepPanicError{Engine: p.eng.Name(), Unit: "sweep", Lo: -1, Hi: -1, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return p.eng.PSensitizedAll(ctx, &p.req, psens)
+	return p.eng.PSensitizedAll(ctx, req, psens)
 }
 
 // platchVector resolves the per-node P_latched factor: the static
@@ -503,11 +512,11 @@ func (p *prepared) runEngine(ctx context.Context, cfg *Config, psens []float64) 
 // the engines then apply the timing window per detection frame, and
 // multiplying the static window in again would count it twice on the
 // strike path (and wrongly derate full-cycle later-frame detections).
-func (p *prepared) platchVector(c *netlist.Circuit) []float64 {
+func (p *Prepared) platchVector() []float64 {
 	if p.req.Latch != nil && p.req.Frames > 1 {
-		return p.latch.ResidualProbabilities(c)
+		return p.latch.ResidualProbabilities(p.c)
 	}
-	return p.latch.Probabilities(c)
+	return p.latch.Probabilities(p.c)
 }
 
 // nodeSER assembles one node's SER decomposition from the factor vectors.
@@ -528,13 +537,12 @@ func nodeSER(c *netlist.Circuit, id netlist.ID, rates, platch, psens []float64) 
 // per-node products, the ID-order total. Shared by Run and by Assemble (the
 // coordinator's fold path) so a Report assembled from shard-merged psens
 // values is arithmetically identical to one from a local sweep.
-func (p *prepared) assemble(c *netlist.Circuit, cfg *Config, psens []float64) *Report {
-	n := c.N()
-	rates := p.faults.RatesFIT(c)
-	platch := p.platchVector(c)
-	rep := &Report{Circuit: c.Name, Method: cfg.Method, Engine: p.eng.Name(), Nodes: make([]NodeSER, n)}
-	for id := 0; id < n; id++ {
-		ns := nodeSER(c, netlist.ID(id), rates, platch, psens)
+func (p *Prepared) assemble(psens []float64) *Report {
+	rates := p.faults.RatesFIT(p.c)
+	platch := p.platchVector()
+	rep := &Report{Circuit: p.c.Name, Method: p.cfg.Method, Engine: p.eng.Name(), Nodes: make([]NodeSER, p.c.N())}
+	for id := range rep.Nodes {
+		ns := nodeSER(p.c, netlist.ID(id), rates, platch, psens)
 		rep.Nodes[id] = ns
 		rep.TotalFIT += ns.SERFIT
 	}
@@ -545,37 +553,44 @@ func (p *prepared) assemble(c *netlist.Circuit, cfg *Config, psens []float64) *R
 // P_sensitized through the configured engine, R_SEU and P_latched models —
 // and returns the assembled report. Cancellation of ctx is honored between
 // engine batches and returns ctx.Err().
+func (p *Prepared) Run(ctx context.Context) (*Report, error) {
+	req := p.request()
+	psens := make([]float64, p.c.N())
+	if err := p.sweep(ctx, &req, psens); err != nil {
+		return nil, err
+	}
+	return p.assemble(psens), nil
+}
+
+// Run prepares cfg against c and runs it; see Prepared.Run.
 func Run(ctx context.Context, c *netlist.Circuit, cfg Config) (*Report, error) {
-	p, err := prepare(c, &cfg)
+	p, err := Prepare(c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Progress rides the engine's OnProgress channel: site-major engines
-	// report per finalized batch, the word-major monte-carlo engine per
-	// completed vector word (its sites all finalize together at the end).
-	p.req.OnProgress = cfg.Progress
-	psens := make([]float64, c.N())
-	if err := p.runEngine(ctx, &cfg, psens); err != nil {
-		return nil, err
-	}
-	return p.assemble(c, &cfg, psens), nil
+	return p.Run(ctx)
 }
 
-// Assemble builds the Report for cfg from an externally computed complete
+// Assemble builds the Report from an externally computed complete
 // P_sensitized vector — the distributed coordinator's fold path: workers
 // return shard slices of the same engine sweep, the coordinator stitches
 // them into psens, and because engines guarantee packing invariance and this
 // tail is deterministic ID-order arithmetic, the result is byte-identical to
 // Run on one machine. psens must have one entry per node.
+func (p *Prepared) Assemble(psens []float64) (*Report, error) {
+	if len(psens) != p.c.N() {
+		return nil, fmt.Errorf("ser: psens has %d entries for %d nodes", len(psens), p.c.N())
+	}
+	return p.assemble(psens), nil
+}
+
+// Assemble prepares cfg against c and folds psens; see Prepared.Assemble.
 func Assemble(c *netlist.Circuit, cfg Config, psens []float64) (*Report, error) {
-	p, err := prepare(c, &cfg)
+	p, err := Prepare(c, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(psens) != c.N() {
-		return nil, fmt.Errorf("ser: psens has %d entries for %d nodes", len(psens), c.N())
-	}
-	return p.assemble(c, &cfg, psens), nil
+	return p.Assemble(psens)
 }
 
 // Info identifies a request for caching and distribution without running
@@ -589,41 +604,42 @@ type Info struct {
 	Method      Method
 }
 
-// Describe validates cfg against c and returns the request's identity. Two
-// requests with equal fingerprints produce byte-identical Reports, which is
-// what makes the fingerprint a sound memoization and shard-commit key. The
-// SiteLo/SiteHi shard range is excluded by construction, so a shard
-// describes as the full sweep it belongs to.
+// Info returns the request's identity. Two requests with equal fingerprints
+// produce byte-identical Reports, which is what makes the fingerprint a
+// sound memoization and shard-commit key. The Range shard bounds are
+// excluded by construction, so a shard describes as the full sweep it
+// belongs to.
+func (p *Prepared) Info() Info {
+	req := p.request()
+	return Info{
+		Fingerprint: req.Fingerprint(p.eng.Name(), req.SP),
+		Engine:      p.eng.Name(),
+		Class:       p.eng.Class(),
+		Method:      p.cfg.Method,
+	}
+}
+
+// Describe prepares cfg against c and returns its identity; see
+// Prepared.Info.
 func Describe(c *netlist.Circuit, cfg Config) (Info, error) {
-	p, err := prepare(c, &cfg)
+	p, err := Prepare(c, cfg)
 	if err != nil {
 		return Info{}, err
 	}
-	return Info{
-		Fingerprint: p.req.Fingerprint(p.eng.Name(), p.req.SP),
-		Engine:      p.eng.Name(),
-		Class:       p.eng.Class(),
-		Method:      cfg.Method,
-	}, nil
+	return p.Info(), nil
 }
 
-// PSensitizedRange computes P_sensitized for the node-ID shard [lo, hi)
-// only — the distributed worker's unit of work — returning the hi−lo shard
-// values in ID order. Only site-major engines support ranges; the word-major
-// monte-carlo engine rejects them (its shared-good-sim kernel amortizes one
-// good simulation across all sites, so site-sharding would duplicate that
-// work in every shard — the coordinator runs sampling requests whole
-// instead). Concatenating every shard of [0, N) reproduces the full sweep's
+// Range computes P_sensitized for the node-ID shard [lo, hi) only — the
+// distributed worker's unit of work — and returns the hi−lo values in ID
+// order. The word-major monte-carlo engine rejects ranges (a shard would
+// repeat its shared good simulation; the coordinator runs sampling requests
+// whole). Concatenating every shard of [0, N) reproduces the full sweep's
 // vector bit-identically at any shard partitioning and worker count.
-func PSensitizedRange(ctx context.Context, c *netlist.Circuit, cfg Config, lo, hi int) ([]float64, error) {
-	p, err := prepare(c, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.req.SiteLo, p.req.SiteHi = lo, hi
-	p.req.OnProgress = cfg.Progress
-	out := make([]float64, c.N())
-	if err := p.runEngine(ctx, &cfg, out); err != nil {
+func (p *Prepared) Range(ctx context.Context, lo, hi int) ([]float64, error) {
+	req := p.request()
+	req.SiteLo, req.SiteHi = lo, hi
+	out := make([]float64, p.c.N())
+	if err := p.sweep(ctx, &req, out); err != nil {
 		return nil, err
 	}
 	return out[lo:hi], nil
@@ -641,33 +657,28 @@ var errStreamStopped = errors.New("ser: stream consumer stopped")
 // and emit in order regardless of worker count). On failure or
 // cancellation the final yield carries the error (with a zero NodeSER);
 // breaking out of the loop stops the sweep after the current batch.
-func Stream(ctx context.Context, c *netlist.Circuit, cfg Config) iter.Seq2[NodeSER, error] {
+func (p *Prepared) Stream(ctx context.Context) iter.Seq2[NodeSER, error] {
 	return func(yield func(NodeSER, error) bool) {
-		p, err := prepare(c, &cfg)
-		if err != nil {
-			yield(NodeSER{}, err)
-			return
-		}
-		n := c.N()
+		c := p.c
 		rates := p.faults.RatesFIT(c)
-		platch := p.platchVector(c)
-		psens := make([]float64, n)
+		platch := p.platchVector()
+		psens := make([]float64, c.N())
+		req := p.request()
 		// Stream runs uncached: a memo restore replays hit ranges before the
 		// complement is swept, which would break the in-ID-order emission
 		// contract. Run keeps the cache; Stream trades it for ordering.
-		p.req.Memo = nil
+		req.Memo = nil
 		// Ordered emission needs OnBatch ranges to be final node-ID ranges.
 		// For the per-site engines that means a serial sweep; the sampling
 		// engine keeps its word-level parallelism — it finalizes all sites
 		// together and emits ordered tiles at the end regardless of worker
 		// count, with bit-identical results.
-		p.req.OrderedSweep = true
+		req.OrderedSweep = true
 		if p.eng.Class() != engine.ClassSampling {
-			p.req.Workers = 1
+			req.Workers = 1
 		}
-		p.req.OnProgress = cfg.Progress
 		stopped := false
-		p.req.OnBatch = func(lo, hi int) error {
+		req.OnBatch = func(lo, hi int) error {
 			for id := lo; id < hi; id++ {
 				if !yield(nodeSER(c, netlist.ID(id), rates, platch, psens), nil) {
 					stopped = true
@@ -676,18 +687,10 @@ func Stream(ctx context.Context, c *netlist.Circuit, cfg Config) iter.Seq2[NodeS
 			}
 			return nil
 		}
-		if err := p.runEngine(ctx, &cfg, psens); err != nil && !stopped {
+		if err := p.sweep(ctx, &req, psens); err != nil && !stopped {
 			yield(NodeSER{}, err)
 		}
 	}
-}
-
-// SignalProbabilities computes the configured signal probability vector.
-func SignalProbabilities(c *netlist.Circuit, cfg Config) []float64 {
-	if cfg.SPMethod == SPMonteCarlo {
-		return sigprob.MonteCarlo(c, cfg.SP)
-	}
-	return sigprob.Topological(c, cfg.SP)
 }
 
 // Ranked returns the nodes sorted by SER, most vulnerable first; ties break

@@ -232,3 +232,88 @@ func TestInvalidModelsRejected(t *testing.T) {
 		t.Error("invalid faults model accepted")
 	}
 }
+
+// TestPrepareResolvesSPOnce: Prepare and Assemble leave the signal
+// probability vector unresolved, Info resolves it, and every later step
+// sweeps with that same backing array; one step's request settings never
+// leak into the next.
+func TestPrepareResolvesSPOnce(t *testing.T) {
+	c := gen.SmallRandom(23)
+	ctx := context.Background()
+	cfg := Config{SPMethod: SPMonteCarlo, SP: sigprob.Config{Vectors: 1024, Seed: 5}, Workers: 2}
+	p, err := Prepare(c, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.sp != nil {
+		t.Fatal("Prepare resolved the SP vector")
+	}
+	if _, err := p.Assemble(make([]float64, c.N())); err != nil {
+		t.Fatal(err)
+	}
+	if p.sp != nil {
+		t.Fatal("Assemble resolved the SP vector")
+	}
+	info := p.Info()
+	if p.sp == nil {
+		t.Fatal("Info did not resolve the SP vector")
+	}
+	sp := &p.sp[0]
+	same := func(step string) {
+		t.Helper()
+		if req := p.request(); &p.sp[0] != sp || &req.SP[0] != sp {
+			t.Fatalf("after %s the SP vector is a new array", step)
+		}
+		if p.req.Workers != 2 || p.req.OrderedSweep || p.req.OnBatch != nil || p.req.SiteLo != 0 || p.req.SiteHi != 0 {
+			t.Fatalf("after %s the request template changed: %+v", step, p.req)
+		}
+	}
+	rep, err := p.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Run")
+	lo, hi := 3, c.N()-2
+	vals, err := p.Range(ctx, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("Range")
+	for i, v := range vals {
+		if v != rep.Nodes[lo+i].PSensitized {
+			t.Fatalf("Range node %d: %v, Run %v", lo+i, v, rep.Nodes[lo+i].PSensitized)
+		}
+	}
+	id := 0
+	for ns, err := range p.Stream(ctx) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ns != rep.Nodes[id] {
+			t.Fatalf("Stream node %d: %+v, Run %+v", id, ns, rep.Nodes[id])
+		}
+		id++
+	}
+	if id != c.N() {
+		t.Fatalf("Stream yielded %d of %d nodes", id, c.N())
+	}
+	same("Stream")
+	if again := p.Info(); again != info {
+		t.Fatalf("Info changed: %+v, then %+v", info, again)
+	}
+	if want, err := Describe(c, cfg); err != nil || want != info {
+		t.Fatalf("Describe = %+v, %v; Info %+v", want, err, info)
+	}
+
+	// A sampling engine reads no SP vector, so none is resolved.
+	mc, err := Prepare(c, Config{Method: MethodMonteCarlo, MC: simulate.MCOptions{Vectors: 256}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mc.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if mc.Info(); mc.sp != nil {
+		t.Fatal("a sampling request resolved an SP vector")
+	}
+}

@@ -12,10 +12,10 @@
 // Complete reports are memoized under their fingerprint. Each entry also
 // keeps up to maxAliases alias keys: the circuit content hash plus the
 // request's full decoded Options, scheduling knobs included. A request
-// matching an alias is served without ser.Describe, which would otherwise
-// re-resolve the signal probabilities only to recompute the fingerprint. An
-// alias is added only after Describe accepted that exact request and its
-// fingerprint hit, so a request Describe would reject can never match one.
+// matching an alias is served without ser.Prepare and Info, which would
+// otherwise resolve the signal probabilities only to recompute the
+// fingerprint. An alias is added only after Prepare accepted that exact
+// request and its fingerprint hit, so a rejected request never matches one.
 //
 // The LRU byte bound charges the encoded bytes plus the alias keys: about
 // 6.9 MB per s38417-profile report, so the 64 MiB default holds about nine.
@@ -77,7 +77,7 @@ func finishReport(nd *bytes.Buffer, info ser.Info, rep *ser.Report, uncovered []
 // maxAliases bounds the alias keys one entry keeps; the oldest goes first.
 const maxAliases = 8
 
-// aliasKey identifies a request by everything ser.Describe reads: the
+// aliasKey identifies a request by everything ser.Prepare reads: the
 // circuit content and the full decoded options. The latch parameters enter
 // as bit patterns, as they do in the fingerprint, so -0 and 0 stay apart.
 type aliasKey struct {

@@ -105,12 +105,23 @@ func (rh *recordingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func TestCoordinatorByteIdenticalToLocalRun(t *testing.T) {
 	src := CircuitSource{Profile: "s953"}
+	type leg struct {
+		name string
+		opts Options
+	}
+	legs := []leg{
+		{"frames1", Options{Frames: 1}},
+		{"frames4", Options{Frames: 4}},
+		// Monte Carlo signal probabilities: every shard resolves the SP
+		// vector itself, and the coordinator folds them against its own.
+		{"frames1-spmc", Options{Frames: 1, SPMethod: "monte-carlo", SPVectors: 4096}},
+	}
 	for _, fleet := range []int{1, 2} {
-		for _, frames := range []int{1, 4} {
-			t.Run(fmt.Sprintf("workers%d-frames%d", fleet, frames), func(t *testing.T) {
+		for _, l := range legs {
+			t.Run(fmt.Sprintf("workers%d-%s", fleet, l.name), func(t *testing.T) {
 				workers := workerFleet(t, fleet, nil)
 				_, ts := newTestServer(t, Config{Workers: workers, ShardsPerWorker: 3})
-				opts := Options{Frames: frames}
+				opts := l.opts
 				want := localRun(t, src, opts)
 
 				resp := analyze(t, ts.URL, AnalyzeRequest{Circuit: src, Options: opts})

@@ -271,50 +271,63 @@ func TestAnalyzeReportMatchesLocalRun(t *testing.T) {
 }
 
 func TestStreamByteIdenticalToRunAndCache(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	src := CircuitSource{Profile: "s953"}
-	want := localRun(t, src, Options{})
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"sp-monte-carlo", Options{SPMethod: "monte-carlo", SPVectors: 4096}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			req := AnalyzeRequest{Circuit: CircuitSource{Profile: "s953"}, Options: tc.opts}
+			want := localRun(t, req.Circuit, tc.opts)
 
-	first := analyzeStream(t, ts.URL, AnalyzeRequest{Circuit: src})
-	hdr1, rep1 := decodeStream(t, first)
-	if hdr1.Cached {
-		t.Fatal("first stream claims cached")
-	}
-	requireReportsIdentical(t, "live-stream", rep1, want)
+			first := analyzeStream(t, ts.URL, req)
+			hdr1, rep1 := decodeStream(t, first)
+			if hdr1.Cached {
+				t.Fatal("first stream claims cached")
+			}
+			requireReportsIdentical(t, "live-stream", rep1, want)
 
-	// Summing tile SERFITs in arrival order must land on the total frame's
-	// bits exactly — the documented client-side reconstruction contract.
-	var sum float64
-	for i := range rep1.Nodes {
-		sum += rep1.Nodes[i].SERFIT
-	}
-	if math.Float64bits(sum) != math.Float64bits(rep1.TotalFIT) {
-		t.Fatalf("tile sum %x != total frame %x", math.Float64bits(sum), math.Float64bits(rep1.TotalFIT))
-	}
+			// Summing tile SERFITs in arrival order must land on the total
+			// frame's bits exactly — the documented client-side
+			// reconstruction contract.
+			var sum float64
+			for i := range rep1.Nodes {
+				sum += rep1.Nodes[i].SERFIT
+			}
+			if math.Float64bits(sum) != math.Float64bits(rep1.TotalFIT) {
+				t.Fatalf("tile sum %x != total frame %x", math.Float64bits(sum), math.Float64bits(rep1.TotalFIT))
+			}
 
-	second := analyzeStream(t, ts.URL, AnalyzeRequest{Circuit: src})
-	hdr2, rep2 := decodeStream(t, second)
-	if !hdr2.Cached {
-		t.Fatal("second stream not cached")
-	}
-	requireReportsIdentical(t, "cached-stream", rep2, want)
+			second := analyzeStream(t, ts.URL, req)
+			hdr2, rep2 := decodeStream(t, second)
+			if !hdr2.Cached {
+				t.Fatal("second stream not cached")
+			}
+			requireReportsIdentical(t, "cached-stream", rep2, want)
 
-	// Byte identity from line 2 on: cache status lives only in the header.
-	if len(first) != len(second) {
-		t.Fatalf("stream lengths differ: %d != %d", len(first), len(second))
-	}
-	for i := 1; i < len(first); i++ {
-		if first[i] != second[i] {
-			t.Fatalf("line %d differs between live and cached stream:\n%s\n%s", i, first[i], second[i])
-		}
-	}
+			// Byte identity from line 2 on: cache status lives only in the
+			// header.
+			if len(first) != len(second) {
+				t.Fatalf("stream lengths differ: %d != %d", len(first), len(second))
+			}
+			for i := 1; i < len(first); i++ {
+				if first[i] != second[i] {
+					t.Fatalf("line %d differs between live and cached stream:\n%s\n%s", i, first[i], second[i])
+				}
+			}
 
-	// The stream path memoized the report: a non-streaming request now hits.
-	if got := analyze(t, ts.URL, AnalyzeRequest{Circuit: src}); !got.Cached {
-		t.Fatal("non-streaming request after stream not cached")
-	}
-	if st := s.reports.snapshot(); st.Entries == 0 || st.Hits == 0 {
-		t.Fatalf("report cache stats after stream+hit: %+v", st)
+			// The stream path memoized the report: a non-streaming request
+			// now hits.
+			if got := analyze(t, ts.URL, req); !got.Cached {
+				t.Fatal("non-streaming request after stream not cached")
+			}
+			if st := s.reports.snapshot(); st.Entries == 0 || st.Hits == 0 {
+				t.Fatalf("report cache stats after stream+hit: %+v", st)
+			}
+		})
 	}
 }
 
@@ -385,12 +398,13 @@ func TestShardEndpointMatchesLocalRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg, _ := Options{}.config()
-	info, err := ser.Describe(c, cfg)
+	p, err := ser.Prepare(c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	info := p.Info()
 	lo, hi := 7, 131
-	want, err := ser.PSensitizedRange(context.Background(), c, cfg, lo, hi)
+	want, err := p.Range(context.Background(), lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	stream := req.Stream || acceptsNDJSON(r.Header)
 
 	// Cache hits are served without touching admission — a saturated engine
-	// pool must never delay a map lookup. An alias hit skips Describe too.
+	// pool must never delay a map lookup. An alias hit skips Prepare too.
 	alias := newAliasKey(c.ContentHash(), req.Options)
 	if cr, ok := s.reports.lookup(alias); ok {
 		writeReport(w, c, cr, stream, true)
@@ -259,11 +259,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	info, err := ser.Describe(c, cfg)
+	ser.AttachECO(&cfg, s.eco) // only a local Run consults the cache
+	p, err := ser.Prepare(c, cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	info := p.Info()
 	if cr, ok := s.reports.get(info.Fingerprint, alias); ok {
 		writeReport(w, c, cr, stream, true)
 		return
@@ -278,10 +280,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 	if stream && s.coord == nil {
 		// Local streaming path: tiles go out as the sweep finalizes them.
-		s.streamLive(w, r, c, cfg, info)
+		s.streamLive(w, r, c, p, info)
 		return
 	}
-	rep, uncovered, err := s.runReport(ctx, c, cfg, &req, info)
+	rep, uncovered, err := s.runReport(ctx, c, p, &req, info)
 	if err != nil {
 		// A canceled client is gone; don't log it as a failure.
 		if !errors.Is(err, context.Canceled) {
@@ -324,7 +326,7 @@ func acceptsNDJSON(h http.Header) bool {
 // locally otherwise (sampling engines always run whole — see the package
 // doc). A non-empty uncovered return (possible only with allowPartial on a
 // coordinator) marks a degraded report covering only the committed ranges.
-func (s *Server) runReport(ctx context.Context, c *netlist.Circuit, cfg ser.Config, req *AnalyzeRequest, info ser.Info) (*ser.Report, []Range, error) {
+func (s *Server) runReport(ctx context.Context, c *netlist.Circuit, p *ser.Prepared, req *AnalyzeRequest, info ser.Info) (*ser.Report, []Range, error) {
 	if s.coord != nil && info.Class != engine.ClassSampling {
 		// Shards carry the client's options but not its scheduling knobs:
 		// the deadline stays here (shards inherit cancellation through ctx)
@@ -336,14 +338,13 @@ func (s *Server) runReport(ctx context.Context, c *netlist.Circuit, cfg ser.Conf
 			return nil, nil, err
 		}
 		if len(uncovered) > 0 {
-			rep, err := partialReport(c, cfg, psens, uncovered)
+			rep, err := partialReport(p, psens, uncovered)
 			return rep, uncovered, err
 		}
-		rep, err := ser.Assemble(c, cfg, psens)
+		rep, err := p.Assemble(psens)
 		return rep, nil, err
 	}
-	ser.AttachECO(&cfg, s.eco)
-	rep, err := ser.Run(ctx, c, cfg)
+	rep, err := p.Run(ctx)
 	return rep, nil, err
 }
 
@@ -353,7 +354,7 @@ func (s *Server) runReport(ctx context.Context, c *netlist.Circuit, cfg ser.Conf
 // is re-summed over the covered nodes in ascending ID order — the same
 // order a full assembly sums, so the covered nodes' contributions are
 // bit-identical to their values in the complete report.
-func partialReport(c *netlist.Circuit, cfg ser.Config, psens []float64, uncovered []Range) (*ser.Report, error) {
+func partialReport(p *ser.Prepared, psens []float64, uncovered []Range) (*ser.Report, error) {
 	hole := make([]bool, len(psens))
 	for _, r := range uncovered {
 		for i := r.Lo; i < r.Hi && i >= 0; i++ {
@@ -361,7 +362,7 @@ func partialReport(c *netlist.Circuit, cfg ser.Config, psens []float64, uncovere
 			psens[i] = 0 // defined input for Assemble; the node is dropped below
 		}
 	}
-	rep, err := ser.Assemble(c, cfg, psens)
+	rep, err := p.Assemble(psens)
 	if err != nil {
 		return nil, err
 	}
@@ -426,27 +427,28 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if req.Lo < 0 || req.Hi > c.N() || req.Hi <= req.Lo {
+		writeError(w, http.StatusBadRequest, "serd: shard range [%d,%d) invalid for %d nodes", req.Lo, req.Hi, c.N())
+		return
+	}
 	cfg, err := req.Options.config()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Lo < 0 || req.Hi > c.N() || req.Hi <= req.Lo {
-		writeError(w, http.StatusBadRequest, "serd: shard range [%d,%d) invalid for %d nodes", req.Lo, req.Hi, c.N())
-		return
-	}
-	info, err := ser.Describe(c, cfg)
+	p, err := ser.Prepare(c, cfg)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	info := p.Info()
 	ctx := r.Context()
 	if err := s.adm.acquire(ctx); err != nil {
 		writeError(w, errStatus(err), "%v", err)
 		return
 	}
 	defer s.adm.release()
-	vals, err := ser.PSensitizedRange(ctx, c, cfg, req.Lo, req.Hi)
+	vals, err := p.Range(ctx, req.Lo, req.Hi)
 	if err != nil {
 		if !errors.Is(err, context.Canceled) {
 			s.logf("serd: shard [%d,%d) %s engine=%s: %v", req.Lo, req.Hi, c.Name, info.Engine, err)

@@ -52,7 +52,7 @@ func headerLine(c *netlist.Circuit, info ser.Info, cached bool) []byte {
 	return append(line, '\n')
 }
 
-// streamLive runs the sweep through ser.Stream, sending each node tile as
+// streamLive runs the sweep through the prepared request's Stream, sending each node tile as
 // its engine batch finalizes. The tiles are encoded once, into the buffer
 // that becomes the cache entry: every flushEvery tiles the bytes not yet
 // sent go out, and after the last tile finishReport appends the total frame
@@ -63,7 +63,7 @@ func headerLine(c *netlist.Circuit, info ser.Info, cached bool) []byte {
 // order — ascending node ID, the same order Run sums — so the memoized
 // Report and the total frame are bit-identical to a local Run of the
 // request. A failed sweep ends in an error frame and is not memoized.
-func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, c *netlist.Circuit, cfg ser.Config, info ser.Info) {
+func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, c *netlist.Circuit, p *ser.Prepared, info ser.Info) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	// send writes b and pushes it to the client; false means the client is gone.
@@ -79,12 +79,14 @@ func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, c *netlist.C
 	if !send(headerLine(c, info, false)) {
 		return
 	}
-	rep := &ser.Report{Circuit: c.Name, Method: cfg.Method, Engine: info.Engine, Nodes: make([]ser.NodeSER, 0, c.N())}
+	// The report names the normalized method (sampling engines report
+	// monte-carlo even when selected via WithEngine), as Run's does.
+	rep := &ser.Report{Circuit: c.Name, Method: info.Method, Engine: info.Engine, Nodes: make([]ser.NodeSER, 0, c.N())}
 	var nd bytes.Buffer
 	enc := json.NewEncoder(&nd)
 	sent := 0 // bytes of nd already sent
 	var err error
-	for ns, serr := range ser.Stream(r.Context(), c, cfg) {
+	for ns, serr := range p.Stream(r.Context()) {
 		if err = serr; err != nil {
 			break
 		}
@@ -104,10 +106,6 @@ func (s *Server) streamLive(w http.ResponseWriter, r *http.Request, c *netlist.C
 	}
 	var cr *cachedReport
 	if err == nil {
-		// Describe already normalized the method (sampling engines report
-		// monte-carlo even when selected via WithEngine); mirror it so the
-		// memoized report matches Run's.
-		rep.Method = info.Method
 		cr, err = finishReport(&nd, info, rep, nil)
 	}
 	if err != nil {

@@ -30,8 +30,9 @@ type runConfig struct {
 	engineSet bool
 }
 
-// buildConfig applies the options and cross-checks explicit requests.
-func buildConfig(opts []Option) (*runConfig, error) {
+// prepare applies the options, cross-checks explicit requests and prepares
+// the resulting configuration against c.
+func prepare(c *Circuit, opts []Option) (*ser.Prepared, error) {
 	rc := &runConfig{}
 	for _, opt := range opts {
 		if opt == nil {
@@ -54,7 +55,7 @@ func buildConfig(opts []Option) (*runConfig, error) {
 				rc.cfg.Method, eng.Name(), eng.Class())
 		}
 	}
-	return rc, nil
+	return ser.Prepare(c, rc.cfg)
 }
 
 // WithMethod selects the P_sensitized estimator family: MethodEPP (the
@@ -330,11 +331,11 @@ func WithECO(cache *ECOCache) Option {
 // Cancellation of ctx is honored between engine batches: Run returns
 // ctx.Err() promptly without draining the remaining sweep.
 func Run(ctx context.Context, c *Circuit, opts ...Option) (*Report, error) {
-	rc, err := buildConfig(opts)
+	p, err := prepare(c, opts)
 	if err != nil {
 		return nil, err
 	}
-	return ser.Run(ctx, c, rc.cfg)
+	return p.Run(ctx)
 }
 
 // RunStream is the incremental form of Run: it yields one NodeSER per node
@@ -353,13 +354,13 @@ func Run(ctx context.Context, c *Circuit, opts ...Option) (*Report, error) {
 // observation during the sweep comes through WithProgress, which ticks per
 // completed word; cancellation stays word-granular throughout.
 func RunStream(ctx context.Context, c *Circuit, opts ...Option) iter.Seq2[NodeSER, error] {
-	rc, err := buildConfig(opts)
+	p, err := prepare(c, opts)
 	if err != nil {
 		return func(yield func(NodeSER, error) bool) {
 			yield(NodeSER{}, err)
 		}
 	}
-	return ser.Stream(ctx, c, rc.cfg)
+	return p.Stream(ctx)
 }
 
 // Engines returns the names of the registered P_sensitized backends, sorted
@@ -377,13 +378,9 @@ func Engines() []string { return engine.Names() }
 // daemon uses as its report-cache key. The options are validated exactly as
 // Run would; contradictory combinations return an error.
 func Fingerprint(c *Circuit, opts ...Option) (string, error) {
-	rc, err := buildConfig(opts)
+	p, err := prepare(c, opts)
 	if err != nil {
 		return "", err
 	}
-	info, err := ser.Describe(c, rc.cfg)
-	if err != nil {
-		return "", err
-	}
-	return info.Fingerprint, nil
+	return p.Info().Fingerprint, nil
 }
