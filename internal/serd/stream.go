@@ -52,7 +52,7 @@ func headerLine(c *netlist.Circuit, info ser.Info, cached bool) []byte {
 	return append(line, '\n')
 }
 
-// streamLive runs the sweep through the prepared request's Stream, sending each node tile as
+// streamLive runs the sweep through p.Stream, sending each node tile as
 // its engine batch finalizes. The tiles are encoded once, into the buffer
 // that becomes the cache entry: every flushEvery tiles the bytes not yet
 // sent go out, and after the last tile finishReport appends the total frame
