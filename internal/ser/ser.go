@@ -401,8 +401,7 @@ type Prepared struct {
 	c      *netlist.Circuit
 	cfg    Config
 	eng    engine.Engine
-	req    engine.Request // the template every step copies; SP unset
-	sp     []float64      // the resolved signal probabilities, see request
+	req    engine.Request // the template every step copies; SP set by request
 	faults faults.Model
 	latch  latch.Model
 }
@@ -469,22 +468,18 @@ func Prepare(c *netlist.Circuit, cfg Config) (*Prepared, error) {
 	return p, nil
 }
 
-// request returns a copy of the engine request for one step. An analytic
-// engine's copy carries the signal probability vector per cfg.SPMethod,
-// computed by the first call and shared by every later one.
+// request returns a copy of the engine request for one step. For an
+// analytic engine the first call resolves the signal probability vector per
+// cfg.SPMethod into the template, so every later copy shares it.
 func (p *Prepared) request() engine.Request {
-	r := p.req
-	if p.eng.Class() == engine.ClassAnalytic {
-		if p.sp == nil {
-			resolve := sigprob.Topological
-			if p.cfg.SPMethod == SPMonteCarlo {
-				resolve = sigprob.MonteCarlo
-			}
-			p.sp = resolve(p.c, p.cfg.SP)
+	if p.req.SP == nil && p.eng.Class() == engine.ClassAnalytic {
+		resolve := sigprob.Topological
+		if p.cfg.SPMethod == SPMonteCarlo {
+			resolve = sigprob.MonteCarlo
 		}
-		r.SP = p.sp
+		p.req.SP = resolve(p.c, p.cfg.SP)
 	}
-	return r
+	return p.req
 }
 
 // sweep invokes the engine's all-sites sweep on req with the pipeline-level

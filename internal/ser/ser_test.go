@@ -245,23 +245,23 @@ func TestPrepareResolvesSPOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.sp != nil {
+	if p.req.SP != nil {
 		t.Fatal("Prepare resolved the SP vector")
 	}
 	if _, err := p.Assemble(make([]float64, c.N())); err != nil {
 		t.Fatal(err)
 	}
-	if p.sp != nil {
+	if p.req.SP != nil {
 		t.Fatal("Assemble resolved the SP vector")
 	}
 	info := p.Info()
-	if p.sp == nil {
+	if p.req.SP == nil {
 		t.Fatal("Info did not resolve the SP vector")
 	}
-	sp := &p.sp[0]
+	sp := &p.req.SP[0]
 	same := func(step string) {
 		t.Helper()
-		if req := p.request(); &p.sp[0] != sp || &req.SP[0] != sp {
+		if req := p.request(); &p.req.SP[0] != sp || &req.SP[0] != sp {
 			t.Fatalf("after %s the SP vector is a new array", step)
 		}
 		if p.req.Workers != 2 || p.req.OrderedSweep || p.req.OnBatch != nil || p.req.SiteLo != 0 || p.req.SiteHi != 0 {
@@ -313,7 +313,7 @@ func TestPrepareResolvesSPOnce(t *testing.T) {
 	if _, err := mc.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if mc.Info(); mc.sp != nil {
+	if mc.Info(); mc.req.SP != nil {
 		t.Fatal("a sampling request resolved an SP vector")
 	}
 }
